@@ -221,11 +221,12 @@ std::string CliUsage(std::string_view program) {
   usage += "                     cache, external sorts, grouping arenas), e.g. 512M or\n";
   usage += "                     2G (binary suffixes K/M/G/T). 0 or unset = unlimited\n";
   usage += "                     (all-in-RAM). Outputs are byte-identical at any budget\n";
-  usage += "  --artifact-cache=B cap the cross-job artifact cache (memoized GroupedTable\n";
-  usage += "                     builds + Hilbert row orders, keyed by dataset content +\n";
-  usage += "                     QI schema), e.g. 64M; 0 disables. unset = engine default\n";
-  usage += "                     (256M, clamped to a quarter of --memory-budget). Outputs\n";
-  usage += "                     are byte-identical with the cache on, off, or evicting\n";
+  usage += "  --artifact-cache=B cap what the run adds to the cross-job artifact cache\n";
+  usage += "                     (memoized GroupedTable builds + Hilbert row orders, keyed\n";
+  usage += "                     by dataset content + QI schema), e.g. 64M; 0 adds nothing.\n";
+  usage += "                     unset = the cache's 256M capacity, or a quarter of\n";
+  usage += "                     --memory-budget. Outputs are byte-identical with the\n";
+  usage += "                     cache on, off, or evicting\n";
   usage += "  --kl=false         skip the KL-divergence estimate\n";
   usage += "  --no-timings       omit wall-clock fields (byte-deterministic reports)\n";
   usage += "  --emit-input=FILE  also write the input table as coded CSV\n";

@@ -71,10 +71,12 @@ struct CliOptions {
   /// switches ingestion to the out-of-core paged path. Outputs are
   /// byte-identical at any budget.
   std::uint64_t memory_budget = 0;
-  /// ArtifactCache capacity ("--artifact-cache=64M"): cross-job
-  /// memoization of GroupedTable builds and Hilbert row orders. Unset
-  /// (kArtifactCacheAuto) lets the engine pick; 0 disables. Outputs are
-  /// byte-identical with the cache on, off, or thrashing.
+  /// The most this run adds to the engine's ArtifactCache
+  /// ("--artifact-cache=64M"), the cross-job memoization of GroupedTable
+  /// builds and Hilbert row orders. Unset (kArtifactCacheAuto) leaves only
+  /// the cache's own capacity (a quarter of the memory budget when one is
+  /// set); 0 adds nothing. Outputs are byte-identical with the cache on,
+  /// off, or thrashing.
   std::uint64_t artifact_cache = kArtifactCacheAuto;
   /// When non-empty, also write the (first) input table as CSV here.
   std::string emit_input;

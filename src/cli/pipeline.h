@@ -17,8 +17,8 @@ using PipelineTable = EngineTable;
 using PipelineJobResult = EngineJob;
 using PipelineResult = JobResult;
 
-/// The process-wide engine the CLI adapters share: one DatasetCache, one
-/// run lock. The daemon constructs its own Engine instead.
+/// The process-wide engine the CLI adapters share: one DatasetCache and
+/// one ArtifactCache. The daemon constructs its own Engine instead.
 Engine& GlobalEngine();
 
 /// Runs the full pipeline described by `options`: materialize the input

@@ -52,7 +52,8 @@ void ExternalSorter::SortBuffer() {
     std::sort(buffer_.begin(), buffer_.end());
     return;
   }
-  Workspace ws;
+  Workspace local;
+  Workspace& ws = options_.workspace != nullptr ? *options_.workspace : local;
   ParallelFor(n, kRunSortGrain, ws, [&](std::size_t begin, std::size_t end, Workspace&) {
     std::sort(buffer_.begin() + begin, buffer_.begin() + end);
   });

@@ -9,6 +9,7 @@
 
 #include "common/memory_budget.h"
 #include "common/page_cache.h"
+#include "common/workspace.h"
 
 namespace ldv {
 
@@ -42,6 +43,10 @@ class ExternalSorter {
     std::size_t buffer_records = 1u << 20;        // in-RAM run size (16 B each)
     std::size_t merge_buffer_records = 1u << 14;  // per-run merge read buffer
     std::shared_ptr<MemoryBudget> budget;
+    /// The caller's workspace: runs sort at its threads(). Borrowed, and
+    /// used only on the thread that calls Add/Finish; null = a default
+    /// workspace.
+    Workspace* workspace = nullptr;
   };
 
   /// Creates the sorter (and its spill file); null + `error` when temp

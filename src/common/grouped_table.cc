@@ -48,29 +48,31 @@ std::uint64_t ShardedScratchBytes(std::size_t n) { return 32ull * n; }
 }  // namespace
 
 GroupedTable::GroupedTable(const Table& table, Workspace* workspace) {
-  const bool stream = MemoryBudgetBytes() != 0 && !table.empty() &&
-                      !GlobalMemoryBudget().WouldFit(ShardedScratchBytes(table.size()));
-  if (stream) {
-    BuildChunkedImpl(table, workspace, 0);
+  Workspace local;
+  Workspace& ws = workspace != nullptr ? *workspace : local;
+  const std::shared_ptr<MemoryBudget> budget = ws.budget();
+  if (budget != nullptr && !table.empty() &&
+      !budget->WouldFit(ShardedScratchBytes(table.size()))) {
+    BuildChunkedImpl(table, ws, 0);
   } else {
-    BuildSharded(table, workspace);
+    BuildSharded(table, ws);
   }
 }
 
 GroupedTable GroupedTable::BuildChunked(const Table& table, Workspace* workspace,
                                         std::size_t sort_buffer_records) {
+  Workspace local;
   GroupedTable grouped;
-  grouped.BuildChunkedImpl(table, workspace, sort_buffer_records);
+  grouped.BuildChunkedImpl(table, workspace != nullptr ? *workspace : local,
+                           sort_buffer_records);
   return grouped;
 }
 
-void GroupedTable::BuildSharded(const Table& table, Workspace* workspace) {
+void GroupedTable::BuildSharded(const Table& table, Workspace& ws) {
   row_count_ = table.size();
   sa_domain_size_ = table.schema().sa_domain_size();
   if (table.empty()) return;
 
-  Workspace local;
-  Workspace& ws = workspace != nullptr ? *workspace : local;
   const std::size_t n = table.size();
   const std::size_t d = table.qi_count();
   const std::size_t m = sa_domain_size_;
@@ -339,17 +341,15 @@ void GroupedTable::BuildSharded(const Table& table, Workspace* workspace) {
       groups_[g].sa_runs = {runs, distinct.size()};
     }
   });
-  ChargeArenas();
+  ChargeArenas(ws);
 }
 
-void GroupedTable::BuildChunkedImpl(const Table& table, Workspace* workspace,
+void GroupedTable::BuildChunkedImpl(const Table& table, Workspace& ws,
                                     std::size_t sort_buffer_records) {
   row_count_ = table.size();
   sa_domain_size_ = table.schema().sa_domain_size();
   if (table.empty()) return;
 
-  Workspace local;
-  Workspace& ws = workspace != nullptr ? *workspace : local;
   const std::size_t n = table.size();
   const std::size_t d = table.qi_count();
   const std::size_t m = sa_domain_size_;
@@ -358,8 +358,7 @@ void GroupedTable::BuildChunkedImpl(const Table& table, Workspace* workspace,
   for (AttrId a = 0; a < d; ++a) cols[a] = table.column(a).data();
   const SaValue* sa_col = table.sa_column().data();
 
-  std::shared_ptr<MemoryBudget> budget =
-      MemoryBudgetBytes() != 0 ? GlobalMemoryBudgetShared() : nullptr;
+  const std::shared_ptr<MemoryBudget> budget = ws.budget();
   if (sort_buffer_records == 0) {
     // Give the sort buffer a quarter of what's left, within sane bounds.
     const std::uint64_t spend =
@@ -369,7 +368,8 @@ void GroupedTable::BuildChunkedImpl(const Table& table, Workspace* workspace,
   }
   std::string sort_error;
   std::unique_ptr<ExternalSorter> sorter = ExternalSorter::Create(
-      ExternalSorter::Options{.buffer_records = sort_buffer_records, .budget = budget},
+      ExternalSorter::Options{
+          .buffer_records = sort_buffer_records, .budget = budget, .workspace = &ws},
       &sort_error);
   // No temp space mid-build is recoverable: the engine boundary turns
   // this into a typed I/O error, never an abort.
@@ -496,12 +496,11 @@ void GroupedTable::BuildChunkedImpl(const Table& table, Workspace* workspace,
     groups_[current_gid].sa_runs = {runs_arena_.data() + run_off[current_gid],
                                     run_cursor - run_off[current_gid]};
   }
-  ChargeArenas();
+  ChargeArenas(ws);
 }
 
-void GroupedTable::ChargeArenas() {
-  if (MemoryBudgetBytes() == 0) return;
-  arena_reservation_ = MemoryReservation(GlobalMemoryBudgetShared(), ApproxBytes());
+void GroupedTable::ChargeArenas(const Workspace& ws) {
+  arena_reservation_ = MemoryReservation(ws.budget(), ApproxBytes());
 }
 
 std::uint64_t GroupedTable::ApproxBytes() const {

@@ -67,11 +67,12 @@ class GroupedTable {
   /// supplied, all scratch comes from its pools, so repeated grouping
   /// (sweeps, batch workers) does not touch the allocator.
   ///
-  /// When a process memory budget is set (SetMemoryBudget) and the sharded
-  /// build's O(n) scratch would not fit the remaining budget, the ctor
-  /// takes the chunk-at-a-time streaming build instead (see BuildChunked);
-  /// both paths produce byte-identical groups, so the choice is purely a
-  /// residency/speed trade.
+  /// The build fans out to the workspace's threads() and sizes against
+  /// its budget(): when one is set and the sharded build's O(n) scratch
+  /// would not fit what remains of it, the ctor takes the chunk-at-a-time
+  /// streaming build instead (see BuildChunked); both paths produce
+  /// byte-identical groups, so the choice is purely a residency/speed
+  /// trade. A null workspace means a default one (the process defaults).
   explicit GroupedTable(const Table& table, Workspace* workspace = nullptr);
 
   // Copying is deleted: groups_ holds views into the arenas, and a copied
@@ -98,16 +99,15 @@ class GroupedTable {
   std::uint64_t MaxGroupSize() const;
 
   /// Approximate resident footprint of the arenas and group table, the
-  /// same sum ChargeArenas charges against the process budget. Used by
+  /// same sum ChargeArenas charges against the workspace's budget. Used by
   /// caches to account for a retained GroupedTable.
   std::uint64_t ApproxBytes() const;
 
-  /// Drops the arena charge against the process MemoryBudget without
-  /// freeing the arenas. SetMemoryBudget starts a fresh budget epoch
-  /// between runs, so a GroupedTable that outlives its run (e.g. one
+  /// Drops the arena charge against the building run's budget without
+  /// freeing the arenas. A GroupedTable that outlives its run (one
   /// retained by the engine's artifact cache) releases the charge here
-  /// rather than staying accounted to a finished epoch; the cache charges
-  /// the bytes to each run itself.
+  /// rather than staying accounted to a finished run; the engine charges
+  /// the bytes to each run that pins it instead.
   void ReleaseBudgetCharge() { arena_reservation_.Reset(); }
 
   /// Chunk-at-a-time low-memory build: one sequential pass streams the
@@ -118,7 +118,7 @@ class GroupedTable {
   /// (groups by first occurrence, rows by (sa, row) within a group) -- so
   /// peak scratch is O(s) + the sort buffer instead of the sharded
   /// build's ~32 bytes/row. Byte-identical to the ctor's sharded build.
-  /// `sort_buffer_records` == 0 derives the buffer from the process
+  /// `sort_buffer_records` == 0 derives the buffer from the workspace's
   /// budget; tests pass a small value to force multi-run spills.
   static GroupedTable BuildChunked(const Table& table, Workspace* workspace = nullptr,
                                    std::size_t sort_buffer_records = 0);
@@ -126,10 +126,9 @@ class GroupedTable {
  private:
   GroupedTable() = default;
 
-  void BuildSharded(const Table& table, Workspace* workspace);
-  void BuildChunkedImpl(const Table& table, Workspace* workspace,
-                        std::size_t sort_buffer_records);
-  void ChargeArenas();
+  void BuildSharded(const Table& table, Workspace& ws);
+  void BuildChunkedImpl(const Table& table, Workspace& ws, std::size_t sort_buffer_records);
+  void ChargeArenas(const Workspace& ws);
 
   // Backing storage for every group's views: signatures (group-major, d
   // values each), member rows (group-major, exactly n entries) and SA runs
@@ -141,7 +140,7 @@ class GroupedTable {
   std::vector<QiGroup> groups_;
   std::size_t row_count_ = 0;
   std::size_t sa_domain_size_ = 0;
-  MemoryReservation arena_reservation_;  // arenas charged to the process budget
+  MemoryReservation arena_reservation_;  // arenas charged to the building run's budget
 };
 
 }  // namespace ldv

@@ -8,6 +8,16 @@
 
 namespace ldv {
 
+namespace {
+
+std::atomic<std::uint64_t> g_outstanding_bytes{0};
+
+}  // namespace
+
+std::uint64_t MemoryBudget::OutstandingBytes() {
+  return g_outstanding_bytes.load(std::memory_order_relaxed);
+}
+
 std::uint64_t MemoryBudget::remaining() const {
   if (unlimited()) return std::numeric_limits<std::uint64_t>::max();
   const std::uint64_t u = used();
@@ -22,6 +32,7 @@ bool MemoryBudget::WouldFit(std::uint64_t bytes) const {
 
 void MemoryBudget::Charge(std::uint64_t bytes) {
   if (bytes == 0) return;
+  g_outstanding_bytes.fetch_add(bytes, std::memory_order_relaxed);
   const std::uint64_t now = used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   std::uint64_t seen = peak_.load(std::memory_order_relaxed);
   while (now > seen && !peak_.compare_exchange_weak(seen, now, std::memory_order_relaxed)) {
@@ -32,6 +43,7 @@ void MemoryBudget::Release(std::uint64_t bytes) {
   if (bytes == 0) return;
   LDIV_CHECK_LE(bytes, used()) << "memory budget release exceeds charges";
   used_.fetch_sub(bytes, std::memory_order_relaxed);
+  g_outstanding_bytes.fetch_sub(bytes, std::memory_order_relaxed);
 }
 
 MemoryReservation::MemoryReservation(std::shared_ptr<MemoryBudget> budget, std::uint64_t bytes)
@@ -80,8 +92,8 @@ std::shared_ptr<MemoryBudget> g_budget;  // null until first use (= unlimited)
 
 void SetMemoryBudget(std::uint64_t total_bytes) {
   std::lock_guard<std::mutex> lock(g_budget_mutex);
-  // Starts a new epoch; holders of the old shared_ptr keep it alive and
-  // release their charges into it, so its accounting stays balanced.
+  // Holders of the old shared_ptr keep it alive and release their charges
+  // into it, so its accounting stays balanced.
   g_budget = std::make_shared<MemoryBudget>(total_bytes);
 }
 

@@ -47,6 +47,11 @@ class MemoryBudget {
   /// Returns `bytes` previously charged.
   void Release(std::uint64_t bytes);
 
+  /// Bytes charged and not yet released, summed over every MemoryBudget
+  /// in the process -- the leak probe for per-run budgets, the memory twin
+  /// of SpillFile::LiveCount().
+  static std::uint64_t OutstandingBytes();
+
  private:
   std::uint64_t total_ = 0;
   std::atomic<std::uint64_t> used_{0};
@@ -55,10 +60,9 @@ class MemoryBudget {
 
 /// RAII charge against a budget; `budget` may be null (no-op) so call
 /// sites stay unconditional. Movable so owners can store reservations.
-/// The reservation shares ownership of its budget, so a charge taken
-/// against one budget epoch (see SetMemoryBudget) releases against that
-/// same object even if the process has since moved to a new epoch --
-/// long-lived owners like a caller-held paged table never dangle.
+/// The reservation shares ownership of its budget, so a charge always
+/// releases into the object it was taken from, however long its owner
+/// (e.g. a caller-held paged table) outlives the run that made it.
 class MemoryReservation {
  public:
   MemoryReservation() = default;
@@ -83,27 +87,25 @@ class MemoryReservation {
   std::uint64_t bytes_ = 0;
 };
 
-/// Process-wide memory budget, the memory twin of SetThreadBudget: one
-/// run of the engine (CLI invocation, test, bench iteration) sets it once
-/// and every budget-aware layer reads it. 0 means unlimited -- all paths
-/// take the exact in-RAM code they take today. Setting a new total starts
-/// a fresh budget epoch (used and peak drop to 0); the previous epoch's
-/// object stays alive as long as any reservation or paged structure still
-/// shares ownership of it, so charges always release where they were
-/// taken.
+/// The process-default memory budget, the memory twin of SetThreadBudget.
+/// It is only the default for callers that pass no context: each engine
+/// run builds its own MemoryBudget and carries it in its Workspace, and a
+/// default-constructed Workspace falls back to this one. 0 means
+/// unlimited -- all paths take the exact in-RAM code. Setting a new total
+/// replaces the object (used and peak start at 0); the previous one stays
+/// alive as long as any reservation or paged structure still shares
+/// ownership of it, so charges always release where they were taken.
 void SetMemoryBudget(std::uint64_t total_bytes);
 
-/// The configured total in bytes; 0 when unlimited.
+/// The configured default total in bytes; 0 when unlimited.
 std::uint64_t MemoryBudgetBytes();
 
-/// The process-wide accounting object for transient reads (WouldFit,
-/// remaining) within a run. Its total() matches MemoryBudgetBytes().
+/// The process-default accounting object. Its total() matches
+/// MemoryBudgetBytes().
 MemoryBudget& GlobalMemoryBudget();
 
-/// Shared ownership of the current budget epoch. Anything that holds a
-/// charge past the current engine run (reservations, page caches, spilled
-/// columns handed to a caller) must hold the budget through this so a
-/// later SetMemoryBudget cannot destroy the object it will release into.
+/// Shared ownership of the process-default budget, for holders of a
+/// charge that may outlive a later SetMemoryBudget.
 std::shared_ptr<MemoryBudget> GlobalMemoryBudgetShared();
 
 /// Parses a human byte size: a non-negative integer with an optional

@@ -87,8 +87,8 @@ struct PageCacheOptions {
   std::size_t page_bytes = kDefaultPageBytes;
   std::size_t frames = 64;  // bounded resident frames
   // Frames are charged here (may be null). Shared so the cache can outlive
-  // the budget epoch it was created under (e.g. a paged table held by a
-  // caller across later runs).
+  // the run whose budget it was created under (e.g. a paged table held by
+  // a caller across later runs).
   std::shared_ptr<MemoryBudget> budget;
 };
 

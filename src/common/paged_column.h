@@ -160,8 +160,8 @@ class PagedTableBuilder {
   struct Options {
     std::size_t page_bytes = kDefaultPageBytes;
     std::size_t cache_frames = 64;
-    // e.g. GlobalMemoryBudgetShared(); may be null. Shared so the built
-    // table can outlive the budget epoch it was ingested under.
+    // The ingesting run's budget; may be null. Shared so the built table
+    // can outlive the run it was ingested under.
     std::shared_ptr<MemoryBudget> budget;
     bool map_on_seal = true;  // tests disable to force cache reads
   };

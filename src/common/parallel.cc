@@ -22,9 +22,10 @@ std::atomic<unsigned> g_inner_threads{0};  // 0 = follow the budget
 
 // The work-stealing-lite pool: persistent workers claim chunk indices
 // from one shared atomic counter (dynamic load balancing without
-// per-chunk queues). One parallel region runs at a time (run_mutex_);
-// the calling thread participates, so `threads == 1` never touches the
-// pool at all.
+// per-chunk queues). One parallel region runs at a time (run_mutex_), so
+// concurrent engine runs with more than one thread take turns here; the
+// calling thread participates, so `threads == 1` never touches the pool
+// at all.
 class ThreadPool {
  public:
   static ThreadPool& Global() {
@@ -197,7 +198,7 @@ void ParallelForThreads(unsigned threads, std::size_t n, std::size_t grain, Work
 }
 
 void ParallelFor(std::size_t n, std::size_t grain, Workspace& ws, const ParallelChunkFn& fn) {
-  ParallelForThreads(InnerThreads(), n, grain, ws, fn);
+  ParallelForThreads(ws.threads(), n, grain, ws, fn);
 }
 
 std::uint32_t ParallelExclusivePrefixSum(std::uint32_t* data, std::size_t n, std::size_t grain,

@@ -13,25 +13,26 @@ namespace ldv {
 /// resolved to 1 so every layer shares the same fallback.
 unsigned HardwareThreads();
 
-/// Process-wide thread budget: the total number of threads one run of the
-/// engine may use across the batch layer and the in-kernel parallelism.
-/// 0 means auto (HardwareThreads()). An explicit budget above the
-/// hardware count is honored -- oversubscription is the caller's call,
-/// and it is what lets the parallel code paths be exercised on small
-/// machines.
+/// Process-default thread budget: the total number of threads a run may
+/// use across the batch layer and the in-kernel parallelism. It is only
+/// the default for callers that pass no context -- each engine run
+/// carries its own thread count in its Workspace, and a
+/// default-constructed Workspace falls back to InnerThreads(). 0 means
+/// auto (HardwareThreads()). An explicit budget above the hardware count
+/// is honored -- oversubscription is the caller's call, and it is what
+/// lets the parallel code paths be exercised on small machines.
 void SetThreadBudget(unsigned threads);
 
-/// The resolved budget (>= 1).
+/// The resolved default budget (>= 1).
 unsigned ThreadBudget();
 
-/// The kernel-level parallelism currently granted: ThreadBudget() by
-/// default, 1 while a multi-worker AnonymizeBatch holds the budget (its
-/// jobs already saturate it, so inner fan-out would only oversubscribe).
+/// The default kernel-level parallelism: ThreadBudget(), or the cap of
+/// an active InnerThreadsScope.
 unsigned InnerThreads();
 
 /// RAII cap on InnerThreads() for the current scope (process-wide, not
-/// per-thread: the batch driver brackets its whole worker fan-out with
-/// one scope, so the kernels running on those workers all see the cap).
+/// per-thread), for callers that run kernels on default Workspaces from
+/// several threads at once.
 class InnerThreadsScope {
  public:
   explicit InnerThreadsScope(unsigned threads);
@@ -52,8 +53,9 @@ using ParallelChunkFn =
 
 /// Deterministic parallel loop over [0, n): the range is cut into
 /// ceil(n / grain) chunks, chunk k covering [k*grain, min(n, (k+1)*grain)),
-/// and the chunks are executed by up to InnerThreads() threads (the caller
-/// participates; a lazily started pool supplies the rest). The chunk
+/// and the chunks are executed by up to ws.threads() threads (the caller
+/// participates; a lazily started pool supplies the rest, so a one-thread
+/// workspace never touches the pool). The chunk
 /// geometry depends only on (n, grain) -- never on the thread count -- so
 /// any output indexed by row or by chunk is byte-identical at every
 /// thread count; only the assignment of chunks to threads varies.
@@ -69,7 +71,7 @@ using ParallelChunkFn =
 /// kernels reach the engine boundary instead of std::terminate.
 void ParallelFor(std::size_t n, std::size_t grain, Workspace& ws, const ParallelChunkFn& fn);
 
-/// ParallelFor with an explicit thread count instead of InnerThreads().
+/// ParallelFor with an explicit thread count instead of ws.threads().
 void ParallelForThreads(unsigned threads, std::size_t n, std::size_t grain, Workspace& ws,
                         const ParallelChunkFn& fn);
 

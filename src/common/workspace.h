@@ -2,8 +2,11 @@
 #define LDIV_COMMON_WORKSPACE_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
+
+#include "common/memory_budget.h"
 
 namespace ldv {
 
@@ -66,12 +69,20 @@ class ScratchVec {
   std::vector<T> v_;
 };
 
-/// Per-solve scratch memory, shared across the solver hot paths so that
-/// repeated solves (sweeps, AnonymizeBatch workers) stop re-allocating:
-/// GroupedTable's signature index, Mondrian's row/median/histogram buffers
-/// and the Hilbert code/order arrays all draw from here. A Workspace is
-/// cheap to construct (no allocation until first use) and is NOT
-/// thread-safe -- use one per thread; AnonymizeBatch keeps one per worker.
+/// Per-solve scratch memory plus the run context the kernels execute
+/// under, shared across the solver hot paths so that repeated solves
+/// (sweeps, AnonymizeBatch workers) stop re-allocating: GroupedTable's
+/// signature index, Mondrian's row/median/histogram buffers and the
+/// Hilbert code/order arrays all draw from here. A Workspace is cheap to
+/// construct (no allocation until first use) and is NOT thread-safe --
+/// use one per thread; AnonymizeBatch keeps one per worker.
+///
+/// The context is a thread count (ParallelFor's and Mondrian's fan-out)
+/// and a memory budget (what GroupedTable, the Hilbert sort and the paged
+/// loader size against and charge to). Each engine run builds its own, so
+/// concurrent runs never share either. A default-constructed Workspace
+/// carries no context of its own and follows the process defaults
+/// (InnerThreads() and the SetMemoryBudget budget) at every use.
 ///
 /// All of the repository's index types (RowId, Value, SaValue, GroupId,
 /// counts) are 32-bit, so a single 32-bit pool serves them all; the 64-bit
@@ -79,8 +90,19 @@ class ScratchVec {
 class Workspace {
  public:
   Workspace() = default;
+  /// A run's own context: `threads` (0 is taken as 1) and `budget` (null
+  /// = unlimited).
+  Workspace(unsigned threads, std::shared_ptr<MemoryBudget> budget)
+      : own_context_(true), threads_(threads == 0 ? 1 : threads), budget_(std::move(budget)) {}
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
+
+  /// Threads the kernels running on this workspace may fan out to (>= 1).
+  unsigned threads() const;
+
+  /// The memory budget to size against and charge to; null when the run
+  /// is unlimited, so every budget-aware path takes its in-RAM code.
+  std::shared_ptr<MemoryBudget> budget() const;
 
   /// A recycled 32-bit buffer (row ids, values, counts, offsets...).
   ScratchVec<std::uint32_t> U32() { return ScratchVec<std::uint32_t>(&u32_); }
@@ -96,6 +118,9 @@ class Workspace {
   BufferPool<double>& f64_pool() { return f64_; }
 
  private:
+  bool own_context_ = false;
+  unsigned threads_ = 1;
+  std::shared_ptr<MemoryBudget> budget_;
   BufferPool<std::uint32_t> u32_;
   BufferPool<std::uint64_t> u64_;
   BufferPool<double> f64_;

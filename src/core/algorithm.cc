@@ -87,16 +87,16 @@ AnonymizationOutcome Anonymizer::Run(const Table& table, std::uint32_t l, Worksp
   if (options_.compute_kl) {
     switch (methodology_) {
       case Methodology::kSuppression:
-        outcome.kl_divergence = KlDivergenceSuppression(table, *outcome.generalized);
+        outcome.kl_divergence = KlDivergenceSuppression(table, *outcome.generalized, {}, workspace);
         break;
       case Methodology::kMultiDimensional:
-        outcome.kl_divergence = KlDivergenceMultiDim(table, *outcome.boxes);
+        outcome.kl_divergence = KlDivergenceMultiDim(table, *outcome.boxes, {}, workspace);
         break;
       case Methodology::kSingleDimensional:
-        outcome.kl_divergence = KlDivergenceSingleDim(table, *outcome.single_dim);
+        outcome.kl_divergence = KlDivergenceSingleDim(table, *outcome.single_dim, workspace);
         break;
       case Methodology::kBucketization:
-        outcome.kl_divergence = KlDivergenceAnatomy(table, outcome.partition);
+        outcome.kl_divergence = KlDivergenceAnatomy(table, outcome.partition, workspace);
         break;
     }
   }

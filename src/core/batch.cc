@@ -6,7 +6,7 @@
 #include <thread>
 
 #include "common/check.h"
-#include "common/parallel.h"
+#include "common/workspace.h"
 
 namespace ldv {
 
@@ -22,21 +22,23 @@ AnonymizationOutcome RunJob(const BatchJob& job, Workspace* workspace) {
 }  // namespace
 
 std::vector<AnonymizationOutcome> AnonymizeBatch(const std::vector<BatchJob>& jobs,
-                                                 const BatchOptions& options) {
+                                                 const BatchOptions& options,
+                                                 const Workspace* context) {
   std::vector<AnonymizationOutcome> results(jobs.size());
   if (jobs.empty()) return results;
 
   // One budget governs both layers: an explicit BatchOptions::threads
-  // overrides, otherwise the process-wide ThreadBudget() (the CLI's
-  // --threads) applies. Job-level workers claim the budget first; only a
-  // single-worker batch leaves it to the kernels.
-  const std::size_t budget = options.threads != 0 ? options.threads : ThreadBudget();
-  const std::size_t workers = std::min(budget, jobs.size());
+  // overrides the run context's thread count. Job-level workers claim the
+  // budget first; only a single-worker batch leaves it to the kernels.
+  const Workspace defaults;
+  const Workspace& run = context != nullptr ? *context : defaults;
+  const std::shared_ptr<MemoryBudget> memory = run.budget();
+  const unsigned budget = options.threads != 0 ? options.threads : run.threads();
+  const std::size_t workers = std::min<std::size_t>(budget, jobs.size());
   if (workers <= 1) {
     // One worker: jobs run inline, and the kernels inherit the whole
     // budget for their intra-run fan-out.
-    InnerThreadsScope inner(static_cast<unsigned>(budget));
-    Workspace workspace;
+    Workspace workspace(budget, memory);
     for (std::size_t i = 0; i < jobs.size(); ++i) results[i] = RunJob(jobs[i], &workspace);
     return results;
   }
@@ -45,19 +47,18 @@ std::vector<AnonymizationOutcome> AnonymizeBatch(const std::vector<BatchJob>& jo
   // one-time built-in registration.
   AlgorithmRegistry::Global();
 
-  // Multiple workers already saturate the budget, so the kernels they run
-  // stay sequential -- inner fan-out would only oversubscribe. Outcomes
-  // are unaffected either way: every kernel is byte-identical at any
-  // thread count.
-  InnerThreadsScope inner(1);
-
-  // Each worker owns one Workspace for its whole job stream: after the
+  // Multiple workers already saturate the budget, so each solves on a
+  // one-thread workspace and its kernels stay sequential -- inner fan-out
+  // would only oversubscribe. Outcomes are unaffected either way: every
+  // kernel is byte-identical at any thread count.
+  //
+  // Each worker owns its Workspace for its whole job stream: after the
   // first few solves the scratch buffers reach steady state and later jobs
   // run allocation-free. Workspaces never cross threads, and outcomes do
   // not depend on workspace state, so determinism is preserved.
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
-    Workspace workspace;
+    Workspace workspace(1, memory);
     for (;;) {
       std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) return;

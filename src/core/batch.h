@@ -24,11 +24,10 @@ struct BatchJob {
 };
 
 struct BatchOptions {
-  /// Worker threads; 0 means the process-wide ThreadBudget() (the CLI's
-  /// --threads, defaulting to the hardware concurrency with the
-  /// zero-means-unknown case resolved to 1). The batch and kernel layers
-  /// share that budget: with more than one worker the inner kernels run
-  /// sequential, with a single worker they fan out to the full budget.
+  /// Worker threads; 0 means the run context's threads() (see
+  /// AnonymizeBatch). The batch and kernel layers share that budget: with
+  /// more than one worker the inner kernels run sequential, with a single
+  /// worker they fan out to the full budget.
   unsigned threads = 0;
 };
 
@@ -38,8 +37,15 @@ struct BatchOptions {
 /// count: every algorithm is deterministic in (table, l, options), jobs
 /// never share mutable state, and workers only claim job indices, so the
 /// schedule cannot leak into the outcomes.
+///
+/// `context` is the calling run's workspace: its threads() is the budget
+/// when options.threads is 0, and its budget() is the memory budget every
+/// job runs under. Null means a default workspace (the process defaults).
+/// Each worker solves on a one-thread workspace of its own, so the
+/// kernels of a multi-worker batch never fan out.
 std::vector<AnonymizationOutcome> AnonymizeBatch(const std::vector<BatchJob>& jobs,
-                                                 const BatchOptions& options = {});
+                                                 const BatchOptions& options = {},
+                                                 const Workspace* context = nullptr);
 
 }  // namespace ldv
 

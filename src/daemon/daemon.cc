@@ -249,6 +249,8 @@ void Daemon::HandleConnection(int fd) {
     kv["expired"] = std::to_string(s.expired);
     kv["failed"] = std::to_string(s.failed);
     kv["max-queue-depth"] = std::to_string(s.max_queue_depth);
+    kv["running"] = std::to_string(s.running);
+    kv["max-running"] = std::to_string(s.max_running);
     kv["cache-hits"] = std::to_string(s.cache_hits);
     kv["cache-misses"] = std::to_string(s.cache_misses);
     kv["bypassed-paged"] = std::to_string(s.bypassed_paged);
@@ -353,12 +355,18 @@ bool Daemon::Dequeue(PendingJob* job) {
   }
   *job = std::move(queue_[best]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
+  ++stats_.running;
+  stats_.max_running = std::max(stats_.max_running, stats_.running);
   return true;
 }
 
 void Daemon::WorkerLoop() {
   PendingJob job;
-  while (Dequeue(&job)) RunJob(std::move(job));
+  while (Dequeue(&job)) {
+    RunJob(std::move(job));
+    std::lock_guard<std::mutex> lock(mutex_);
+    --stats_.running;
+  }
 }
 
 void Daemon::RunJob(PendingJob job) {

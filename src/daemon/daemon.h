@@ -25,9 +25,10 @@ struct DaemonOptions {
   /// already waiting gets a `busy` reply (with retry-after-ms) instead of
   /// queueing -- bounded memory and explicit backpressure by design.
   std::size_t queue_depth = 16;
-  /// Worker threads draining the queue. Budgets (threads, memory) are
-  /// process-global, so Engine::Execute serializes solves internally;
-  /// extra workers overlap job parsing/reply I/O, not anonymization.
+  /// Worker threads draining the queue: up to `workers` jobs run at once,
+  /// each under its own JobSpec threads and memory budget (the engine
+  /// keeps no process-wide budget). There is no daemon-wide memory cap --
+  /// the sum of the running jobs' budgets is what the host must hold.
   std::size_t workers = 1;
   /// DatasetCache capacity for the daemon's engine.
   std::uint64_t cache_bytes = 256u << 20;
@@ -55,7 +56,8 @@ struct DaemonOptions {
 /// whose ownership passes to the worker that will run the job and write
 /// the reply. Dequeue order is priority (desc), then deadline (asc, 0 =
 /// none = last), then arrival. A job whose deadline has passed at
-/// dequeue time gets an error reply without running.
+/// dequeue time gets an error reply without running. Workers run their
+/// jobs concurrently through the shared Engine.
 ///
 /// Shutdown (Stop or a `shutdown` request) is graceful: stop accepting,
 /// drain every queued job, join the workers, unlink the socket. Nothing
@@ -87,6 +89,8 @@ class Daemon {
     std::uint64_t expired = 0;          // deadline passed before dequeue
     std::uint64_t failed = 0;           // accepted jobs that ran to an error reply
     std::uint64_t max_queue_depth = 0;  // high-water mark of waiting jobs
+    std::uint64_t running = 0;          // jobs dequeued and not yet answered
+    std::uint64_t max_running = 0;      // high-water mark of `running`
     std::uint64_t cache_hits = 0;       // DatasetCache hits across jobs
     std::uint64_t cache_misses = 0;
     std::uint64_t bypassed_paged = 0;   // DatasetCache bypasses (paged loads)

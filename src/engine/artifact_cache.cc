@@ -6,22 +6,43 @@
 
 namespace ldv {
 
-std::shared_ptr<const void> ArtifactCache::LookupRaw(const std::string& key) {
+std::shared_ptr<const void> ArtifactCache::FindRaw(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
+  if (it == index_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
   return it->second->artifact;
 }
 
-void ArtifactCache::InsertRaw(const std::string& key, std::shared_ptr<const void> artifact,
+std::shared_ptr<const void> ArtifactCache::LookupRaw(const std::string& key) {
+  std::shared_ptr<const void> artifact = FindRaw(key);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++(artifact != nullptr ? stats_.hits : stats_.misses);
+  return artifact;
+}
+
+std::shared_ptr<const void> ArtifactCache::GetOrBuildRaw(const std::string& key,
+                                                        const std::function<Built()>& build,
+                                                        std::uint64_t* insert_room, bool* hit) {
+  std::shared_ptr<const void> artifact = flights_.Do(
+      key, [&] { return FindRaw(key); },
+      [&] {
+        Built built = build();
+        if (built.bytes <= *insert_room && InsertRaw(key, built.artifact, built.bytes)) {
+          *insert_room -= built.bytes;
+        }
+        return built.artifact;
+      },
+      hit);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++(*hit ? stats_.hits : stats_.misses);
+  return artifact;
+}
+
+bool ArtifactCache::InsertRaw(const std::string& key, std::shared_ptr<const void> artifact,
                               std::uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (bytes > capacity_) return;  // also covers the capacity == 0 (disabled) case
+  if (bytes > capacity_) return false;  // also covers the capacity == 0 (disabled) case
   auto it = index_.find(key);
   if (it != index_.end()) {
     stats_.resident_bytes -= it->second->bytes;
@@ -37,6 +58,7 @@ void ArtifactCache::InsertRaw(const std::string& key, std::shared_ptr<const void
   }
   EvictPastCapacityLocked();
   stats_.entries = lru_.size();
+  return true;
 }
 
 void ArtifactCache::EvictPastCapacityLocked() {
@@ -57,6 +79,31 @@ std::shared_ptr<const std::vector<RowId>> ArtifactCache::LookupOrder(const std::
   return std::static_pointer_cast<const std::vector<RowId>>(LookupRaw(key));
 }
 
+std::shared_ptr<const GroupedTable> ArtifactCache::GetOrBuildGrouped(
+    const std::string& key, const std::function<std::shared_ptr<const GroupedTable>()>& build,
+    std::uint64_t* insert_room, bool* hit) {
+  return std::static_pointer_cast<const GroupedTable>(GetOrBuildRaw(
+      key,
+      [&]() -> Built {
+        std::shared_ptr<const GroupedTable> grouped = build();
+        return {grouped, grouped->ApproxBytes()};
+      },
+      insert_room, hit));
+}
+
+std::shared_ptr<const std::vector<RowId>> ArtifactCache::GetOrBuildOrder(
+    const std::string& key,
+    const std::function<std::shared_ptr<const std::vector<RowId>>()>& build,
+    std::uint64_t* insert_room, bool* hit) {
+  return std::static_pointer_cast<const std::vector<RowId>>(GetOrBuildRaw(
+      key,
+      [&]() -> Built {
+        std::shared_ptr<const std::vector<RowId>> order = build();
+        return {order, order->size() * sizeof(RowId)};
+      },
+      insert_room, hit));
+}
+
 void ArtifactCache::InsertGrouped(const std::string& key,
                                   std::shared_ptr<const GroupedTable> grouped,
                                   std::uint64_t bytes) {
@@ -69,23 +116,11 @@ void ArtifactCache::InsertOrder(const std::string& key,
   InsertRaw(key, std::move(order), bytes);
 }
 
-void ArtifactCache::SetCapacity(std::uint64_t capacity_bytes) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity_bytes;
-  EvictPastCapacityLocked();
-  stats_.entries = lru_.size();
-}
-
 ArtifactCache::Stats ArtifactCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   Stats snapshot = stats_;
   snapshot.entries = lru_.size();
   return snapshot;
-}
-
-std::uint64_t ArtifactCache::capacity_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
 }
 
 void ArtifactCache::Clear() {

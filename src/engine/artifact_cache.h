@@ -2,6 +2,7 @@
 #define LDIV_ENGINE_ARTIFACT_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -12,6 +13,7 @@
 #include "common/grouped_table.h"
 #include "common/table.h"
 #include "common/types.h"
+#include "engine/single_flight.h"
 
 namespace ldv {
 
@@ -25,11 +27,12 @@ namespace ldv {
 /// workers and batch threads that pinned the artifact keep using it.
 ///
 /// Cached GroupedTables must have released their arena reservation
-/// (GroupedTable::ReleaseBudgetCharge) before insertion -- the process
-/// MemoryBudget starts a fresh epoch per run, and a cached artifact must
-/// not stay charged to the epoch that built it. The engine charges cache
-/// residency to the *current* run's budget instead, with a reservation
-/// scoped to the run.
+/// (GroupedTable::ReleaseBudgetCharge) before insertion -- every run has
+/// its own MemoryBudget, and a cached artifact must not stay charged to
+/// the run that built it. The engine charges the bytes to each run that
+/// pins the artifact instead, with a reservation scoped to that run.
+/// Concurrent runs that miss on the same key share one build (see
+/// GetOrBuildGrouped).
 class ArtifactCache {
  public:
   struct Stats {
@@ -41,12 +44,28 @@ class ArtifactCache {
     std::uint64_t entries = 0;
   };
 
-  /// `capacity_bytes` == 0 disables caching (every Lookup misses).
+  /// `capacity_bytes` == 0 disables caching (every Lookup misses). The
+  /// capacity is fixed for the cache's lifetime.
   explicit ArtifactCache(std::uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
 
   /// The cached grouping / order for a dataset key, or null on a miss.
   std::shared_ptr<const GroupedTable> LookupGrouped(const std::string& key);
   std::shared_ptr<const std::vector<RowId>> LookupOrder(const std::string& key);
+
+  /// The grouping / order for `key`: the cached one, or on a miss the one
+  /// `build` produces, inserted before it is returned when its bytes fit
+  /// `*insert_room` -- the caller's own allowance for what it adds, which
+  /// an insertion draws down; the capacity still bounds the total.
+  /// Concurrent misses on one key share one build (SingleFlight): the
+  /// first caller builds, the others wait for it and count as hits.
+  /// `*hit` is false only when this caller built it.
+  std::shared_ptr<const GroupedTable> GetOrBuildGrouped(
+      const std::string& key, const std::function<std::shared_ptr<const GroupedTable>()>& build,
+      std::uint64_t* insert_room, bool* hit);
+  std::shared_ptr<const std::vector<RowId>> GetOrBuildOrder(
+      const std::string& key,
+      const std::function<std::shared_ptr<const std::vector<RowId>>()>& build,
+      std::uint64_t* insert_room, bool* hit);
 
   /// Cache an artifact (estimated at `bytes` resident) under its key,
   /// evicting least-recently-used entries past capacity. An entry larger
@@ -57,13 +76,8 @@ class ArtifactCache {
   void InsertOrder(const std::string& key, std::shared_ptr<const std::vector<RowId>> order,
                    std::uint64_t bytes);
 
-  /// Re-sizes the byte budget, evicting past the new capacity. Runs
-  /// serialize on the engine's run lock, so a per-job --artifact-cache
-  /// override simply retunes the shared cache for the duration.
-  void SetCapacity(std::uint64_t capacity_bytes);
-
   Stats stats() const;
-  std::uint64_t capacity_bytes() const;
+  std::uint64_t capacity_bytes() const { return capacity_; }
   void Clear();
 
   /// Full artifact keys: the artifact kind, the dataset's DatasetCache
@@ -83,16 +97,28 @@ class ArtifactCache {
     std::uint64_t bytes = 0;
   };
 
+  struct Built {
+    std::shared_ptr<const void> artifact;
+    std::uint64_t bytes = 0;
+  };
+
+  // Lookup without counting (GetOrBuildRaw counts its outcome once).
+  std::shared_ptr<const void> FindRaw(const std::string& key);
   std::shared_ptr<const void> LookupRaw(const std::string& key);
-  void InsertRaw(const std::string& key, std::shared_ptr<const void> artifact,
+  std::shared_ptr<const void> GetOrBuildRaw(const std::string& key,
+                                            const std::function<Built()>& build,
+                                            std::uint64_t* insert_room, bool* hit);
+  // False when the entry is larger than the whole capacity (not cached).
+  bool InsertRaw(const std::string& key, std::shared_ptr<const void> artifact,
                  std::uint64_t bytes);
   void EvictPastCapacityLocked();
 
+  const std::uint64_t capacity_;
   mutable std::mutex mutex_;
-  std::uint64_t capacity_;
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   Stats stats_;
+  SingleFlight flights_;
 };
 
 }  // namespace ldv

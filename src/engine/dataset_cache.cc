@@ -8,16 +8,49 @@
 
 namespace ldv {
 
-std::shared_ptr<const EngineTable> DatasetCache::Lookup(const std::string& key) {
+namespace {
+
+// Resident-byte estimate of a cached table: the columnar row data plus a
+// small allowance for schema/dictionary storage.
+std::uint64_t EstimateBytes(const Table& table) {
+  return static_cast<std::uint64_t>(table.size()) * (table.qi_count() + 1) *
+             sizeof(std::uint32_t) +
+         4096;
+}
+
+}  // namespace
+
+std::shared_ptr<const EngineTable> DatasetCache::Find(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
+  if (it == index_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);
-  ++stats_.hits;
   return it->second->table;
+}
+
+std::shared_ptr<const EngineTable> DatasetCache::Lookup(const std::string& key) {
+  std::shared_ptr<const EngineTable> table = Find(key);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++(table != nullptr ? stats_.hits : stats_.misses);
+  return table;
+}
+
+std::shared_ptr<const EngineTable> DatasetCache::GetOrBuild(
+    const std::string& key, const std::function<std::shared_ptr<const EngineTable>()>& build,
+    bool* hit) {
+  SingleFlight::Value value = flights_.Do(
+      key, [&] { return Find(key); },
+      [&]() -> SingleFlight::Value {
+        std::shared_ptr<const EngineTable> table = build();
+        if (table != nullptr) Insert(key, table, EstimateBytes(table->table));
+        return table;
+      },
+      hit);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++(*hit ? stats_.hits : stats_.misses);
+  }
+  return std::static_pointer_cast<const EngineTable>(value);
 }
 
 void DatasetCache::Insert(const std::string& key, std::shared_ptr<const EngineTable> table,

@@ -2,6 +2,7 @@
 #define LDIV_ENGINE_DATASET_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -9,6 +10,7 @@
 #include <unordered_map>
 
 #include "data/dataset.h"
+#include "engine/single_flight.h"
 
 namespace ldv {
 
@@ -23,11 +25,12 @@ struct EngineTable;
 /// reference only -- jobs still holding the table keep it alive.
 ///
 /// Only in-RAM tables are cached: a --memory-budget run that pages its
-/// table holds page-cache and staging reservations against the budget
-/// epoch of *that* run, and serving it to later runs would pin spill files
-/// and misattribute its resident bytes, so paged tables are rebuilt per
-/// run (the bypass is counted in Stats::bypassed_paged). Budgeted runs
-/// whose table fits in RAM cache normally.
+/// table holds page-cache and staging reservations against *that* run's
+/// budget, and serving it to later runs would pin spill files and
+/// misattribute its resident bytes, so paged tables are rebuilt per run
+/// (the bypass is counted in Stats::bypassed_paged). Budgeted runs whose
+/// table fits in RAM cache normally. Concurrent runs that miss on the
+/// same key share one load (see GetOrBuild).
 class DatasetCache {
  public:
   struct Stats {
@@ -47,6 +50,16 @@ class DatasetCache {
 
   /// The cached table for `key`, or null on a miss. Counts hit/miss.
   std::shared_ptr<const EngineTable> Lookup(const std::string& key);
+
+  /// The table for `key`: the cached one, or on a miss the one `build`
+  /// loads, inserted before it is returned. Concurrent
+  /// misses on one key share one build (SingleFlight): the first caller
+  /// builds, the others wait for it and count as hits. A null build result
+  /// is a failed load and is not cached. `*hit` is false only when this
+  /// caller ran the build.
+  std::shared_ptr<const EngineTable> GetOrBuild(
+      const std::string& key, const std::function<std::shared_ptr<const EngineTable>()>& build,
+      bool* hit);
 
   /// Caches `table` (estimated at `bytes` resident) under `key`, evicting
   /// least-recently-used entries past capacity. An entry larger than the
@@ -82,6 +95,8 @@ class DatasetCache {
     std::uint64_t bytes = 0;
   };
 
+  // Lookup without counting (GetOrBuild counts its outcome once).
+  std::shared_ptr<const EngineTable> Find(const std::string& key);
   void EvictPastCapacityLocked();
 
   const std::uint64_t capacity_;
@@ -89,6 +104,7 @@ class DatasetCache {
   std::list<Entry> lru_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   Stats stats_;
+  SingleFlight flights_;
 };
 
 }  // namespace ldv

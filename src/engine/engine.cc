@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -24,9 +25,8 @@ namespace {
 // frames) so staging pages, sort buffers, and grouping arenas keep the
 // rest. LDIV_PAGE_BYTES overrides the page size (tests and the CI
 // memory-capped leg set it tiny to force heavy eviction on small inputs).
-PagedTableBuilder::Options PagedOptionsFromBudget() {
+PagedTableBuilder::Options PagedOptionsFromBudget(std::shared_ptr<MemoryBudget> budget) {
   PagedTableBuilder::Options paged;
-  paged.budget = GlobalMemoryBudgetShared();
   if (const char* env = std::getenv("LDIV_PAGE_BYTES")) {
     char* end = nullptr;
     const unsigned long long bytes = std::strtoull(env, &end, 10);
@@ -34,21 +34,10 @@ PagedTableBuilder::Options PagedOptionsFromBudget() {
       paged.page_bytes = static_cast<std::size_t>(bytes);
     }
   }
-  const std::uint64_t budget = MemoryBudgetBytes();
-  if (budget != 0) {
-    const std::uint64_t frames = budget / 4 / paged.page_bytes;
-    paged.cache_frames = static_cast<std::size_t>(
-        std::clamp<std::uint64_t>(frames, 8, 256));
-  }
+  const std::uint64_t frames = budget->total() / 4 / paged.page_bytes;
+  paged.cache_frames = static_cast<std::size_t>(std::clamp<std::uint64_t>(frames, 8, 256));
+  paged.budget = std::move(budget);
   return paged;
-}
-
-// Resident-byte estimate for DatasetCache accounting: the columnar row
-// data plus a small allowance for schema/dictionary storage.
-std::uint64_t EstimateTableBytes(const Table& table) {
-  return static_cast<std::uint64_t>(table.size()) * (table.qi_count() + 1) *
-             sizeof(std::uint32_t) +
-         4096;
 }
 
 // A budgeted run pages its input only when the in-RAM estimate would eat
@@ -56,9 +45,8 @@ std::uint64_t EstimateTableBytes(const Table& table) {
 // cache normally (the bypass only ever protected paged tables' budget
 // reservations from outliving their run). The pre-load estimates err
 // high: 2x the CSV file size, or the synthetic grid's columnar bytes.
-bool ShouldPage(std::uint64_t estimated_bytes) {
-  const std::uint64_t budget = MemoryBudgetBytes();
-  return budget == 0 || estimated_bytes > budget / 4;
+bool ShouldPage(const MemoryBudget* budget, std::uint64_t estimated_bytes) {
+  return budget != nullptr && estimated_bytes > budget->total() / 4;
 }
 
 std::uint64_t EstimateCsvBytes(const std::string& path) {
@@ -74,28 +62,38 @@ std::uint64_t EstimateSyntheticBytes(const DatasetSpec& cell) {
 }  // namespace
 
 Engine::Engine(EngineOptions options)
-    : options_(options),
-      cache_(options.cache_bytes),
-      artifact_cache_(options.artifact_cache_bytes) {}
+    : cache_(options.cache_bytes), artifact_cache_(options.artifact_cache_bytes) {}
 
 Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& resolved,
+                                                        const Workspace& run,
                                                         JobResult* result) {
   const JobSpec& spec = resolved.spec;
-  const bool paged = MemoryBudgetBytes() != 0;
-  const PagedTableBuilder::Options paged_options = PagedOptionsFromBudget();
+  const std::shared_ptr<MemoryBudget> budget = run.budget();
   std::string error;
+  // Loads through the DatasetCache when the input has a content key
+  // (concurrent runs missing on one key share the load), directly when
+  // it has none; null with `error` set when the load fails.
+  const auto load = [&](const std::string& key,
+                        const std::function<std::shared_ptr<const EngineTable>()>& build)
+      -> std::shared_ptr<const EngineTable> {
+    if (key.empty()) return build();
+    bool hit = false;
+    std::shared_ptr<const EngineTable> table = cache_.GetOrBuild(key, build, &hit);
+    ++(hit ? result->cache_hits : result->cache_misses);
+    return table;
+  };
+
   if (!spec.input.empty()) {
     const Schema* schema = resolved.schema.has_value() ? &*resolved.schema : nullptr;
     const std::string source =
         (resolved.format == CsvFormat::kRaw ? "csv-raw:" : "csv:") + spec.input;
-    if (paged && ShouldPage(EstimateCsvBytes(spec.input))) {
+    if (ShouldPage(budget.get(), EstimateCsvBytes(spec.input))) {
       // Truly paged tables bypass the cache: they hold reservations
-      // against this run's process-global budget, which the next
-      // SetMemoryBudget replaces. Budgeted inputs that fit in RAM fall
+      // against this run's budget. Budgeted inputs that fit in RAM fall
       // through to the normal cached load below.
       cache_.RecordPagedBypass();
-      std::unique_ptr<PagedTable> table =
-          LoadTableCsvPaged(spec.input, resolved.format, schema, paged_options, &error);
+      std::unique_ptr<PagedTable> table = LoadTableCsvPaged(
+          spec.input, resolved.format, schema, PagedOptionsFromBudget(budget), &error);
       if (table == nullptr) return IoError(error);
       if (table->size() == 0) return IoError("'" + spec.input + "' holds no data rows");
       auto entry = std::make_shared<EngineTable>(std::move(table));
@@ -104,22 +102,21 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
       return true;
     }
     const std::string key = DatasetCache::CsvKey(spec.input, resolved.format, spec.schema_spec);
-    if (!key.empty()) {
-      if (std::shared_ptr<const EngineTable> hit = cache_.Lookup(key)) {
-        ++result->cache_hits;
-        result->tables.push_back(std::move(hit));
-        return true;
-      }
-      ++result->cache_misses;
-    }
-    std::optional<Table> table = LoadTableCsv(spec.input, resolved.format, schema, &error);
-    if (!table) return IoError(error);
-    if (table->empty()) return IoError("'" + spec.input + "' holds no data rows");
-    auto entry = std::make_shared<EngineTable>(std::move(*table));
-    entry->source = source;
-    entry->cache_key = key;
-    if (!key.empty()) cache_.Insert(key, entry, EstimateTableBytes(entry->table));
-    result->tables.push_back(std::move(entry));
+    std::shared_ptr<const EngineTable> table =
+        load(key, [&]() -> std::shared_ptr<const EngineTable> {
+          std::optional<Table> loaded = LoadTableCsv(spec.input, resolved.format, schema, &error);
+          if (!loaded) return nullptr;
+          if (loaded->empty()) {
+            error = "'" + spec.input + "' holds no data rows";
+            return nullptr;
+          }
+          auto entry = std::make_shared<EngineTable>(std::move(*loaded));
+          entry->source = source;
+          entry->cache_key = key;
+          return entry;
+        });
+    if (table == nullptr) return IoError(error);
+    result->tables.push_back(std::move(table));
     return true;
   }
 
@@ -130,9 +127,10 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
       DatasetSpec cell = spec.dataset;
       cell.n = static_cast<std::size_t>(n);
       cell.d = static_cast<std::size_t>(d);
-      if (paged && ShouldPage(EstimateSyntheticBytes(cell))) {
+      if (ShouldPage(budget.get(), EstimateSyntheticBytes(cell))) {
         cache_.RecordPagedBypass();
-        std::unique_ptr<PagedTable> table = GenerateDatasetPaged(cell, paged_options, &error);
+        std::unique_ptr<PagedTable> table =
+            GenerateDatasetPaged(cell, PagedOptionsFromBudget(budget), &error);
         if (table == nullptr) return IoError(error);
         auto entry = std::make_shared<EngineTable>(std::move(table));
         entry->source = DatasetLabel(cell);
@@ -140,25 +138,24 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
         continue;
       }
       const std::string key = DatasetCache::SyntheticKey(cell);
-      if (std::shared_ptr<const EngineTable> hit = cache_.Lookup(key)) {
-        ++result->cache_hits;
-        result->tables.push_back(std::move(hit));
-        continue;
-      }
-      ++result->cache_misses;
-      std::optional<Table> table = GenerateDataset(cell, &error);
-      if (!table) return IoError(error);
-      auto entry = std::make_shared<EngineTable>(std::move(*table));
-      entry->source = DatasetLabel(cell);
-      entry->cache_key = key;
-      cache_.Insert(key, entry, EstimateTableBytes(entry->table));
-      result->tables.push_back(std::move(entry));
+      std::shared_ptr<const EngineTable> table =
+          load(key, [&]() -> std::shared_ptr<const EngineTable> {
+            std::optional<Table> generated = GenerateDataset(cell, &error);
+            if (!generated) return nullptr;
+            auto entry = std::make_shared<EngineTable>(std::move(*generated));
+            entry->source = DatasetLabel(cell);
+            entry->cache_key = key;
+            return entry;
+          });
+      if (table == nullptr) return IoError(error);
+      result->tables.push_back(std::move(table));
     }
   }
   return true;
 }
 
-std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, JobResult* result) {
+std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, std::uint64_t insert_room,
+                                       Workspace& run, JobResult* result) {
   result->artifacts.assign(result->tables.size(), TableArtifacts{});
   std::vector<char> need_grouped(result->tables.size(), 0);
   std::vector<char> need_order(result->tables.size(), 0);
@@ -168,7 +165,6 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, JobResult
   }
 
   std::uint64_t resident_bytes = 0;
-  Workspace workspace;
   for (std::size_t i = 0; i < result->tables.size(); ++i) {
     if (need_grouped[i] == 0 && need_order[i] == 0) continue;
     const EngineTable& input = *result->tables[i];
@@ -180,65 +176,56 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, JobResult
     TableArtifacts& artifacts = result->artifacts[i];
 
     if (need_grouped[i] != 0) {
-      const std::string key =
-          eligible ? ArtifactCache::GroupedKey(input.cache_key, input.table) : std::string();
-      if (eligible) {
-        artifacts.grouped = artifact_cache_.LookupGrouped(key);
-        if (artifacts.grouped != nullptr) {
-          ++result->artifact_hits;
-        } else {
-          ++result->artifact_misses;
-        }
-      }
-      if (artifacts.grouped == nullptr) {
-        auto grouped = std::make_shared<GroupedTable>(input.table, &workspace);
-        // The build may have charged its arenas to THIS run's memory
-        // budget; a cached artifact must never carry that reservation
-        // into the next budget epoch. RunLocked re-charges the resident
-        // bytes with a run-scoped reservation instead.
+      const auto build = [&]() -> std::shared_ptr<const GroupedTable> {
+        auto grouped = std::make_shared<GroupedTable>(input.table, &run);
+        // The build may have charged its arenas to THIS run's budget; an
+        // artifact that may outlive the run must not carry that charge.
+        // The run re-charges the resident bytes with a run-scoped
+        // reservation instead.
         grouped->ReleaseBudgetCharge();
-        if (eligible) artifact_cache_.InsertGrouped(key, grouped, grouped->ApproxBytes());
-        artifacts.grouped = std::move(grouped);
-      }
+        return grouped;
+      };
+      bool hit = false;
+      artifacts.grouped =
+          eligible ? artifact_cache_.GetOrBuildGrouped(
+                         ArtifactCache::GroupedKey(input.cache_key, input.table), build,
+                         &insert_room, &hit)
+                   : build();
+      if (eligible) ++(hit ? result->artifact_hits : result->artifact_misses);
       resident_bytes += artifacts.grouped->ApproxBytes();
     }
 
     if (need_order[i] != 0) {
-      const std::string key =
-          eligible ? ArtifactCache::OrderKey(input.cache_key, input.table) : std::string();
-      if (eligible) {
-        artifacts.hilbert_order = artifact_cache_.LookupOrder(key);
-        if (artifacts.hilbert_order != nullptr) {
-          ++result->artifact_hits;
-        } else {
-          ++result->artifact_misses;
-        }
-      }
-      if (artifacts.hilbert_order == nullptr) {
+      const auto build = [&]() -> std::shared_ptr<const std::vector<RowId>> {
         auto order = std::make_shared<std::vector<RowId>>();
-        HilbertComputeOrder(input.table, &workspace, order.get());
-        if (eligible) {
-          artifact_cache_.InsertOrder(key, order, order->size() * sizeof(RowId));
-        }
-        artifacts.hilbert_order = std::move(order);
-      }
+        HilbertComputeOrder(input.table, &run, order.get());
+        return order;
+      };
+      bool hit = false;
+      artifacts.hilbert_order =
+          eligible ? artifact_cache_.GetOrBuildOrder(
+                         ArtifactCache::OrderKey(input.cache_key, input.table), build,
+                         &insert_room, &hit)
+                   : build();
+      if (eligible) ++(hit ? result->artifact_hits : result->artifact_misses);
       resident_bytes += artifacts.hilbert_order->size() * sizeof(RowId);
     }
   }
   return resident_bytes;
 }
 
-Expected<JobResult, PipelineError> Engine::RunLocked(const ResolvedJobSpec& resolved) {
+Expected<JobResult, PipelineError> Engine::Solve(const ResolvedJobSpec& resolved) {
   const JobSpec& spec = resolved.spec;
   JobResult result;
-  // One budget for the whole run: the batch driver and the in-kernel
-  // parallelism both draw from it (see src/common/parallel.h).
-  SetThreadBudget(spec.threads);
-  result.threads = ThreadBudget();
-  // Likewise one memory budget (0 = unlimited): ingestion, grouping, and
-  // the Hilbert sort all consult it through GlobalMemoryBudget().
-  SetMemoryBudget(spec.memory_budget);
-  Expected<bool, PipelineError> materialized = MaterializeTables(resolved, &result);
+  // The run's own context: one thread count for the batch workers and the
+  // in-kernel parallelism together (see src/common/parallel.h), and one
+  // memory budget (null = unlimited) that ingestion, grouping and the
+  // Hilbert sort size against. Nothing here is shared with other runs.
+  result.threads = spec.threads != 0 ? spec.threads : HardwareThreads();
+  Workspace run(result.threads, spec.memory_budget != 0
+                                    ? std::make_shared<MemoryBudget>(spec.memory_budget)
+                                    : nullptr);
+  Expected<bool, PipelineError> materialized = MaterializeTables(resolved, run, &result);
   if (!materialized.ok()) return materialized.error();
   if (result.tables.empty()) {
     return UsageError("n", "nothing to run: the (n, d) grid produced no input tables");
@@ -250,41 +237,35 @@ Expected<JobResult, PipelineError> Engine::RunLocked(const ResolvedJobSpec& reso
       ExpandRunGrid(spec.algorithms, spec.ls, result.tables.size(), algo_options);
   result.jobs.reserve(specs.size());
 
-  // Per-run ArtifactCache capacity: an explicit --artifact-cache wins;
-  // otherwise a budgeted run clamps the engine default to a quarter of
-  // its memory budget so cached artifacts stay within the headroom the
-  // run's own working set leaves. Runs serialize on run_mutex_, so the
-  // retune (and any eviction it forces) is race-free.
-  std::uint64_t artifact_capacity = options_.artifact_cache_bytes;
+  // What this run may add to the shared ArtifactCache: an explicit
+  // --artifact-cache wins; otherwise a budgeted run caps its insertions
+  // at a quarter of its memory budget, the headroom its own working set
+  // leaves. The cache's capacity is the engine's and never changes.
+  std::uint64_t insert_room = ~std::uint64_t{0};
   if (spec.artifact_cache != kArtifactCacheAuto) {
-    artifact_capacity = spec.artifact_cache;
+    insert_room = spec.artifact_cache;
   } else if (spec.memory_budget != 0) {
-    artifact_capacity = std::min(artifact_capacity, spec.memory_budget / 4);
+    insert_room = spec.memory_budget / 4;
   }
-  artifact_cache_.SetCapacity(artifact_capacity);
 
   // Resolve the GroupedTable / Hilbert order once per distinct table --
-  // the sweep's jobs share them -- and charge a budgeted run for the
+  // the sweep's jobs share them -- and charge the run's budget for the
   // bytes it now pins (cached artifacts carry no reservation of their
   // own; see GroupedTable::ReleaseBudgetCharge).
-  const std::uint64_t artifact_bytes = ResolveArtifacts(specs, &result);
-  MemoryReservation artifacts_reservation;
-  if (MemoryBudgetBytes() != 0 && artifact_bytes != 0) {
-    artifacts_reservation = MemoryReservation(GlobalMemoryBudgetShared(), artifact_bytes);
-  }
+  const std::uint64_t artifact_bytes = ResolveArtifacts(specs, insert_room, run, &result);
+  MemoryReservation artifacts_reservation(run.budget(), artifact_bytes);
 
   if (specs.size() == 1 && !spec.sweep) {
     // Single invocation: run inline so errors and timings stay on the
     // calling thread.
-    const RunSpec& run = specs.front();
-    Workspace workspace;
-    const TableArtifacts& artifacts = result.artifacts[run.table_index];
+    const RunSpec& job = specs.front();
+    const TableArtifacts& artifacts = result.artifacts[job.table_index];
     AnonymizationOutcome outcome =
         AlgorithmRegistry::Global()
-            .Create(run.algorithm, run.options)
-            ->Run(result.tables[run.table_index]->table, run.l, &workspace,
+            .Create(job.algorithm, job.options)
+            ->Run(result.tables[job.table_index]->table, job.l, &run,
                   artifacts.empty() ? nullptr : &artifacts);
-    result.jobs.push_back({run, std::move(outcome)});
+    result.jobs.push_back({job, std::move(outcome)});
     return result;
   }
 
@@ -293,48 +274,40 @@ Expected<JobResult, PipelineError> Engine::RunLocked(const ResolvedJobSpec& reso
   for (const std::shared_ptr<const EngineTable>& input : result.tables) {
     tables.push_back(&input->table);
   }
-  // BatchOptions::threads stays 0: the driver follows the budget set
-  // above, splitting it between job-level workers and inner kernels.
+  // BatchOptions::threads stays 0: AnonymizeBatch follows the run's
+  // thread count, splitting it between job-level workers and inner kernels.
   std::vector<AnonymizationOutcome> outcomes =
-      AnonymizeBatch(ToBatchJobs(specs, tables, result.artifacts));
+      AnonymizeBatch(ToBatchJobs(specs, tables, result.artifacts), BatchOptions{}, &run);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     result.jobs.push_back({specs[i], std::move(outcomes[i])});
   }
   return result;
 }
 
-Expected<JobResult, PipelineError> Engine::Run(const JobSpec& spec) {
-  Expected<ResolvedJobSpec, PipelineError> resolved = ResolveJobSpec(spec);
-  if (!resolved.ok()) return resolved.error();
-  std::lock_guard<std::mutex> lock(run_mutex_);
+Expected<JobResult, PipelineError> Engine::RunResolved(const ResolvedJobSpec& resolved) {
   // This is the I/O unwind boundary: a spill, page, sort, or ingestion
   // syscall failure anywhere below (including inside parallel kernels)
   // throws IoFailure, RAII reclaims the spill files and budget
   // reservations on the way up, and the caller sees a typed io error --
   // never an abort.
   try {
-    return RunLocked(*resolved);
+    return Solve(resolved);
   } catch (const IoFailure& failure) {
     return IoError(failure.what());
   }
+}
+
+Expected<JobResult, PipelineError> Engine::Run(const JobSpec& spec) {
+  Expected<ResolvedJobSpec, PipelineError> resolved = ResolveJobSpec(spec);
+  if (!resolved.ok()) return resolved.error();
+  return RunResolved(*resolved);
 }
 
 Expected<ExecuteSummary, PipelineError> Engine::Execute(const JobSpec& spec,
                                                         std::string* notices) {
   Expected<ResolvedJobSpec, PipelineError> resolved = ResolveJobSpec(spec);
   if (!resolved.ok()) return resolved.error();
-  // Hold the run lock through output writing so paged reads never race a
-  // following run. (Lifetimes need no lock: a paged table shares ownership
-  // of the budget epoch it charged, so it may safely outlive the run.)
-  std::lock_guard<std::mutex> lock(run_mutex_);
-  Expected<JobResult, PipelineError> result = [&]() -> Expected<JobResult, PipelineError> {
-    // Same unwind boundary as Run(): typed io error instead of an abort.
-    try {
-      return RunLocked(*resolved);
-    } catch (const IoFailure& failure) {
-      return IoError(failure.what());
-    }
-  }();
+  Expected<JobResult, PipelineError> result = RunResolved(*resolved);
   if (!result.ok()) return result.error();
   std::optional<PipelineError> write_error = WriteJobOutputs(resolved->spec, *result, notices);
   if (write_error.has_value()) return *write_error;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,6 +10,7 @@
 #include "common/expected.h"
 #include "common/paged_column.h"
 #include "common/table.h"
+#include "common/workspace.h"
 #include "core/artifacts.h"
 #include "core/run_spec.h"
 #include "engine/artifact_cache.h"
@@ -59,9 +59,10 @@ struct JobResult {
   /// if the cache evicts it mid-flight.
   std::vector<TableArtifacts> artifacts;
   std::vector<EngineJob> jobs;
-  /// The resolved thread budget the run executed under. An execution
-  /// detail like wall-clock: reports include it only alongside timings,
-  /// so --no-timings output stays byte-identical across budgets.
+  /// The resolved thread count the run executed under (JobSpec::threads,
+  /// 0 resolved to HardwareThreads()). An execution detail like
+  /// wall-clock: reports include it only alongside timings, so
+  /// --no-timings output stays byte-identical across thread counts.
   unsigned threads = 1;
   /// DatasetCache traffic of this run's input materialization (0/0 when
   /// every table came up paged and bypassed the cache).
@@ -93,10 +94,11 @@ struct ExecuteSummary {
 struct EngineOptions {
   /// DatasetCache capacity; 0 disables cross-job input caching.
   std::uint64_t cache_bytes = 256u << 20;
-  /// ArtifactCache capacity (GroupedTable + Hilbert-order memoization);
-  /// 0 disables cross-job artifact caching. A job can override per run
-  /// with JobSpec::artifact_cache; budgeted jobs without an override are
-  /// clamped to a quarter of their memory budget.
+  /// ArtifactCache capacity (GroupedTable + Hilbert-order memoization),
+  /// fixed for the engine's lifetime; 0 disables cross-job artifact
+  /// caching. A job's JobSpec::artifact_cache caps only what that run
+  /// inserts (budgeted jobs without one cap at a quarter of their memory
+  /// budget); it never resizes the shared cache.
   std::uint64_t artifact_cache_bytes = 256u << 20;
 };
 
@@ -106,29 +108,26 @@ struct EngineOptions {
 /// through the existing inline/AnonymizeBatch machinery. The one-shot CLI
 /// is a thin adapter over Run; the daemon's workers call Execute.
 ///
-/// Runs serialize on an internal mutex: the thread and memory budgets are
-/// process-global (SetThreadBudget / SetMemoryBudget), so two concurrent
-/// solves would race on them. Job-level concurrency belongs to the
-/// admission queue in front of the engine, intra-job parallelism to the
-/// per-run thread budget.
+/// Runs are independent and may execute concurrently: each builds its own
+/// context -- a Workspace carrying the spec's thread count and a
+/// MemoryBudget of its own -- and every kernel reads both from there, so
+/// no run touches another's budgets. The only state runs share is the two
+/// caches, which are internally locked and fill each key once however
+/// many runs miss on it at the same time.
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
 
   /// Validates, materializes and solves `spec`; no outputs are written.
   /// Infeasible jobs are not an error (reported with feasible = false).
-  ///
-  /// Budget caveat: a budgeted (memory_budget != 0) result holds paged
-  /// tables charged against the process-global budget of THIS run; drop
-  /// the JobResult before the next budgeted Run (the CLI's sequential
-  /// run-then-write-then-exit does so naturally). Execute encapsulates
-  /// the safe order for long-running callers.
+  /// A budgeted (memory_budget != 0) result may hold paged tables; they
+  /// share ownership of the run's own budget, so the JobResult can
+  /// outlive the call and later runs freely.
   Expected<JobResult, PipelineError> Run(const JobSpec& spec);
 
   /// Run + write every output the spec asks for (release(s), reports,
   /// dictionary sidecar, emit-input), destroying the JobResult before
-  /// returning -- the whole job lifetime stays under the run lock, which
-  /// makes it safe for a daemon to interleave budgeted jobs. Notice lines
+  /// returning. Safe to call from several threads at once. Notice lines
   /// ("wrote value dictionaries to ...") append to `*notices` when
   /// non-null.
   Expected<ExecuteSummary, PipelineError> Execute(const JobSpec& spec,
@@ -138,18 +137,20 @@ class Engine {
   ArtifactCache& artifact_cache() { return artifact_cache_; }
 
  private:
-  Expected<JobResult, PipelineError> RunLocked(const ResolvedJobSpec& resolved);
+  /// Solve inside the I/O unwind boundary (IoFailure -> typed io error).
+  Expected<JobResult, PipelineError> RunResolved(const ResolvedJobSpec& resolved);
+  Expected<JobResult, PipelineError> Solve(const ResolvedJobSpec& resolved);
   Expected<bool, PipelineError> MaterializeTables(const ResolvedJobSpec& resolved,
-                                                  JobResult* result);
+                                                  const Workspace& run, JobResult* result);
   /// Resolves the GroupedTable / Hilbert-order artifacts each distinct
   /// table's jobs consume -- once per table, through the ArtifactCache
-  /// when the table is cache-eligible (non-empty cache_key, not paged).
-  /// Returns the total resident bytes of the artifacts now pinned by
-  /// `result`, so RunLocked can charge them to a budgeted run.
-  std::uint64_t ResolveArtifacts(std::span<const RunSpec> specs, JobResult* result);
+  /// when the table is cache-eligible (non-empty cache_key, not paged),
+  /// adding at most `insert_room` bytes to it in all. Returns the total
+  /// resident bytes of the artifacts now pinned by `result`, so the run
+  /// can charge them to its budget.
+  std::uint64_t ResolveArtifacts(std::span<const RunSpec> specs, std::uint64_t insert_room,
+                                 Workspace& run, JobResult* result);
 
-  std::mutex run_mutex_;
-  EngineOptions options_;
   DatasetCache cache_;
   ArtifactCache artifact_cache_;
 };

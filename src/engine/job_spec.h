@@ -59,9 +59,10 @@ struct JobSpec {
   bool timings = true;
   std::uint32_t threads = 0;        ///< 0 = auto (hardware concurrency)
   std::uint64_t memory_budget = 0;  ///< bytes; 0 = unlimited (in-RAM paths)
-  /// ArtifactCache capacity for this run, in bytes: kArtifactCacheAuto
-  /// (the default) lets the engine pick, 0 disables cross-job artifact
-  /// caching, anything else retunes the shared cache for the run.
+  /// Bytes this run may add to the engine's shared ArtifactCache:
+  /// kArtifactCacheAuto (the default) means no cap of its own (a quarter
+  /// of memory_budget when one is set), 0 adds nothing. It never resizes
+  /// the cache, whose capacity is fixed when the engine is built.
   std::uint64_t artifact_cache = kArtifactCacheAuto;
   std::string emit_input;           ///< also write the input table here
 

@@ -11,7 +11,6 @@
 #include "common/check.h"
 #include "common/external_sort.h"
 #include "common/failpoint.h"
-#include "common/memory_budget.h"
 #include "common/parallel.h"
 #include "common/workspace.h"
 #include "hilbert/hilbert_curve.h"
@@ -104,14 +103,15 @@ void ComputeOrderExternal(const Table& table, Workspace& ws, std::vector<RowId>*
   std::uint32_t shift = bits_needed - bits;
   HilbertCurve curve(d, bits);
 
-  std::shared_ptr<MemoryBudget> budget =
-      MemoryBudgetBytes() != 0 ? GlobalMemoryBudgetShared() : nullptr;
+  const std::shared_ptr<MemoryBudget> budget = ws.budget();
   const std::uint64_t spend = budget != nullptr ? budget->remaining() / 4 : 64ull << 20;
   const std::size_t buffer_records = static_cast<std::size_t>(
       std::clamp<std::uint64_t>(spend / sizeof(SortRecord), 1u << 16, 4u << 20));
   std::string sort_error;
   std::unique_ptr<ExternalSorter> sorter = ExternalSorter::Create(
-      ExternalSorter::Options{.buffer_records = buffer_records, .budget = budget}, &sort_error);
+      ExternalSorter::Options{
+          .buffer_records = buffer_records, .budget = budget, .workspace = &ws},
+      &sort_error);
   // Recoverable: the engine boundary converts the throw to a typed I/O
   // error instead of aborting the process mid-sort.
   if (sorter == nullptr) throw IoFailure("external sort unavailable: " + sort_error);
@@ -136,11 +136,11 @@ void ComputeOrderExternal(const Table& table, Workspace& ws, std::vector<RowId>*
 }
 
 // Sorted Hilbert order of the table's rows, drawn from the workspace.
-// Under a process memory budget that cannot fit the code array plus sort,
-// the external-sort path streams instead (byte-identical output).
+// Under a workspace budget that cannot fit the code array plus sort, the
+// external-sort path streams instead (byte-identical output).
 void ComputeOrder(const Table& table, Workspace& ws, std::vector<RowId>* order) {
-  if (MemoryBudgetBytes() != 0 &&
-      !GlobalMemoryBudget().WouldFit(12ull * table.size())) {  // codes + sorted order
+  const std::shared_ptr<MemoryBudget> budget = ws.budget();
+  if (budget != nullptr && !budget->WouldFit(12ull * table.size())) {  // codes + sorted order
     ComputeOrderExternal(table, ws, order);
     return;
   }
@@ -344,7 +344,8 @@ void EmitGroups(const std::vector<RowId>& order, const std::vector<std::uint32_t
 
 }  // namespace
 
-HilbertResult HilbertAnonymizeWithSpec(const Table& table, const DiversitySpec& spec) {
+HilbertResult HilbertAnonymizeWithSpec(const Table& table, const DiversitySpec& spec,
+                                       Workspace* workspace) {
   HilbertResult result;
   if (table.empty()) {
     result.feasible = true;
@@ -357,7 +358,8 @@ HilbertResult HilbertAnonymizeWithSpec(const Table& table, const DiversitySpec& 
   }
   auto start_time = std::chrono::steady_clock::now();
 
-  Workspace ws;
+  Workspace local;
+  Workspace& ws = workspace != nullptr ? *workspace : local;
   auto order_s = ws.U32();
   std::vector<RowId>& order = *order_s;
   ComputeOrder(table, ws, &order);

@@ -66,8 +66,10 @@ void HilbertComputeOrder(const Table& table, Workspace* workspace, std::vector<R
 /// greedy consecutive grouping, closing a group as soon as it satisfies
 /// `spec` and merging an unsatisfiable tail backwards. Sound because all
 /// three diversity variants are monotone under union. Returns infeasible
-/// when the whole table violates `spec`.
-HilbertResult HilbertAnonymizeWithSpec(const Table& table, const DiversitySpec& spec);
+/// when the whole table violates `spec`. Scratch and the run context come
+/// from `workspace` when one is supplied.
+HilbertResult HilbertAnonymizeWithSpec(const Table& table, const DiversitySpec& spec,
+                                       Workspace* workspace = nullptr);
 
 }  // namespace ldv
 

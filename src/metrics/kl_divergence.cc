@@ -181,7 +181,7 @@ class KlTermSink {
 }  // namespace
 
 double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized,
-                               const KlTuning& tuning) {
+                               const KlTuning& tuning, Workspace* workspace) {
   if (table.empty()) return 0.0;
   const Schema& schema = table.schema();
   const std::size_t d = table.qi_count();
@@ -261,7 +261,8 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
   // 21% regression on kl_suppression/10k (527 us inline vs 614 us
   // staged). The multi-dim estimator below, whose points are two orders
   // of magnitude heavier, is where the staged SIMD fold pays.
-  Workspace ws;
+  Workspace local;
+  Workspace& ws = workspace != nullptr ? *workspace : local;
   PointPacker packer(schema);
   const std::vector<PointCount> points = DistinctPoints(table, packer, ws);
   return ParallelReduce(
@@ -298,13 +299,14 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
 }
 
 double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
-                            const KlTuning& tuning) {
+                            const KlTuning& tuning, Workspace* workspace) {
   if (table.empty()) return 0.0;
   const double n = static_cast<double>(table.size());
   const std::size_t m = table.schema().sa_domain_size();
   const std::size_t d = table.qi_count();
 
-  Workspace ws;
+  Workspace local;
+  Workspace& ws = workspace != nullptr ? *workspace : local;
   const std::size_t group_count = gen.group_count();
   const std::size_t group_grain = std::max<std::size_t>(64, (group_count + 63) / 64);
 
@@ -414,7 +416,7 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
       std::plus<double>());
 }
 
-double KlDivergenceAnatomy(const Table& table, const Partition& buckets) {
+double KlDivergenceAnatomy(const Table& table, const Partition& buckets, Workspace* workspace) {
   if (table.empty()) return 0.0;
   const double n = static_cast<double>(table.size());
   const std::size_t m = table.schema().sa_domain_size();
@@ -434,7 +436,8 @@ double KlDivergenceAnatomy(const Table& table, const Partition& buckets) {
   // FlatMap assigns every signature a class id, then a count/fill pass
   // lays the rows out contiguously (ascending row id within a class,
   // matching the seed's push_back order).
-  Workspace ws;
+  Workspace local;
+  Workspace& ws = workspace != nullptr ? *workspace : local;
   PointPacker packer(table.schema());
   std::vector<std::uint32_t> class_of(table.size());
   std::uint32_t class_count = 0;
@@ -472,7 +475,8 @@ double KlDivergenceAnatomy(const Table& table, const Partition& buckets) {
   return kl;
 }
 
-double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& gen) {
+double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& gen,
+                             Workspace* workspace) {
   if (table.empty()) return 0.0;
   const double n = static_cast<double>(table.size());
   const std::size_t d = table.qi_count();
@@ -497,7 +501,8 @@ double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& 
     ++cell_sa_counts[cell * m + table.sa(r)];
   }
 
-  Workspace ws;
+  Workspace local;
+  Workspace& ws = workspace != nullptr ? *workspace : local;
   PointPacker packer(table.schema());
   double kl = 0.0;
   for (const PointCount& pc : DistinctPoints(table, packer, ws)) {

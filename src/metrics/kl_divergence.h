@@ -4,6 +4,7 @@
 #include "anonymity/generalization.h"
 #include "anonymity/multidim.h"
 #include "common/table.h"
+#include "common/workspace.h"
 #include "tds/tds.h"
 
 namespace ldv {
@@ -39,26 +40,32 @@ struct KlTuning {
 /// Exact computation in O(n * 2^d): the groups of T* are bucketed by their
 /// star mask (at most 2^d masks), and f*(p) is assembled per distinct data
 /// point by one lookup per mask.
+///
+/// Every estimator draws its scratch from `workspace` and fans out to its
+/// threads() when one is supplied (a solve passes its own, so a one-thread
+/// job's KL stays on its thread); null means a default workspace.
 double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized,
-                               const KlTuning& tuning = {});
+                               const KlTuning& tuning = {}, Workspace* workspace = nullptr);
 
 /// KL-divergence for a single-dimensional generalization: each tuple is
 /// uniform over its cell (the product of its published sub-domains). Cells
 /// tile the space, so f*(p) comes from exactly one cell. O(n).
-double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& gen);
+double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& gen,
+                             Workspace* workspace = nullptr);
 
 /// KL-divergence for a multi-dimensional generalization: each tuple is
 /// uniform over its group's box; boxes may overlap (Section 2), so f*(p)
 /// sums contributions from every box containing p. Candidate boxes per
 /// point are pruned through an inverted index on the first QI attribute.
 double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
-                            const KlTuning& tuning = {});
+                            const KlTuning& tuning = {}, Workspace* workspace = nullptr);
 
 /// KL-divergence for an Anatomy release (QI table published exactly, SA
 /// linked only through l-diverse buckets): the adversary's density at point
 /// p is (1/n) * sum over tuples t with QI(t) = QI(p) of
 /// count_{bucket(t)}(SA(p)) / |bucket(t)|.
-double KlDivergenceAnatomy(const Table& table, const Partition& buckets);
+double KlDivergenceAnatomy(const Table& table, const Partition& buckets,
+                           Workspace* workspace = nullptr);
 
 }  // namespace ldv
 

@@ -393,12 +393,10 @@ MondrianResult MondrianAnonymize(const Table& table, std::uint32_t l, Workspace*
   MondrianShared shared(table, l);
 
   // The recursion's resident working set is dominated by the two O(n)
-  // buffers below; under a process memory budget, account for them so
-  // peak() reflects the solve (the passes themselves already run
-  // chunk-at-a-time over columns or in-place over these buffers).
-  MemoryReservation budget_charge(
-      MemoryBudgetBytes() != 0 ? GlobalMemoryBudgetShared() : nullptr,
-      2ull * shared.n * sizeof(std::uint32_t));
+  // buffers below; under a workspace budget, account for them so peak()
+  // reflects the solve (the passes themselves already run chunk-at-a-time
+  // over columns or in-place over these buffers).
+  MemoryReservation budget_charge(ws.budget(), 2ull * shared.n * sizeof(std::uint32_t));
 
   // The shared row-id and SA buffers every walker indexes into.
   auto rows_s = ws.U32();
@@ -410,7 +408,7 @@ MondrianResult MondrianAnonymize(const Table& table, std::uint32_t l, Workspace*
   sa.resize(shared.n);
   for (RowId r = 0; r < shared.n; ++r) sa[r] = table.sa(r);
 
-  const unsigned threads = InnerThreads();
+  const unsigned threads = ws.threads();
   if (threads > 1 && shared.n >= 8192) {
     RunParallel(shared, rows, sa, threads, ws, &result.generalization, &result.partition);
   } else {

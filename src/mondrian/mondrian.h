@@ -33,7 +33,9 @@ struct MondrianResult {
 /// The recursion runs in place over one shared RowId buffer (medians by
 /// selection, partitions by stable in-range swaps); when a Workspace is
 /// supplied all scratch memory is drawn from (and returned to) its pools,
-/// so repeated solves allocate only the published groups.
+/// so repeated solves allocate only the published groups. Independent
+/// subtrees fan out to the workspace's threads(), and the O(n) buffers
+/// are charged to its budget().
 MondrianResult MondrianAnonymize(const Table& table, std::uint32_t l,
                                  Workspace* workspace = nullptr);
 

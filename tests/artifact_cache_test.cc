@@ -1,22 +1,27 @@
 // ArtifactCache tests: the LRU byte-budget mechanics (hit/miss, eviction
-// order, recency refresh, capacity re-sizing, shared-ownership pinning),
-// content-identity invalidation when a CSV input changes on disk, refault
-// correctness under a forced-eviction artifact budget, and concurrent
-// daemon submissions sharing one cached artifact (run under TSan in CI).
+// order, recency refresh, shared-ownership pinning, a caller's insertion
+// allowance), single-flight fills (concurrent misses share one build, a
+// failed build is retried), content-identity invalidation when a CSV
+// input changes on disk, refault correctness under a forced-eviction
+// artifact budget, and concurrent daemon submissions sharing one cached
+// artifact (run under TSan in CI).
 
 #include "engine/artifact_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/csv.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/schema_spec.h"
 #include "daemon/client.h"
@@ -83,24 +88,98 @@ TEST(ArtifactCache, ZeroCapacityAndOversizedEntriesAreNotCached) {
   EXPECT_EQ(small.stats().resident_bytes, 0u);
 }
 
-TEST(ArtifactCache, SetCapacityEvictsPastTheNewBudgetButPinnedArtifactsSurvive) {
-  ArtifactCache cache(1000);
+TEST(ArtifactCache, EvictedArtifactsStayAliveWhilePinned) {
+  ArtifactCache cache(800);
   cache.InsertOrder("a", MakeOrder(4), 400);
-  cache.InsertOrder("b", MakeOrder(5), 400);
 
   // A consumer holding the artifact keeps it alive across eviction: the
   // cache only drops its own reference.
   std::shared_ptr<const std::vector<RowId>> pinned = cache.LookupOrder("a");
   ASSERT_NE(pinned, nullptr);
 
-  cache.SetCapacity(400);  // "b" is now least recently used; only "a" fits
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.LookupOrder("b"), nullptr);
-  EXPECT_EQ(cache.LookupOrder("a"), pinned);
-
-  cache.SetCapacity(0);
-  EXPECT_EQ(cache.stats().entries, 0u);
+  cache.InsertOrder("b", MakeOrder(5), 400);
+  cache.InsertOrder("c", MakeOrder(6), 400);  // over capacity: evicts "a", the least recently used
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.LookupOrder("a"), nullptr);
   EXPECT_EQ(pinned->size(), 4u) << "the pinned artifact outlives its cache entry";
+}
+
+TEST(ArtifactCache, InsertRoomCapsWhatOneCallerAdds) {
+  ArtifactCache cache(1u << 20);
+  bool hit = true;
+  std::uint64_t room = 100;
+  // 40 RowIds = 160 bytes: built and returned, but past the caller's room.
+  auto big = cache.GetOrBuildOrder("big", [] { return MakeOrder(40); }, &room, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(big->size(), 40u);
+  EXPECT_EQ(room, 100u);
+  EXPECT_EQ(cache.stats().insertions, 0u);
+
+  auto small = cache.GetOrBuildOrder("small", [] { return MakeOrder(20); }, &room, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(room, 20u) << "an insertion draws the room down by its bytes";
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  EXPECT_EQ(cache.GetOrBuildOrder("small", [] { return MakeOrder(1); }, &room, &hit), small);
+  EXPECT_TRUE(hit);
+}
+
+TEST(ArtifactCache, ConcurrentMissesOnOneKeyShareOneBuild) {
+  ArtifactCache cache(1u << 20);
+  constexpr std::size_t kCallers = 6;
+  std::atomic<int> builds{0};
+  std::vector<std::shared_ptr<const std::vector<RowId>>> got(kCallers);
+  std::vector<char> hits(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      std::uint64_t room = ~std::uint64_t{0};
+      bool hit = false;
+      got[i] = cache.GetOrBuildOrder(
+          "shared",
+          [&] {
+            ++builds;
+            // Slow enough that every caller arrives while it is in flight.
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+            return MakeOrder(8);
+          },
+          &room, &hit);
+      hits[i] = hit ? 1 : 0;
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  for (std::size_t i = 1; i < kCallers; ++i) EXPECT_EQ(got[i], got[0]);
+  EXPECT_EQ(std::count(hits.begin(), hits.end(), 0), 1) << "exactly one caller built it";
+  const ArtifactCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, kCallers - 1);
+  EXPECT_EQ(stats.insertions, 1u);
+}
+
+TEST(ArtifactCache, AFailedBuildIsRetriedByItsWaiters) {
+  ArtifactCache cache(1u << 20);
+  std::atomic<bool> started{false};
+  std::thread failing([&] {
+    std::uint64_t room = ~std::uint64_t{0};
+    bool hit = false;
+    EXPECT_THROW(cache.GetOrBuildOrder(
+                     "flaky",
+                     [&]() -> std::shared_ptr<const std::vector<RowId>> {
+                       started = true;
+                       std::this_thread::sleep_for(std::chrono::milliseconds(100));
+                       throw std::runtime_error("build failed");
+                     },
+                     &room, &hit),
+                 std::runtime_error);
+  });
+  while (!started) std::this_thread::yield();
+  std::uint64_t room = ~std::uint64_t{0};
+  bool hit = true;
+  auto order = cache.GetOrBuildOrder("flaky", [] { return MakeOrder(3); }, &room, &hit);
+  failing.join();
+  ASSERT_NE(order, nullptr);
+  EXPECT_EQ(order->size(), 3u);
+  EXPECT_FALSE(hit) << "the waiter built the artifact itself after the failure";
 }
 
 TEST(ArtifactCache, KeysSeparateArtifactKindsAndSchemas) {
@@ -149,11 +228,9 @@ TEST(ArtifactCacheEngine, CsvContentChangeInvalidatesArtifacts) {
   EXPECT_EQ(third->artifact_misses, 1u);
 
   std::remove(path.c_str());
-  SetThreadBudget(0);
 }
 
 TEST(ArtifactCacheEngine, ForcedEvictionRefaultsByteForByte) {
-  Engine engine;
   JobSpec spec;
   spec.dataset.name = "sal";
   spec.ns = {900};
@@ -162,19 +239,22 @@ TEST(ArtifactCacheEngine, ForcedEvictionRefaultsByteForByte) {
   spec.ls = {2, 3};
   spec.timings = false;
 
-  Expected<JobResult, PipelineError> reference = engine.Run(spec);
+  Engine roomy;
+  Expected<JobResult, PipelineError> reference = roomy.Run(spec);
   ASSERT_TRUE(reference.ok()) << reference.error().message;
   EXPECT_EQ(reference->artifact_misses, 2u);
-  const std::uint64_t resident = engine.artifact_cache().stats().resident_bytes;
+  const std::uint64_t resident = roomy.artifact_cache().stats().resident_bytes;
   ASSERT_GT(resident, 0u);
 
-  // A budget one byte short of both artifacts forces an eviction up
-  // front; the run refaults what it lost and must still match.
-  JobSpec tight = spec;
-  tight.artifact_cache = resident - 1;
-  Expected<JobResult, PipelineError> refaulted = engine.Run(tight);
+  // A cache one byte short of both artifacts evicts the first as the
+  // second lands; the next run refaults what it lost and must still match.
+  EngineOptions tight_options;
+  tight_options.artifact_cache_bytes = resident - 1;
+  Engine tight(tight_options);
+  ASSERT_TRUE(tight.Run(spec).ok());
+  EXPECT_GT(tight.artifact_cache().stats().evictions, 0u);
+  Expected<JobResult, PipelineError> refaulted = tight.Run(spec);
   ASSERT_TRUE(refaulted.ok()) << refaulted.error().message;
-  EXPECT_GT(engine.artifact_cache().stats().evictions, 0u);
   EXPECT_GT(refaulted->artifact_misses, 0u) << "the evicted artifact must refault";
 
   ReportOptions options;
@@ -183,7 +263,6 @@ TEST(ArtifactCacheEngine, ForcedEvictionRefaultsByteForByte) {
             RenderJsonReport(refaulted.value(), options));
   EXPECT_EQ(RenderMetricsCsv(reference.value(), options),
             RenderMetricsCsv(refaulted.value(), options));
-  SetThreadBudget(0);
 }
 
 TEST(ArtifactCacheDaemon, ConcurrentSubmissionsShareOneArtifact) {
@@ -249,7 +328,6 @@ TEST(ArtifactCacheDaemon, ConcurrentSubmissionsShareOneArtifact) {
   }
   daemon.Stop();
   daemon.WaitForShutdown();
-  SetThreadBudget(0);
 }
 
 }  // namespace

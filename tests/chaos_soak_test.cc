@@ -26,7 +26,6 @@
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
 #include "common/page_cache.h"
-#include "common/parallel.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "daemon/protocol.h"
@@ -183,7 +182,7 @@ TEST(ChaosSoak, FloodWithRandomFailpointsDrainsCleanlyAndRestarts) {
       << " expired=" << stats.expired << " failed=" << stats.failed;
   EXPECT_GE(stats.completed, ok_replies.load()) << "an ok reply implies a completed job";
   EXPECT_EQ(SpillFile::LiveCount(), 0u) << "soak leaked spill files";
-  EXPECT_EQ(GlobalMemoryBudget().used(), 0u) << "soak leaked budget reservations";
+  EXPECT_EQ(MemoryBudget::OutstandingBytes(), 0u) << "soak leaked budget reservations";
 
   // The socket is gone and the path is reusable: a fresh daemon binds and
   // serves -- no leaked listener, no stale-socket wedge.
@@ -202,9 +201,6 @@ TEST(ChaosSoak, FloodWithRandomFailpointsDrainsCleanlyAndRestarts) {
   RemoveOutputs(out);
   fresh.Stop();
   fresh.WaitForShutdown();
-
-  SetThreadBudget(0);
-  SetMemoryBudget(0);
 }
 
 }  // namespace

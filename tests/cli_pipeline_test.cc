@@ -13,7 +13,6 @@
 #include "anonymity/release.h"
 #include "engine/report.h"
 #include "common/csv.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "test_util.h"
 
@@ -168,7 +167,6 @@ TEST(CliPipeline, SingleJobIsThreadBudgetInvariant) {
       EXPECT_EQ(csv, reference_csv) << "threads=" << threads;
     }
   }
-  SetThreadBudget(0);
 }
 
 TEST(CliPipeline, ReportRecordsThreadsOnlyBesideTimings) {
@@ -178,7 +176,6 @@ TEST(CliPipeline, ReportRecordsThreadsOnlyBesideTimings) {
   Expected<PipelineResult, PipelineError> result_run = RunPipeline(options);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
   const PipelineResult& result = result_run.value();
-  SetThreadBudget(0);
 
   ReportOptions with_timings;
   with_timings.include_seconds = true;

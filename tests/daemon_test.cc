@@ -2,7 +2,8 @@
 // bounded admission queue (every client gets exactly one reply -- ok or
 // busy -- never a hang or a silent drop), priority and deadline handling
 // at dequeue, DatasetCache hits across submissions, byte-identical
-// outputs versus a direct Engine run, and graceful shutdown draining.
+// outputs versus a direct Engine run, workers running jobs concurrently
+// (the running / max-running counters), and graceful shutdown draining.
 
 #include "daemon/daemon.h"
 
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "common/parallel.h"
 #include "daemon/client.h"
 #include "daemon/protocol.h"
 #include "engine/job_spec.h"
@@ -77,9 +77,6 @@ void RemoveOutputs(const std::string& stem) {
 
 class DaemonTest : public ::testing::Test {
  protected:
-  // Budgets are process-global; leave them reset for whatever runs next.
-  void TearDown() override { SetThreadBudget(0); }
-
   std::string SocketPath(const std::string& name) { return testing::TempDir() + name; }
 };
 
@@ -112,6 +109,8 @@ TEST_F(DaemonTest, PingStatsAndUnknownVerbs) {
   EXPECT_EQ(reply.verb, "ok");
   EXPECT_EQ(kv.at("accepted"), "0");
   EXPECT_EQ(kv.at("queue-depth"), "16");
+  EXPECT_EQ(kv.at("running"), "0");
+  EXPECT_EQ(kv.at("max-running"), "0");
 
   kv.clear();
   ASSERT_TRUE(DaemonRequest(options.socket_path, Frame{"frobnicate", ""}, &reply, &kv, &error))
@@ -202,7 +201,56 @@ TEST_F(DaemonTest, ConcurrentSubmitsBoundTheQueueAndReplyToEveryone) {
   EXPECT_EQ(stats.completed, ok_count);
   EXPECT_EQ(stats.rejected_busy, busy_count);
   EXPECT_LE(stats.max_queue_depth, options.queue_depth) << "admission must bound the queue";
+  EXPECT_LE(stats.max_running, options.workers) << "one worker runs one job at a time";
+  EXPECT_EQ(stats.running, 0u);
   RemoveOutputs(reference_stem);
+}
+
+TEST_F(DaemonTest, WorkersRunJobsConcurrently) {
+  DaemonOptions options;
+  options.socket_path = SocketPath("ldivd_concurrent.sock");
+  options.workers = 4;
+  Daemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  // Four clients, each submitting every algorithm over 100k rows at one
+  // thread (a few hundred ms of solving): four workers run them at once.
+  constexpr std::size_t kClients = 4;
+  std::vector<Reply> replies(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      JobSpec spec = SmallSpec(testing::TempDir() + "ldivd_concurrent_" + std::to_string(i));
+      spec.ns = {100000};
+      spec.algorithms.assign(kAllAlgorithms.begin(), kAllAlgorithms.end());
+      spec.sweep = true;
+      spec.threads = 1;
+      replies[i] = Submit(options.socket_path, spec);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (std::size_t i = 0; i < kClients; ++i) {
+    ASSERT_TRUE(replies[i].transported) << replies[i].error;
+    ASSERT_EQ(replies[i].frame.verb, "ok") << replies[i].frame.payload;
+    EXPECT_EQ(replies[i].kv.at("threads"), "1") << "each job runs under its own thread count";
+    RemoveOutputs(testing::TempDir() + "ldivd_concurrent_" + std::to_string(i));
+  }
+
+  Frame reply;
+  std::map<std::string, std::string> kv;
+  ASSERT_TRUE(DaemonRequest(options.socket_path, Frame{"stats", ""}, &reply, &kv, &error)) << error;
+  std::uint64_t max_running = 0;
+  ASSERT_TRUE(ParseUint64(kv.at("max-running"), &max_running));
+  EXPECT_GE(max_running, 2u) << "jobs must overlap instead of queueing behind one another";
+  EXPECT_LE(max_running, options.workers);
+
+  daemon.Stop();
+  daemon.WaitForShutdown();
+  const Daemon::Stats stats = daemon.stats();
+  EXPECT_EQ(stats.running, 0u) << "a drained daemon runs nothing";
+  EXPECT_EQ(stats.max_running, max_running);
+  EXPECT_EQ(stats.completed, kClients);
 }
 
 TEST_F(DaemonTest, RepeatSubmissionsHitTheDatasetCache) {
@@ -328,6 +376,7 @@ TEST_F(DaemonTest, ShutdownDrainsEveryAcceptedJob) {
   Daemon::Stats stats = daemon.stats();
   EXPECT_EQ(stats.completed, answered);
   EXPECT_EQ(stats.accepted, stats.completed) << "graceful shutdown must drain the queue";
+  EXPECT_EQ(stats.running, 0u);
 }
 
 int RawConnect(const std::string& path) {

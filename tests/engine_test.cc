@@ -2,21 +2,23 @@
 // the JobSpec wire round trip and rejection rules, the single semantic
 // validation pass (ResolveJobSpec), the DatasetCache LRU behavior, and
 // the Engine itself -- cache hits on repeat traffic, paged-run cache
-// bypass, cross-run artifact memoization, and equality with the CLI
-// adapter path.
+// bypass, cross-run artifact memoization, equality with the CLI adapter
+// path, and concurrent runs matching their solo runs byte for byte.
 
 #include "engine/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "cli/pipeline.h"
 #include "common/csv.h"
 #include "common/expected.h"
-#include "common/memory_budget.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/schema_spec.h"
 #include "engine/dataset_cache.h"
@@ -261,7 +263,6 @@ TEST(Engine, RepeatRunsHitTheDatasetCache) {
   EXPECT_EQ(second->cache_misses, 0u);
   EXPECT_EQ(first->tables[0].get(), second->tables[0].get())
       << "a cache hit shares the materialized table, not a copy";
-  SetThreadBudget(0);
 }
 
 TEST(Engine, BudgetedInRamRunsCacheNormallyAndMatchByteForByte) {
@@ -288,8 +289,6 @@ TEST(Engine, BudgetedInRamRunsCacheNormallyAndMatchByteForByte) {
   options.include_seconds = false;
   EXPECT_EQ(RenderJsonReport(plain.value(), options), RenderJsonReport(cached.value(), options));
   EXPECT_EQ(RenderMetricsCsv(plain.value(), options), RenderMetricsCsv(cached.value(), options));
-  SetMemoryBudget(0);
-  SetThreadBudget(0);
 }
 
 TEST(Engine, PagedRunsBypassTheCacheButMatchByteForByte) {
@@ -319,8 +318,6 @@ TEST(Engine, PagedRunsBypassTheCacheButMatchByteForByte) {
   options.include_seconds = false;
   EXPECT_EQ(RenderJsonReport(plain.value(), options), RenderJsonReport(paged.value(), options));
   EXPECT_EQ(RenderMetricsCsv(plain.value(), options), RenderMetricsCsv(paged.value(), options));
-  SetMemoryBudget(0);
-  SetThreadBudget(0);
 }
 
 TEST(Engine, SweepResolvesArtifactsOnceAndRepeatRunsHitTheArtifactCache) {
@@ -353,7 +350,6 @@ TEST(Engine, SweepResolvesArtifactsOnceAndRepeatRunsHitTheArtifactCache) {
   EXPECT_EQ(RenderJsonReport(first.value(), options), RenderJsonReport(second.value(), options));
   EXPECT_EQ(RenderMetricsCsv(first.value(), options),
             RenderMetricsCsv(second.value(), options));
-  SetThreadBudget(0);
 }
 
 TEST(Engine, DisabledArtifactCacheMatchesTheHitPathByteForByte) {
@@ -380,7 +376,6 @@ TEST(Engine, DisabledArtifactCacheMatchesTheHitPathByteForByte) {
   options.include_seconds = false;
   EXPECT_EQ(RenderJsonReport(warm.value(), options), RenderJsonReport(cold.value(), options));
   EXPECT_EQ(RenderMetricsCsv(warm.value(), options), RenderMetricsCsv(cold.value(), options));
-  SetThreadBudget(0);
 }
 
 TEST(Engine, MatchesTheCliAdapterByteForByte) {
@@ -405,7 +400,6 @@ TEST(Engine, MatchesTheCliAdapterByteForByte) {
             RenderJsonReport(via_engine.value(), report_options));
   EXPECT_EQ(RenderMetricsCsv(via_cli.value(), report_options),
             RenderMetricsCsv(via_engine.value(), report_options));
-  SetThreadBudget(0);
 }
 
 TEST(Engine, ExecuteWritesOutputsAndMapsInfeasibleToExitCode) {
@@ -436,7 +430,117 @@ TEST(Engine, ExecuteWritesOutputsAndMapsInfeasibleToExitCode) {
   for (const char* suffix : {".json", "_metrics.csv", ".csv"}) {
     std::remove((spec.out + suffix).c_str());
   }
-  SetThreadBudget(0);
+}
+
+// Every file Execute may write for `spec`: reports, the single-job
+// release pair, and the per-job sweep releases.
+std::vector<std::string> OutputFiles(const JobSpec& spec, std::size_t jobs) {
+  std::vector<std::string> files;
+  for (const char* suffix : {".json", "_metrics.csv", ".csv", "_sa.csv", "_dict.csv"}) {
+    files.push_back(spec.out + suffix);
+  }
+  for (std::size_t k = 0; k < jobs; ++k) {
+    files.push_back(spec.out + ".job" + std::to_string(k) + ".csv");
+    files.push_back(spec.out + ".job" + std::to_string(k) + "_sa.csv");
+  }
+  return files;
+}
+
+// One Engine serving several Execute calls at once. Each run carries its
+// own thread count and memory budget, so the mixed specs below -- 1, 2
+// and 4 threads, unbudgeted and paged under 8M, single jobs and sweeps,
+// CSV and synthetic inputs -- must each write exactly the bytes it writes
+// when it runs alone, and report its own thread count.
+TEST(Engine, ConcurrentExecutesMatchTheirSoloRunsByteForByte) {
+  // 4K pages: the paged specs' page caches are small enough to evict.
+  ::setenv("LDIV_PAGE_BYTES", "4096", 1);
+  Rng rng(11);
+  Table table = testutil::RandomEligibleTable(rng, 2000, {9, 5, 7}, 6, 2);
+  const std::string csv = testing::TempDir() + "engine_concurrent_input.csv";
+  ASSERT_TRUE(WriteTableCsv(table, csv));
+
+  std::vector<JobSpec> specs;
+  const auto add = [&](JobSpec spec, std::uint32_t threads, std::uint64_t budget) {
+    spec.threads = threads;
+    spec.memory_budget = budget;
+    spec.timings = false;
+    specs.push_back(std::move(spec));
+  };
+  JobSpec csv_single;
+  csv_single.input = csv;
+  csv_single.schema_spec = FormatSchemaSpec(table.schema());
+  csv_single.algorithms = {Algorithm::kTpPlus};
+  add(csv_single, 1, 0);
+  JobSpec csv_sweep = csv_single;
+  csv_sweep.algorithms.assign(kAllAlgorithms.begin(), kAllAlgorithms.end());
+  csv_sweep.ls = {2, 3};
+  csv_sweep.sweep = true;
+  csv_sweep.write_releases = true;
+  add(csv_sweep, 4, 8u << 20);  // budgeted, but small enough to load in RAM
+  JobSpec synthetic_sweep = SyntheticSpec();
+  synthetic_sweep.algorithms = {Algorithm::kTp, Algorithm::kHilbert, Algorithm::kMondrian};
+  synthetic_sweep.ls = {2, 4};
+  synthetic_sweep.sweep = true;
+  add(synthetic_sweep, 2, 0);
+  JobSpec mondrian = SyntheticSpec();
+  mondrian.ns = {20000};  // large enough for Mondrian's parallel subtrees
+  mondrian.algorithms = {Algorithm::kMondrian};
+  add(mondrian, 4, 0);
+  // 80000 rows x 8 columns (~2.6M) exceed a quarter of 8M: paged loads.
+  JobSpec paged_sweep = SyntheticSpec();
+  paged_sweep.ns = {80000};
+  paged_sweep.ds = {7};
+  paged_sweep.algorithms = {Algorithm::kTp, Algorithm::kHilbert};
+  paged_sweep.ls = {2, 3};
+  paged_sweep.sweep = true;
+  paged_sweep.write_releases = true;
+  add(paged_sweep, 2, 8u << 20);
+  JobSpec paged_single = paged_sweep;
+  paged_single.algorithms = {Algorithm::kTpPlus};
+  paged_single.ls = {3};
+  paged_single.sweep = false;
+  paged_single.write_releases = false;
+  add(paged_single, 1, 8u << 20);
+
+  // Solo references, one run at a time.
+  std::vector<std::vector<std::string>> solo(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    JobSpec spec = specs[i];
+    spec.out = testing::TempDir() + "engine_solo_" + std::to_string(i);
+    Engine engine;
+    Expected<ExecuteSummary, PipelineError> summary = engine.Execute(spec);
+    ASSERT_TRUE(summary.ok()) << i << ": " << summary.error().message;
+    for (const std::string& path : OutputFiles(spec, summary->job_count)) {
+      solo[i].push_back(ReadFile(path));
+      std::remove(path.c_str());
+    }
+  }
+
+  Engine shared;
+  std::vector<JobSpec> concurrent = specs;
+  std::vector<std::optional<Expected<ExecuteSummary, PipelineError>>> summaries(specs.size());
+  std::vector<std::thread> runs;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    concurrent[i].out = testing::TempDir() + "engine_concurrent_" + std::to_string(i);
+    runs.emplace_back([&, i] { summaries[i].emplace(shared.Execute(concurrent[i])); });
+  }
+  for (std::thread& run : runs) run.join();
+  ::unsetenv("LDIV_PAGE_BYTES");
+
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("spec " + std::to_string(i));
+    ASSERT_TRUE(summaries[i]->ok()) << summaries[i]->error().message;
+    const ExecuteSummary& summary = summaries[i]->value();
+    EXPECT_EQ(summary.threads, specs[i].threads) << "each run reports its own thread count";
+    const std::vector<std::string> files = OutputFiles(concurrent[i], summary.job_count);
+    ASSERT_EQ(files.size(), solo[i].size());
+    for (std::size_t f = 0; f < files.size(); ++f) {
+      EXPECT_EQ(ReadFile(files[f]), solo[i][f]) << files[f];
+      std::remove(files[f].c_str());
+    }
+  }
+  EXPECT_GT(shared.dataset_cache().stats().bypassed_paged, 0u) << "the paged specs must page";
+  std::remove(csv.c_str());
 }
 
 }  // namespace

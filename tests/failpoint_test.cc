@@ -21,7 +21,6 @@
 
 #include "common/memory_budget.h"
 #include "common/page_cache.h"
-#include "common/parallel.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "daemon/protocol.h"
@@ -45,8 +44,6 @@ class FailpointTest : public ::testing::Test {
   void TearDown() override {
     failpoint::DisarmAll();
     ::unsetenv("LDIV_PAGE_BYTES");
-    SetMemoryBudget(0);
-    SetThreadBudget(0);
   }
 };
 
@@ -217,19 +214,21 @@ void ExpectInjectedIoError(const JobSpec& spec, Site site, Injection injection) 
   // Leak probes: every spill file reclaimed, every budget reservation
   // released, once the engine (and its caches) is gone.
   EXPECT_EQ(SpillFile::LiveCount(), 0u) << "leaked spill files after " << failpoint::SiteName(site);
-  EXPECT_EQ(GlobalMemoryBudget().used(), 0u)
+  EXPECT_EQ(MemoryBudget::OutstandingBytes(), 0u)
       << "leaked budget reservations after " << failpoint::SiteName(site);
   RemoveOutputs(spec.out);
 }
 
 TEST_F(FailpointTest, MatrixEveryEngineSiteSurfacesAsTypedIoError) {
   ::setenv("LDIV_PAGE_BYTES", "4096", 1);
-  SetThreadBudget(2);  // exercise exception propagation out of parallel kernels
 
-  const JobSpec paged = PagedHilbertSpec();
-  const JobSpec extsort = SortHeavySpec();
-  const JobSpec report = ReportSpec();
-  const JobSpec csv = CsvSpec();
+  JobSpec paged = PagedHilbertSpec();
+  JobSpec extsort = SortHeavySpec();
+  JobSpec report = ReportSpec();
+  JobSpec csv = CsvSpec();
+  // Two threads per run exercise exception propagation out of parallel
+  // kernels.
+  for (JobSpec* spec : {&paged, &extsort, &report, &csv}) spec->threads = 2;
 
   // Which driver reaches which site. Enumerated over the full registry so
   // a future site cannot be added without a matrix entry.

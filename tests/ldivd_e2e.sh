@@ -10,13 +10,21 @@
 # on a repeated submission (observable in the reply and in ctl stats),
 # ArtifactCache hits on a repeated sweep with byte-identical outputs,
 # explicit busy backpressure under a submit flood (exit 4, never a hang
-# or a drop), and a graceful drain on shutdown.
+# or a drop), a graceful drain on shutdown, and finally a --workers=4
+# daemon running the whole submit matrix at once, every output still
+# byte-identical to its one-shot reference.
+#
+# LDIVD_E2E_ONLY=concurrent writes the one-shot references and runs just
+# that last section -- the TSan CI job runs it against a TSan build.
 set -euo pipefail
 
 BIN=$1
-SRC=$2
+# Absolute, so one-shot runs and the daemon (which sees absolute paths
+# from `submit`) record the same input source in their reports.
+SRC=$(cd "$2" && pwd)
 INPUT="$SRC/tests/data/micro.csv"
 SCHEMA='Age:79,Gender:2,Race:9|Income:50'
+ONLY=${LDIVD_E2E_ONLY:-}
 
 TMP=$(mktemp -d)
 SOCK="$TMP/ldivd.sock"
@@ -30,43 +38,77 @@ cleanup() {
 }
 trap cleanup EXIT
 
+start_daemon() {
+  "$BIN" serve --socket="$SOCK" --queue-depth="$2" --workers="$1" 2> "$SERVE_LOG" &
+  SERVE_PID=$!
+  # `ldiv ctl` retries ECONNREFUSED/ENOENT briefly, so no sleep is needed.
+  "$BIN" ctl --socket="$SOCK" ping | grep -q "status = ok" ||
+    { echo "FAIL: ping"; cat "$SERVE_LOG"; exit 1; }
+}
+
+stop_daemon() {
+  "$BIN" ctl --socket="$SOCK" shutdown | grep -q "status = stopping" ||
+    { echo "FAIL: shutdown ack"; exit 1; }
+  local stopped=0
+  for _ in $(seq 1 100); do
+    kill -0 "$SERVE_PID" 2> /dev/null || { stopped=1; break; }
+    sleep 0.1
+  done
+  [ "$stopped" = 1 ] || { echo "FAIL: daemon did not stop within 10s"; exit 1; }
+  wait "$SERVE_PID" || { echo "FAIL: serve exited non-zero"; cat "$SERVE_LOG"; exit 1; }
+  SERVE_PID=
+  grep -q "drained and stopped" "$SERVE_LOG" ||
+    { echo "FAIL: serve log has no drain line"; cat "$SERVE_LOG"; exit 1; }
+  [ -S "$SOCK" ] && { echo "FAIL: socket file survived shutdown"; exit 1; }
+  return 0
+}
+
+# The submit matrix: a plain CSV run, a sweep with releases, a --threads
+# run, and two --memory-budget out-of-core runs. Each budgeted table
+# estimates past a quarter of its budget, so ingestion genuinely takes
+# the paged path (smaller tables stay in-RAM and cache under a budget).
+MATRIX=(csv sweep threads budget budget12)
+matrix_job() {
+  case $1 in
+    csv) JOB=(--algo=tp+ --l=2 --input="$INPUT" --schema="$SCHEMA") ;;
+    sweep) JOB=(--algo=all --l=2,4 --n=2000 --d=3 --sweep --write-releases) ;;
+    threads) JOB=(--algo=mondrian --l=2 --n=20000 --d=3 --threads=2) ;;
+    budget) JOB=(--algo=hilbert --l=2 --n=150000 --d=3 --memory-budget=8M) ;;
+    budget12) JOB=(--algo=tp+ --l=3 --n=200000 --d=3 --memory-budget=12M) ;;
+  esac
+}
+
+# Every file the one-shot run of matrix job $1 wrote (reports, release,
+# per-job sweep releases) must exist byte-identical under the stem $2.
+compare_outputs() {
+  local name=$1 stem=$2 ref
+  for ref in "$TMP/oneshot_$name".* "$TMP/oneshot_${name}"_*; do
+    [ -e "$ref" ] || continue
+    cmp "$ref" "$stem${ref#"$TMP/oneshot_$name"}" ||
+      { echo "FAIL: $name: ${ref##*/} differs between one-shot and daemon"; exit 1; }
+  done
+}
+
+# One-shot references (--no-timings for byte-determinism).
+for name in "${MATRIX[@]}"; do
+  matrix_job "$name"
+  "$BIN" "${JOB[@]}" --no-timings --out="$TMP/oneshot_$name" 2> /dev/null
+done
+
+if [ "$ONLY" != "concurrent" ]; then
+
 echo "== serve: daemon starts and answers ping =="
-"$BIN" serve --socket="$SOCK" --queue-depth=4 --workers=1 2> "$SERVE_LOG" &
-SERVE_PID=$!
-# `ldiv ctl` retries ECONNREFUSED/ENOENT briefly, so no sleep is needed.
-"$BIN" ctl --socket="$SOCK" ping | grep -q "status = ok" ||
-  { echo "FAIL: ping"; cat "$SERVE_LOG"; exit 1; }
+start_daemon 1 4
 
 echo "== submit matrix: byte-identical to the one-shot CLI =="
-# One-shot references (--no-timings for byte-determinism), then the same
-# jobs through the daemon. Matrix covers a plain run, a sweep with
-# releases, a --threads run and a --memory-budget out-of-core run.
-run_pair() {
-  local name=$1
-  shift
-  "$BIN" "$@" --no-timings --out="$TMP/oneshot_$name" 2> /dev/null
-  "$BIN" submit --socket="$SOCK" "$@" --no-timings --out="$TMP/daemon_$name" > /dev/null
-  cmp "$TMP/oneshot_$name.json" "$TMP/daemon_$name.json" ||
-    { echo "FAIL: $name JSON differs between one-shot and daemon"; exit 1; }
-  cmp "$TMP/oneshot_${name}_metrics.csv" "$TMP/daemon_${name}_metrics.csv" ||
-    { echo "FAIL: $name metrics differ between one-shot and daemon"; exit 1; }
-  if [ -f "$TMP/oneshot_$name.csv" ]; then
-    cmp "$TMP/oneshot_$name.csv" "$TMP/daemon_$name.csv" ||
-      { echo "FAIL: $name release differs between one-shot and daemon"; exit 1; }
-  fi
+for name in "${MATRIX[@]}"; do
+  matrix_job "$name"
+  "$BIN" submit --socket="$SOCK" "${JOB[@]}" --no-timings --out="$TMP/daemon_$name" > /dev/null
+  compare_outputs "$name" "$TMP/daemon_$name"
   echo "ok: $name"
-}
-run_pair csv --algo=tp+ --l=2 --input="$INPUT" --schema="$SCHEMA"
-run_pair sweep --algo=all --l=2,4 --n=2000 --d=3 --sweep --write-releases
-for k in $(seq 0 11); do
-  cmp "$TMP/oneshot_sweep.job$k.csv" "$TMP/daemon_sweep.job$k.csv" ||
-    { echo "FAIL: sweep release job$k differs between one-shot and daemon"; exit 1; }
 done
-run_pair threads --algo=mondrian --l=2 --n=20000 --d=3 --threads=2
-# 150k rows estimate past a quarter of the 8M budget, so ingestion
-# genuinely takes the out-of-core paged path (smaller tables now stay
-# in-RAM and cache normally under a budget).
-run_pair budget --algo=hilbert --l=2 --n=150000 --d=3 --memory-budget=8M
+[ -f "$TMP/oneshot_sweep.job11.csv" ] ||
+  { echo "FAIL: sweep did not write its 12 releases"; exit 1; }
 
 echo "== repeat submission hits the DatasetCache =="
 # daemon_csv ran the micro CSV once already; the same input again must be
@@ -149,18 +191,34 @@ echo "ok: $RAN ran, $BUSY got busy replies"
   { echo "FAIL: ctl stats disagrees with observed busy replies"; exit 1; }
 
 echo "== graceful shutdown drains and exits 0 =="
-"$BIN" ctl --socket="$SOCK" shutdown | grep -q "status = stopping" ||
-  { echo "FAIL: shutdown ack"; exit 1; }
-SHUTDOWN_OK=0
-for _ in $(seq 1 100); do
-  kill -0 "$SERVE_PID" 2> /dev/null || { SHUTDOWN_OK=1; break; }
-  sleep 0.1
+stop_daemon
+
+fi  # LDIVD_E2E_ONLY != concurrent
+
+echo "== concurrent: --workers=4 runs the matrix at once, byte-identical =="
+# A fresh four-worker daemon takes every matrix job at the same time.
+# Each runs under its own --threads and --memory-budget, so every output
+# must still match its one-shot reference.
+start_daemon 4 8
+declare -a CONCURRENT_PIDS=()
+for name in "${MATRIX[@]}"; do
+  matrix_job "$name"
+  "$BIN" submit --socket="$SOCK" "${JOB[@]}" --no-timings --out="$TMP/concurrent_$name" \
+    > /dev/null &
+  CONCURRENT_PIDS+=($!)
 done
-[ "$SHUTDOWN_OK" = 1 ] || { echo "FAIL: daemon did not stop within 10s"; exit 1; }
-wait "$SERVE_PID" || { echo "FAIL: serve exited non-zero"; cat "$SERVE_LOG"; exit 1; }
-SERVE_PID=
-grep -q "drained and stopped" "$SERVE_LOG" ||
-  { echo "FAIL: serve log has no drain line"; cat "$SERVE_LOG"; exit 1; }
-[ -S "$SOCK" ] && { echo "FAIL: socket file survived shutdown"; exit 1; }
+for pid in "${CONCURRENT_PIDS[@]}"; do
+  wait "$pid" || { echo "FAIL: a concurrent submit exited non-zero"; exit 1; }
+done
+for name in "${MATRIX[@]}"; do
+  compare_outputs "$name" "$TMP/concurrent_$name"
+  echo "ok: $name"
+done
+"$BIN" ctl --socket="$SOCK" stats > "$TMP/stats_concurrent.out"
+MAX_RUNNING=$(sed -n 's/^max-running = //p' "$TMP/stats_concurrent.out")
+[ "${MAX_RUNNING:-0}" -ge 2 ] && [ "$MAX_RUNNING" -le 4 ] ||
+  { echo "FAIL: max-running should be 2..4"; cat "$TMP/stats_concurrent.out"; exit 1; }
+echo "ok: up to $MAX_RUNNING jobs ran at once"
+stop_daemon
 
 echo "ldivd e2e: all checks passed"
