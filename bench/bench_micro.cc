@@ -28,7 +28,7 @@
 #include "data/acs_generator.h"
 #include "data/acs_schema.h"
 #include "data/dataset.h"
-#include "engine/artifact_cache.h"
+#include "engine/content_cache.h"
 #include "engine/engine.h"
 #include "engine/job_spec.h"
 #include "hilbert/hilbert_curve.h"
@@ -376,7 +376,7 @@ void RunGroupingPar(benchmark::State& state, unsigned threads) {
 // ---- Cross-job artifact cache series ----
 //
 // `sweep_cached` pushes a 3-l TP sweep through a warm Engine each
-// iteration, so the shared GroupedTable resolves from the ArtifactCache
+// iteration, so the shared GroupedTable resolves from the ContentCache
 // instead of being rebuilt per run -- the steady-state cost of a
 // repeated grouping-bound sweep. `grouping_artifact_hit` isolates the
 // hit path itself (one lookup pinning a resident artifact) for a direct
@@ -411,13 +411,17 @@ BENCHMARK(BM_SweepCached)->Name("sweep_cached")->Arg(10000)->Arg(100000);
 
 void BM_GroupingArtifactHit(benchmark::State& state) {
   const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
-  ArtifactCache cache(256u << 20);
-  auto grouped = std::make_shared<GroupedTable>(t);
-  const std::string key = ArtifactCache::GroupedKey("bench", t);
-  cache.InsertGrouped(key, grouped, grouped->ApproxBytes());
+  ContentCache cache(256u << 20);
+  const std::string key = ContentCache::ArtifactKey("bench", t);
+  const std::function<std::shared_ptr<const GroupedTable>()> build = [&] {
+    return std::make_shared<GroupedTable>(t);
+  };
+  bool hit = false;
+  cache.GetOrBuild(ContentCache::Kind::kGrouped, key, build, &hit);
   for (auto _ : state) {
-    std::shared_ptr<const GroupedTable> hit = cache.LookupGrouped(key);
-    benchmark::DoNotOptimize(hit->group_count());
+    std::shared_ptr<const GroupedTable> grouped =
+        cache.GetOrBuild(ContentCache::Kind::kGrouped, key, build, &hit);
+    benchmark::DoNotOptimize(grouped->group_count());
   }
   state.SetItemsProcessed(state.iterations() * t.size());
 }

@@ -11,7 +11,7 @@ namespace ldv {
 
 namespace {
 
-constexpr std::array<std::string_view, 19> kKnownFlags = {
+constexpr std::array<std::string_view, 18> kKnownFlags = {
     "algo",
     "l",
     "input",
@@ -30,7 +30,6 @@ constexpr std::array<std::string_view, 19> kKnownFlags = {
     "threads",
     "emit-input",
     "memory-budget",
-    "artifact-cache",
 };
 
 }  // namespace
@@ -132,14 +131,6 @@ bool ParseCliOptions(int argc, const char* const* argv, CliOptions* options, std
       return false;
     }
   }
-  std::string artifact_text;
-  if (!flags.GetString("artifact-cache", "", &artifact_text, error)) return false;
-  if (!artifact_text.empty()) {
-    if (!ParseByteSize(artifact_text, &options->artifact_cache, error)) {
-      *error = "--artifact-cache: " + *error;
-      return false;
-    }
-  }
   if (!flags.GetString("emit-input", "", &options->emit_input, error)) return false;
 
   // Semantic layer: the one validation pass shared with the daemon.
@@ -178,7 +169,6 @@ JobSpec ToJobSpec(const CliOptions& options) {
   spec.timings = options.timings;
   spec.threads = options.threads;
   spec.memory_budget = options.memory_budget;
-  spec.artifact_cache = options.artifact_cache;
   spec.emit_input = options.emit_input;
   return spec;
 }
@@ -221,12 +211,6 @@ std::string CliUsage(std::string_view program) {
   usage += "                     cache, external sorts, grouping arenas), e.g. 512M or\n";
   usage += "                     2G (binary suffixes K/M/G/T). 0 or unset = unlimited\n";
   usage += "                     (all-in-RAM). Outputs are byte-identical at any budget\n";
-  usage += "  --artifact-cache=B cap what the run adds to the cross-job artifact cache\n";
-  usage += "                     (memoized GroupedTable builds + Hilbert row orders, keyed\n";
-  usage += "                     by dataset content + QI schema), e.g. 64M; 0 adds nothing.\n";
-  usage += "                     unset = the cache's 256M capacity, or a quarter of\n";
-  usage += "                     --memory-budget. Outputs are byte-identical with the\n";
-  usage += "                     cache on, off, or evicting\n";
   usage += "  --kl=false         skip the KL-divergence estimate\n";
   usage += "  --no-timings       omit wall-clock fields (byte-deterministic reports)\n";
   usage += "  --emit-input=FILE  also write the input table as coded CSV\n";
@@ -234,7 +218,9 @@ std::string CliUsage(std::string_view program) {
   usage += "  --help             this text\n";
   usage += "\n";
   usage += "subcommands (see README for the daemon protocol):\n";
-  usage += "  serve   run the ldivd anonymization daemon on a unix socket\n";
+  usage += "  serve   run the ldivd anonymization daemon on a unix socket; one\n";
+  usage += "          --cache-bytes=B (default 512M) bounds its cache of input\n";
+  usage += "          tables, groupings and Hilbert orders\n";
   usage += "  submit  send one job (the flags above, plus --socket/--priority/\n";
   usage += "          --deadline-ms/--retry=N, which retries busy replies with\n";
   usage += "          jittered exponential backoff) to a running daemon\n";

@@ -71,13 +71,6 @@ struct CliOptions {
   /// switches ingestion to the out-of-core paged path. Outputs are
   /// byte-identical at any budget.
   std::uint64_t memory_budget = 0;
-  /// The most this run adds to the engine's ArtifactCache
-  /// ("--artifact-cache=64M"), the cross-job memoization of GroupedTable
-  /// builds and Hilbert row orders. Unset (kArtifactCacheAuto) leaves only
-  /// the cache's own capacity (a quarter of the memory budget when one is
-  /// set); 0 adds nothing. Outputs are byte-identical with the cache on,
-  /// off, or thrashing.
-  std::uint64_t artifact_cache = kArtifactCacheAuto;
   /// When non-empty, also write the (first) input table as CSV here.
   std::string emit_input;
   bool help = false;

@@ -1,6 +1,7 @@
 #include "core/algorithm.h"
 
 #include <cctype>
+#include <optional>
 #include <utility>
 
 #include "anonymity/anatomy.h"
@@ -54,19 +55,10 @@ bool AlgorithmUsesHilbertOrderArtifact(Algorithm algorithm) {
   return algorithm == Algorithm::kHilbert;
 }
 
-AnonymizationOutcome Anonymizer::Run(const Table& table, std::uint32_t l) const {
-  Workspace workspace;
-  return Run(table, l, &workspace);
-}
-
-AnonymizationOutcome Anonymizer::Run(const Table& table, std::uint32_t l,
-                                     Workspace* workspace) const {
-  return Run(table, l, workspace, nullptr);
-}
-
 AnonymizationOutcome Anonymizer::Run(const Table& table, std::uint32_t l, Workspace* workspace,
                                      const TableArtifacts* artifacts) const {
-  LDIV_CHECK(workspace != nullptr);
+  std::optional<Workspace> local;
+  if (workspace == nullptr) workspace = &local.emplace();
   AnonymizationOutcome outcome;
   outcome.algorithm = id_;
   outcome.methodology = methodology_;

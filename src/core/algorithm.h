@@ -131,23 +131,18 @@ class Anonymizer {
   /// Runs the algorithm on `table` with privacy parameter `l` and fills in
   /// the shared utility metrics. Returns feasible = false iff the table is
   /// not l-eligible. Thread-safe: anonymizers are stateless.
-  AnonymizationOutcome Run(const Table& table, std::uint32_t l) const;
-
-  /// Same, drawing every solver's scratch memory from `workspace` so
-  /// repeated solves stop re-allocating. The workspace is NOT thread-safe:
-  /// callers running solves concurrently use one workspace per thread
-  /// (AnonymizeBatch keeps one per worker). Outcomes are identical with or
-  /// without a workspace, and across reuses of one.
-  AnonymizationOutcome Run(const Table& table, std::uint32_t l, Workspace* workspace) const;
-
-  /// Same, additionally consuming pre-resolved dataset artifacts. When
-  /// `artifacts` supplies the GroupedTable or Hilbert order for `table`,
-  /// the solve skips rebuilding it; any field may be null, in which case
-  /// the algorithm derives the input itself. Artifacts MUST have been
-  /// built from exactly this table -- outcomes are byte-identical with and
-  /// without them.
-  AnonymizationOutcome Run(const Table& table, std::uint32_t l, Workspace* workspace,
-                           const TableArtifacts* artifacts) const;
+  ///
+  /// Every solver draws its scratch memory and run context from
+  /// `workspace` (null = a local default-constructed one), so repeated
+  /// solves stop re-allocating. A workspace is NOT thread-safe: callers
+  /// running solves concurrently use one per thread (AnonymizeBatch keeps
+  /// one per worker). When `artifacts` supplies the GroupedTable or
+  /// Hilbert order for `table`, the solve skips rebuilding it; any field
+  /// may be null, in which case the algorithm derives the input itself.
+  /// Artifacts MUST have been built from exactly this table. Outcomes are
+  /// identical with or without a workspace or artifacts.
+  AnonymizationOutcome Run(const Table& table, std::uint32_t l, Workspace* workspace = nullptr,
+                           const TableArtifacts* artifacts = nullptr) const;
 
  protected:
   Anonymizer(Algorithm id, Methodology methodology, AnonymizerOptions options)

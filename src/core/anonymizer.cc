@@ -4,17 +4,7 @@ namespace ldv {
 
 AnonymizationOutcome Anonymize(const Table& table, std::uint32_t l, Algorithm algorithm,
                                const AnonymizerOptions& options, Workspace* workspace) {
-  std::unique_ptr<Anonymizer> anonymizer =
-      AlgorithmRegistry::Global().Create(algorithm, options);
-  return workspace != nullptr ? anonymizer->Run(table, l, workspace)
-                              : anonymizer->Run(table, l);
-}
-
-AnonymizationOutcome Anonymize(const Table& table, std::uint32_t l, Algorithm algorithm,
-                               const HilbertOptions& hilbert_options) {
-  AnonymizerOptions options;
-  options.hilbert = hilbert_options;
-  return Anonymize(table, l, algorithm, options);
+  return AlgorithmRegistry::Global().Create(algorithm, options)->Run(table, l, workspace);
 }
 
 }  // namespace ldv

@@ -12,7 +12,7 @@ namespace ldv {
 /// Dataset-derived solver inputs that depend only on the table (and its QI
 /// schema), never on `l` or the algorithm: the exact-signature QI grouping
 /// and the sorted Hilbert row order. Resolving them once lets every job of
-/// an algorithms x l sweep -- and, through the engine's ArtifactCache,
+/// an algorithms x l sweep -- and, through the engine's ContentCache,
 /// every repeat daemon submission of the same dataset -- share one build.
 /// Shared ownership keeps an artifact alive for concurrent consumers even
 /// while a cache eviction is in flight.

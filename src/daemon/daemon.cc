@@ -58,21 +58,8 @@ Frame ErrorFrame(const PipelineError& error) {
 
 }  // namespace
 
-namespace {
-
-EngineOptions MakeEngineOptions(const DaemonOptions& options) {
-  EngineOptions engine_options;
-  engine_options.cache_bytes = options.cache_bytes;
-  if (options.artifact_cache_bytes != kArtifactCacheAuto) {
-    engine_options.artifact_cache_bytes = options.artifact_cache_bytes;
-  }
-  return engine_options;
-}
-
-}  // namespace
-
 Daemon::Daemon(DaemonOptions options)
-    : options_(std::move(options)), engine_(MakeEngineOptions(options_)) {}
+    : options_(std::move(options)), engine_(EngineOptions{options_.cache_bytes}) {}
 
 Daemon::~Daemon() {
   Stop();
@@ -441,14 +428,12 @@ Daemon::Stats Daemon::stats() const {
   }
   // The cache counts are authoritative from the engine (they also cover
   // lookups from jobs still in flight).
-  Engine& engine = const_cast<Daemon*>(this)->engine_;
-  const DatasetCache::Stats cache = engine.dataset_cache().stats();
-  copy.cache_hits = cache.hits;
-  copy.cache_misses = cache.misses;
+  const ContentCache::Stats cache = engine_.cache().stats();
+  copy.cache_hits = cache.tables.hits;
+  copy.cache_misses = cache.tables.misses;
   copy.bypassed_paged = cache.bypassed_paged;
-  const ArtifactCache::Stats artifacts = engine.artifact_cache().stats();
-  copy.artifact_hits = artifacts.hits;
-  copy.artifact_misses = artifacts.misses;
+  copy.artifact_hits = cache.artifacts.hits;
+  copy.artifact_misses = cache.artifacts.misses;
   return copy;
 }
 

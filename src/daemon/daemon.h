@@ -30,12 +30,9 @@ struct DaemonOptions {
   /// keeps no process-wide budget). There is no daemon-wide memory cap --
   /// the sum of the running jobs' budgets is what the host must hold.
   std::size_t workers = 1;
-  /// DatasetCache capacity for the daemon's engine.
-  std::uint64_t cache_bytes = 256u << 20;
-  /// ArtifactCache capacity (memoized GroupedTable builds + Hilbert row
-  /// orders shared across requests). kArtifactCacheAuto = engine default;
-  /// 0 disables cross-request artifact reuse.
-  std::uint64_t artifact_cache_bytes = kArtifactCacheAuto;
+  /// Capacity of the engine's ContentCache (input tables, GroupedTables
+  /// and Hilbert row orders shared across requests); 0 keeps nothing.
+  std::uint64_t cache_bytes = EngineOptions{}.cache_bytes;
   /// The retry hint carried in `busy` replies.
   std::uint32_t retry_after_ms = 100;
   /// Per-connection I/O patience: how long a peer may send nothing while
@@ -47,8 +44,8 @@ struct DaemonOptions {
 
 /// The `ldivd` anonymization daemon: accepts serialized JobSpecs over a
 /// unix socket, runs them through one shared Engine (so repeated inputs
-/// hit the DatasetCache), and replies with per-job result metadata. See
-/// daemon/protocol.h for the wire format.
+/// and their artifacts hit its ContentCache), and replies with per-job
+/// result metadata. See daemon/protocol.h for the wire format.
 ///
 /// Threading: an accept loop spawns one short-lived handler per
 /// connection; handlers parse the request and either reply directly
@@ -91,15 +88,13 @@ class Daemon {
     std::uint64_t max_queue_depth = 0;  // high-water mark of waiting jobs
     std::uint64_t running = 0;          // jobs dequeued and not yet answered
     std::uint64_t max_running = 0;      // high-water mark of `running`
-    std::uint64_t cache_hits = 0;       // DatasetCache hits across jobs
+    std::uint64_t cache_hits = 0;       // ContentCache table hits across jobs
     std::uint64_t cache_misses = 0;
-    std::uint64_t bypassed_paged = 0;   // DatasetCache bypasses (paged loads)
-    std::uint64_t artifact_hits = 0;    // ArtifactCache hits across jobs
+    std::uint64_t bypassed_paged = 0;   // table loads that paged and skipped the cache
+    std::uint64_t artifact_hits = 0;    // ContentCache artifact hits across jobs
     std::uint64_t artifact_misses = 0;
   };
   Stats stats() const;
-
-  Engine& engine() { return engine_; }
 
  private:
   struct PendingJob {

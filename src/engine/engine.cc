@@ -61,8 +61,7 @@ std::uint64_t EstimateSyntheticBytes(const DatasetSpec& cell) {
 
 }  // namespace
 
-Engine::Engine(EngineOptions options)
-    : cache_(options.cache_bytes), artifact_cache_(options.artifact_cache_bytes) {}
+Engine::Engine(EngineOptions options) : cache_(options.cache_bytes) {}
 
 Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& resolved,
                                                         const Workspace& run,
@@ -70,7 +69,7 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
   const JobSpec& spec = resolved.spec;
   const std::shared_ptr<MemoryBudget> budget = run.budget();
   std::string error;
-  // Loads through the DatasetCache when the input has a content key
+  // Loads through the ContentCache when the input has a content key
   // (concurrent runs missing on one key share the load), directly when
   // it has none; null with `error` set when the load fails.
   const auto load = [&](const std::string& key,
@@ -78,7 +77,8 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
       -> std::shared_ptr<const EngineTable> {
     if (key.empty()) return build();
     bool hit = false;
-    std::shared_ptr<const EngineTable> table = cache_.GetOrBuild(key, build, &hit);
+    std::shared_ptr<const EngineTable> table =
+        cache_.GetOrBuild(ContentCache::Kind::kTable, key, build, &hit);
     ++(hit ? result->cache_hits : result->cache_misses);
     return table;
   };
@@ -101,7 +101,7 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
       result->tables.push_back(std::move(entry));
       return true;
     }
-    const std::string key = DatasetCache::CsvKey(spec.input, resolved.format, spec.schema_spec);
+    const std::string key = ContentCache::CsvKey(spec.input, resolved.format, spec.schema_spec);
     std::shared_ptr<const EngineTable> table =
         load(key, [&]() -> std::shared_ptr<const EngineTable> {
           std::optional<Table> loaded = LoadTableCsv(spec.input, resolved.format, schema, &error);
@@ -137,7 +137,7 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
         result->tables.push_back(std::move(entry));
         continue;
       }
-      const std::string key = DatasetCache::SyntheticKey(cell);
+      const std::string key = ContentCache::SyntheticKey(cell);
       std::shared_ptr<const EngineTable> table =
           load(key, [&]() -> std::shared_ptr<const EngineTable> {
             std::optional<Table> generated = GenerateDataset(cell, &error);
@@ -154,8 +154,8 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
   return true;
 }
 
-std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, std::uint64_t insert_room,
-                                       Workspace& run, JobResult* result) {
+std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, Workspace& run,
+                                       JobResult* result) {
   result->artifacts.assign(result->tables.size(), TableArtifacts{});
   std::vector<char> need_grouped(result->tables.size(), 0);
   std::vector<char> need_order(result->tables.size(), 0);
@@ -173,10 +173,11 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, std::uint
     // itself); ineligible tables still resolve once per run, so every job
     // of a sweep shares the build either way.
     const bool eligible = !input.cache_key.empty() && input.paged == nullptr;
+    const std::string key = eligible ? ContentCache::ArtifactKey(input.cache_key, input.table) : "";
     TableArtifacts& artifacts = result->artifacts[i];
 
     if (need_grouped[i] != 0) {
-      const auto build = [&]() -> std::shared_ptr<const GroupedTable> {
+      const std::function<std::shared_ptr<const GroupedTable>()> build = [&] {
         auto grouped = std::make_shared<GroupedTable>(input.table, &run);
         // The build may have charged its arenas to THIS run's budget; an
         // artifact that may outlive the run must not carry that charge.
@@ -187,28 +188,23 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, std::uint
       };
       bool hit = false;
       artifacts.grouped =
-          eligible ? artifact_cache_.GetOrBuildGrouped(
-                         ArtifactCache::GroupedKey(input.cache_key, input.table), build,
-                         &insert_room, &hit)
-                   : build();
+          eligible ? cache_.GetOrBuild(ContentCache::Kind::kGrouped, key, build, &hit) : build();
       if (eligible) ++(hit ? result->artifact_hits : result->artifact_misses);
-      resident_bytes += artifacts.grouped->ApproxBytes();
+      resident_bytes += ResidentBytes(*artifacts.grouped);
     }
 
     if (need_order[i] != 0) {
-      const auto build = [&]() -> std::shared_ptr<const std::vector<RowId>> {
+      const std::function<std::shared_ptr<const std::vector<RowId>>()> build = [&] {
         auto order = std::make_shared<std::vector<RowId>>();
         HilbertComputeOrder(input.table, &run, order.get());
         return order;
       };
       bool hit = false;
       artifacts.hilbert_order =
-          eligible ? artifact_cache_.GetOrBuildOrder(
-                         ArtifactCache::OrderKey(input.cache_key, input.table), build,
-                         &insert_room, &hit)
+          eligible ? cache_.GetOrBuild(ContentCache::Kind::kHilbertOrder, key, build, &hit)
                    : build();
       if (eligible) ++(hit ? result->artifact_hits : result->artifact_misses);
-      resident_bytes += artifacts.hilbert_order->size() * sizeof(RowId);
+      resident_bytes += ResidentBytes(*artifacts.hilbert_order);
     }
   }
   return resident_bytes;
@@ -237,22 +233,11 @@ Expected<JobResult, PipelineError> Engine::Solve(const ResolvedJobSpec& resolved
       ExpandRunGrid(spec.algorithms, spec.ls, result.tables.size(), algo_options);
   result.jobs.reserve(specs.size());
 
-  // What this run may add to the shared ArtifactCache: an explicit
-  // --artifact-cache wins; otherwise a budgeted run caps its insertions
-  // at a quarter of its memory budget, the headroom its own working set
-  // leaves. The cache's capacity is the engine's and never changes.
-  std::uint64_t insert_room = ~std::uint64_t{0};
-  if (spec.artifact_cache != kArtifactCacheAuto) {
-    insert_room = spec.artifact_cache;
-  } else if (spec.memory_budget != 0) {
-    insert_room = spec.memory_budget / 4;
-  }
-
   // Resolve the GroupedTable / Hilbert order once per distinct table --
   // the sweep's jobs share them -- and charge the run's budget for the
   // bytes it now pins (cached artifacts carry no reservation of their
   // own; see GroupedTable::ReleaseBudgetCharge).
-  const std::uint64_t artifact_bytes = ResolveArtifacts(specs, insert_room, run, &result);
+  const std::uint64_t artifact_bytes = ResolveArtifacts(specs, run, &result);
   MemoryReservation artifacts_reservation(run.budget(), artifact_bytes);
 
   if (specs.size() == 1 && !spec.sweep) {

@@ -13,8 +13,7 @@
 #include "common/workspace.h"
 #include "core/artifacts.h"
 #include "core/run_spec.h"
-#include "engine/artifact_cache.h"
-#include "engine/dataset_cache.h"
+#include "engine/content_cache.h"
 #include "engine/error.h"
 #include "engine/job_spec.h"
 
@@ -32,9 +31,9 @@ struct EngineTable {
   std::unique_ptr<PagedTable> paged;
   /// Provenance label, e.g. "csv:micro.csv" or "sal(n=10000, seed=1, d=3)".
   std::string source;
-  /// The DatasetCache content-identity key this table was materialized
-  /// under; "" when uncacheable (unstatable CSV) or paged. Derived
-  /// artifacts reuse it as the dataset half of their ArtifactCache key.
+  /// The ContentCache key this table was materialized under (CsvKey or
+  /// SyntheticKey); "" when uncacheable (unstatable CSV) or paged. Its
+  /// artifacts extend it into their own keys (ContentCache::ArtifactKey).
   std::string cache_key;
 
   explicit EngineTable(Table t) : table(std::move(t)) {}
@@ -50,11 +49,12 @@ struct EngineJob {
 
 /// Everything one Engine::Run produced, in deterministic job order (the
 /// ExpandRunGrid order: table-major, then algorithm, then l). Tables are
-/// shared with the DatasetCache; entries may alias across JobResults.
+/// shared with the engine's ContentCache; entries may alias across
+/// JobResults.
 struct JobResult {
   std::vector<std::shared_ptr<const EngineTable>> tables;
   /// Pre-resolved solver artifacts, parallel to `tables` (empty structs
-  /// for tables whose jobs consume none). Shared with the ArtifactCache;
+  /// for tables whose jobs consume none). Shared with the ContentCache;
   /// holding them here keeps every artifact alive for the whole run even
   /// if the cache evicts it mid-flight.
   std::vector<TableArtifacts> artifacts;
@@ -64,13 +64,13 @@ struct JobResult {
   /// wall-clock: reports include it only alongside timings, so
   /// --no-timings output stays byte-identical across thread counts.
   unsigned threads = 1;
-  /// DatasetCache traffic of this run's input materialization (0/0 when
-  /// every table came up paged and bypassed the cache).
+  /// ContentCache table lookups of this run's input materialization (0/0
+  /// when every table came up paged and bypassed the cache).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// ArtifactCache traffic of this run's GroupedTable / Hilbert-order
-  /// resolution (0/0 when no job consumes artifacts or the tables were
-  /// cache-ineligible).
+  /// ContentCache artifact lookups of this run's GroupedTable /
+  /// Hilbert-order resolution (0/0 when no job consumes artifacts or the
+  /// tables were cache-ineligible).
   std::uint64_t artifact_hits = 0;
   std::uint64_t artifact_misses = 0;
 };
@@ -92,27 +92,23 @@ struct ExecuteSummary {
 };
 
 struct EngineOptions {
-  /// DatasetCache capacity; 0 disables cross-job input caching.
-  std::uint64_t cache_bytes = 256u << 20;
-  /// ArtifactCache capacity (GroupedTable + Hilbert-order memoization),
-  /// fixed for the engine's lifetime; 0 disables cross-job artifact
-  /// caching. A job's JobSpec::artifact_cache caps only what that run
-  /// inserts (budgeted jobs without one cap at a quarter of their memory
-  /// budget); it never resizes the shared cache.
-  std::uint64_t artifact_cache_bytes = 256u << 20;
+  /// ContentCache capacity, fixed for the engine's lifetime: input tables,
+  /// GroupedTables and Hilbert row orders together. 0 keeps nothing.
+  std::uint64_t cache_bytes = 512u << 20;
 };
 
 /// The reusable anonymization engine behind every front-end: one object
-/// that validates JobSpecs (ResolveJobSpec), materializes inputs through a
-/// cross-job DatasetCache, and runs the algorithms x (l, n, d) grid
-/// through the existing inline/AnonymizeBatch machinery. The one-shot CLI
-/// is a thin adapter over Run; the daemon's workers call Execute.
+/// that validates JobSpecs (ResolveJobSpec), materializes inputs and
+/// their solver artifacts through one cross-job ContentCache, and runs
+/// the algorithms x (l, n, d) grid through the existing
+/// inline/AnonymizeBatch machinery. The one-shot CLI calls Run; the
+/// daemon's workers call Execute.
 ///
 /// Runs are independent and may execute concurrently: each builds its own
 /// context -- a Workspace carrying the spec's thread count and a
 /// MemoryBudget of its own -- and every kernel reads both from there, so
-/// no run touches another's budgets. The only state runs share is the two
-/// caches, which are internally locked and fill each key once however
+/// no run touches another's budgets. The only state runs share is the
+/// cache, which is internally locked and fills each key once however
 /// many runs miss on it at the same time.
 class Engine {
  public:
@@ -133,8 +129,7 @@ class Engine {
   Expected<ExecuteSummary, PipelineError> Execute(const JobSpec& spec,
                                                   std::string* notices = nullptr);
 
-  DatasetCache& dataset_cache() { return cache_; }
-  ArtifactCache& artifact_cache() { return artifact_cache_; }
+  const ContentCache& cache() const { return cache_; }
 
  private:
   /// Solve inside the I/O unwind boundary (IoFailure -> typed io error).
@@ -143,16 +138,14 @@ class Engine {
   Expected<bool, PipelineError> MaterializeTables(const ResolvedJobSpec& resolved,
                                                   const Workspace& run, JobResult* result);
   /// Resolves the GroupedTable / Hilbert-order artifacts each distinct
-  /// table's jobs consume -- once per table, through the ArtifactCache
-  /// when the table is cache-eligible (non-empty cache_key, not paged),
-  /// adding at most `insert_room` bytes to it in all. Returns the total
-  /// resident bytes of the artifacts now pinned by `result`, so the run
-  /// can charge them to its budget.
-  std::uint64_t ResolveArtifacts(std::span<const RunSpec> specs, std::uint64_t insert_room,
-                                 Workspace& run, JobResult* result);
+  /// table's jobs consume -- once per table, through the ContentCache
+  /// when the table is cache-eligible (non-empty cache_key, not paged).
+  /// Returns the total resident bytes of the artifacts now pinned by
+  /// `result`, so the run can charge them to its budget.
+  std::uint64_t ResolveArtifacts(std::span<const RunSpec> specs, Workspace& run,
+                                 JobResult* result);
 
-  DatasetCache cache_;
-  ArtifactCache artifact_cache_;
+  ContentCache cache_;
 };
 
 }  // namespace ldv

@@ -12,12 +12,12 @@ namespace ldv {
 
 namespace {
 
-constexpr std::array<std::string_view, 21> kJobSpecKeys = {
+constexpr std::array<std::string_view, 20> kJobSpecKeys = {
     "version", "algo",    "l",       "input",          "format",
     "schema",  "dataset", "seed",    "n",              "d",
     "out",     "sweep",   "write-releases", "kl",      "timings",
-    "threads", "memory-budget",      "artifact-cache", "emit-input",
-    "priority", "deadline-ms",
+    "threads", "memory-budget",      "emit-input",     "priority",
+    "deadline-ms",
 };
 
 template <typename T>
@@ -122,9 +122,6 @@ std::string SerializeJobSpec(const JobSpec& spec) {
   if (spec.memory_budget != 0) {
     AppendKey("memory-budget", std::to_string(spec.memory_budget), &text);
   }
-  if (spec.artifact_cache != kArtifactCacheAuto) {
-    AppendKey("artifact-cache", std::to_string(spec.artifact_cache), &text);
-  }
   if (!spec.emit_input.empty()) AppendKey("emit-input", spec.emit_input, &text);
   if (spec.priority != 0) AppendKey("priority", std::to_string(spec.priority), &text);
   if (spec.deadline_ms != 0) AppendKey("deadline-ms", std::to_string(spec.deadline_ms), &text);
@@ -184,9 +181,6 @@ Expected<JobSpec, PipelineError> ParseJobSpec(std::string_view text) {
   if (!keys.GetUint32("threads", 0, &spec.threads, &error)) return UsageError("threads", error);
   if (!keys.GetUint64("memory-budget", 0, &spec.memory_budget, &error)) {
     return UsageError("memory-budget", error);
-  }
-  if (!keys.GetUint64("artifact-cache", kArtifactCacheAuto, &spec.artifact_cache, &error)) {
-    return UsageError("artifact-cache", error);
   }
   if (!keys.GetString("emit-input", "", &spec.emit_input, &error)) {
     return UsageError("emit-input", error);

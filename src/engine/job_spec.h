@@ -19,11 +19,6 @@ namespace ldv {
 /// accepts. Bump on any incompatible key change.
 inline constexpr std::uint32_t kJobSpecVersion = 1;
 
-/// JobSpec::artifact_cache sentinel: let the engine pick the ArtifactCache
-/// capacity (its configured default, clamped to a quarter of the job's
-/// memory budget when one is set).
-inline constexpr std::uint64_t kArtifactCacheAuto = ~std::uint64_t{0};
-
 /// One complete engine job, independent of any front-end: where the input
 /// comes from (a CSV path or a synthetic algorithms x (l, n, d) grid),
 /// what to run, under which thread/memory budgets, and which outputs to
@@ -59,11 +54,6 @@ struct JobSpec {
   bool timings = true;
   std::uint32_t threads = 0;        ///< 0 = auto (hardware concurrency)
   std::uint64_t memory_budget = 0;  ///< bytes; 0 = unlimited (in-RAM paths)
-  /// Bytes this run may add to the engine's shared ArtifactCache:
-  /// kArtifactCacheAuto (the default) means no cap of its own (a quarter
-  /// of memory_budget when one is set), 0 adds nothing. It never resizes
-  /// the cache, whose capacity is fixed when the engine is built.
-  std::uint64_t artifact_cache = kArtifactCacheAuto;
   std::string emit_input;           ///< also write the input table here
 
   /// Daemon scheduling fields, ignored by the one-shot CLI: higher

@@ -1,8 +1,7 @@
-// In-process end-to-end tests of the CLI pipeline: CSV load -> anonymize
-// -> release/report, the synthetic (n, d) grid, sweep determinism across
-// thread counts, and clean failure on unreadable input.
-
-#include "cli/pipeline.h"
+// In-process end-to-end tests of the CLI pipeline -- CliOptions through
+// ToJobSpec into Engine::Run, as the one-shot `ldiv` runs it: CSV load ->
+// anonymize -> release/report, the synthetic (n, d) grid, sweep
+// determinism across thread counts, and clean failure on unreadable input.
 
 #include <gtest/gtest.h>
 
@@ -11,13 +10,20 @@
 
 #include "anonymity/eligibility.h"
 #include "anonymity/release.h"
-#include "engine/report.h"
+#include "cli/cli_options.h"
 #include "common/csv.h"
 #include "common/rng.h"
+#include "engine/engine.h"
+#include "engine/report.h"
 #include "test_util.h"
 
 namespace ldv {
 namespace {
+
+Expected<JobResult, PipelineError> RunCli(const CliOptions& options) {
+  Engine engine;
+  return engine.Run(ToJobSpec(options));
+}
 
 CliOptions SyntheticOptions() {
   CliOptions options;
@@ -31,9 +37,9 @@ TEST(CliPipeline, SingleRunOnSyntheticData) {
   CliOptions options = SyntheticOptions();
   options.algorithms = {Algorithm::kTp};
   options.ls = {2};
-  Expected<PipelineResult, PipelineError> result_run = RunPipeline(options);
+  Expected<JobResult, PipelineError> result_run = RunCli(options);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
-  const PipelineResult& result = result_run.value();
+  const JobResult& result = result_run.value();
   ASSERT_EQ(result.tables.size(), 1u);
   EXPECT_EQ(result.tables[0]->table.size(), 1200u);
   EXPECT_EQ(result.tables[0]->table.qi_count(), 3u);
@@ -47,12 +53,12 @@ TEST(CliPipeline, EveryRegisteredAlgorithmRunsEndToEnd) {
   CliOptions options = SyntheticOptions();
   options.algorithms.assign(kAllAlgorithms.begin(), kAllAlgorithms.end());
   options.ls = {4};
-  Expected<PipelineResult, PipelineError> result_run = RunPipeline(options);
+  Expected<JobResult, PipelineError> result_run = RunCli(options);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
-  const PipelineResult& result = result_run.value();
+  const JobResult& result = result_run.value();
   ASSERT_EQ(result.jobs.size(), kAlgorithmCount);
   for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-    const PipelineJobResult& job = result.jobs[i];
+    const EngineJob& job = result.jobs[i];
     EXPECT_EQ(job.spec.algorithm, kAllAlgorithms[i]) << "job order must follow the grid";
     EXPECT_TRUE(job.outcome.feasible) << RunSpecLabel(job.spec);
     EXPECT_TRUE(IsLDiverse(result.tables[0]->table, job.outcome.partition, 4))
@@ -75,9 +81,9 @@ TEST(CliPipeline, CsvInputRoundTripsThroughRelease) {
   options.schema = table.schema();
   options.algorithms = {Algorithm::kTpPlus};
   options.ls = {3};
-  Expected<PipelineResult, PipelineError> result_run = RunPipeline(options);
+  Expected<JobResult, PipelineError> result_run = RunCli(options);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
-  const PipelineResult& result = result_run.value();
+  const JobResult& result = result_run.value();
   ASSERT_EQ(result.jobs.size(), 1u);
   ASSERT_TRUE(result.jobs[0].outcome.feasible);
   EXPECT_EQ(result.tables[0]->source, "csv:" + input_path);
@@ -116,9 +122,9 @@ TEST(CliPipeline, SweepGridIsJobOrderedAndThreadCountInvariant) {
   report_options.include_seconds = false;
 
   options.threads = 1;
-  Expected<PipelineResult, PipelineError> serial_run = RunPipeline(options);
+  Expected<JobResult, PipelineError> serial_run = RunCli(options);
   ASSERT_TRUE(serial_run.ok()) << serial_run.error().message;
-  const PipelineResult& serial = serial_run.value();
+  const JobResult& serial = serial_run.value();
   ASSERT_EQ(serial.jobs.size(), 8u);
   EXPECT_EQ(serial.tables.size(), 2u);
   EXPECT_EQ(RunSpecLabel(serial.jobs[0].spec), "Mondrian/l=2/table=0");
@@ -126,9 +132,9 @@ TEST(CliPipeline, SweepGridIsJobOrderedAndThreadCountInvariant) {
   EXPECT_EQ(RunSpecLabel(serial.jobs[7].spec), "Anatomy/l=4/table=1");
 
   options.threads = 4;
-  Expected<PipelineResult, PipelineError> threaded_run = RunPipeline(options);
+  Expected<JobResult, PipelineError> threaded_run = RunCli(options);
   ASSERT_TRUE(threaded_run.ok()) << threaded_run.error().message;
-  const PipelineResult& threaded = threaded_run.value();
+  const JobResult& threaded = threaded_run.value();
   EXPECT_EQ(RenderJsonReport(serial, report_options),
             RenderJsonReport(threaded, report_options));
   EXPECT_EQ(RenderMetricsCsv(serial, report_options),
@@ -152,9 +158,9 @@ TEST(CliPipeline, SingleJobIsThreadBudgetInvariant) {
   std::string reference_json, reference_csv;
   for (std::uint32_t threads : {1u, 2u, 4u}) {
     options.threads = threads;
-    Expected<PipelineResult, PipelineError> result_run = RunPipeline(options);
+    Expected<JobResult, PipelineError> result_run = RunCli(options);
     ASSERT_TRUE(result_run.ok()) << result_run.error().message;
-    const PipelineResult& result = result_run.value();
+    const JobResult& result = result_run.value();
     ASSERT_EQ(result.jobs.size(), 2u);
     EXPECT_EQ(result.threads, threads);
     std::string json = RenderJsonReport(result, report_options);
@@ -173,9 +179,9 @@ TEST(CliPipeline, ReportRecordsThreadsOnlyBesideTimings) {
   CliOptions options = SyntheticOptions();
   options.algorithms = {Algorithm::kTp};
   options.threads = 3;
-  Expected<PipelineResult, PipelineError> result_run = RunPipeline(options);
+  Expected<JobResult, PipelineError> result_run = RunCli(options);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
-  const PipelineResult& result = result_run.value();
+  const JobResult& result = result_run.value();
 
   ReportOptions with_timings;
   with_timings.include_seconds = true;
@@ -191,9 +197,9 @@ TEST(CliPipeline, InfeasibleJobIsReportedNotFatal) {
   options.ns = {50};
   options.algorithms = {Algorithm::kTp};
   options.ls = {10000};
-  Expected<PipelineResult, PipelineError> result_run = RunPipeline(options);
+  Expected<JobResult, PipelineError> result_run = RunCli(options);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
-  const PipelineResult& result = result_run.value();
+  const JobResult& result = result_run.value();
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_FALSE(result.jobs[0].outcome.feasible);
 }
@@ -203,7 +209,7 @@ TEST(CliPipeline, LoadAndGenerationFailuresAreCleanTypedErrors) {
   missing.input = testing::TempDir() + "cli_pipeline_missing.csv";
   missing.format = CsvFormat::kCoded;
   missing.schema = testutil::MakeSchema({4, 4}, 3);
-  Expected<PipelineResult, PipelineError> result = RunPipeline(missing);
+  Expected<JobResult, PipelineError> result = RunCli(missing);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, PipelineErrorCode::kIo);
   EXPECT_EQ(ExitCodeFor(result.error().code), 3);
@@ -212,7 +218,7 @@ TEST(CliPipeline, LoadAndGenerationFailuresAreCleanTypedErrors) {
 
   CliOptions bad_dataset = SyntheticOptions();
   bad_dataset.dataset.name = "census";
-  Expected<PipelineResult, PipelineError> result2 = RunPipeline(bad_dataset);
+  Expected<JobResult, PipelineError> result2 = RunCli(bad_dataset);
   ASSERT_FALSE(result2.ok());
   EXPECT_EQ(result2.error().code, PipelineErrorCode::kUsage);
   EXPECT_EQ(result2.error().field, "dataset");
@@ -220,7 +226,7 @@ TEST(CliPipeline, LoadAndGenerationFailuresAreCleanTypedErrors) {
 
   CliOptions bad_d = SyntheticOptions();
   bad_d.ds = {9};
-  Expected<PipelineResult, PipelineError> result3 = RunPipeline(bad_d);
+  Expected<JobResult, PipelineError> result3 = RunCli(bad_d);
   ASSERT_FALSE(result3.ok());
   EXPECT_EQ(result3.error().code, PipelineErrorCode::kUsage);
   EXPECT_NE(result3.error().message.find("out of range"), std::string::npos)

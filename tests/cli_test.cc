@@ -286,6 +286,8 @@ TEST(CliOptions, RejectsConflictingAndUnknownFlags) {
   EXPECT_NE(error.find("--n"), std::string::npos);
   EXPECT_FALSE(ParseCli({"--algos=tp"}, &options, &error));
   EXPECT_NE(error.find("--algos"), std::string::npos);
+  EXPECT_FALSE(ParseCli({"--artifact-cache=1M"}, &options, &error));
+  EXPECT_NE(error.find("--artifact-cache"), std::string::npos) << "a retired flag is unknown";
   EXPECT_FALSE(ParseCli({"--l=0"}, &options, &error));
   EXPECT_FALSE(ParseCli({"--out="}, &options, &error));
 }

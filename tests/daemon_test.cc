@@ -1,7 +1,7 @@
 // ldivd daemon tests over a real unix socket: the framed protocol, the
 // bounded admission queue (every client gets exactly one reply -- ok or
 // busy -- never a hang or a silent drop), priority and deadline handling
-// at dequeue, DatasetCache hits across submissions, byte-identical
+// at dequeue, cache hits across submissions, byte-identical
 // outputs versus a direct Engine run, workers running jobs concurrently
 // (the running / max-running counters), and graceful shutdown draining.
 
@@ -253,7 +253,7 @@ TEST_F(DaemonTest, WorkersRunJobsConcurrently) {
   EXPECT_EQ(stats.completed, kClients);
 }
 
-TEST_F(DaemonTest, RepeatSubmissionsHitTheDatasetCache) {
+TEST_F(DaemonTest, RepeatSubmissionsHitTheCache) {
   DaemonOptions options;
   options.socket_path = SocketPath("ldivd_cache.sock");
   Daemon daemon(options);
@@ -270,7 +270,7 @@ TEST_F(DaemonTest, RepeatSubmissionsHitTheDatasetCache) {
   Reply second = Submit(options.socket_path, SmallSpec(stem));
   ASSERT_TRUE(second.transported) << second.error;
   ASSERT_EQ(second.frame.verb, "ok") << second.frame.payload;
-  EXPECT_EQ(second.kv.at("cache-hits"), "1") << "repeat input must hit the DatasetCache";
+  EXPECT_EQ(second.kv.at("cache-hits"), "1") << "repeat input must hit the cache";
   EXPECT_EQ(second.kv.at("cache-misses"), "0");
 
   Frame reply;

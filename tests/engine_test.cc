@@ -1,9 +1,10 @@
 // Engine-layer tests: the Expected error channel and its exit-code table,
 // the JobSpec wire round trip and rejection rules, the single semantic
-// validation pass (ResolveJobSpec), the DatasetCache LRU behavior, and
-// the Engine itself -- cache hits on repeat traffic, paged-run cache
-// bypass, cross-run artifact memoization, equality with the CLI adapter
-// path, and concurrent runs matching their solo runs byte for byte.
+// validation pass (ResolveJobSpec), and the Engine itself -- cache hits
+// on repeat traffic, paged-run cache bypass, cross-run artifact
+// memoization, equality with the CLI's CliOptions -> JobSpec path, and
+// concurrent runs matching their solo runs byte for byte. The cache's
+// own mechanics are tested in content_cache_test.cc.
 
 #include "engine/engine.h"
 
@@ -16,12 +17,11 @@
 #include <thread>
 #include <vector>
 
-#include "cli/pipeline.h"
+#include "cli/cli_options.h"
 #include "common/csv.h"
 #include "common/expected.h"
 #include "common/rng.h"
 #include "common/schema_spec.h"
-#include "engine/dataset_cache.h"
 #include "engine/error.h"
 #include "engine/job_spec.h"
 #include "engine/report.h"
@@ -109,6 +109,11 @@ TEST(JobSpecWire, RejectsUnknownKeysAndBadVersions) {
   Expected<JobSpec, PipelineError> unknown = ParseJobSpec("version = 1\nfrobnicate = 3\n");
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.error().field, "frobnicate");
+  // A retired key is unknown, not silently ignored.
+  Expected<JobSpec, PipelineError> retired =
+      ParseJobSpec("version = 1\nartifact-cache = 1048576\n");
+  ASSERT_FALSE(retired.ok());
+  EXPECT_EQ(retired.error().field, "artifact-cache");
 
   Expected<JobSpec, PipelineError> unversioned = ParseJobSpec("algo = tp\n");
   ASSERT_FALSE(unversioned.ok());
@@ -195,59 +200,7 @@ TEST(ResolveJobSpec, CsvInputNormalizesToASingleCellGrid) {
   std::remove(path.c_str());
 }
 
-TEST(DatasetCache, LruHitMissEvictAndStats) {
-  DatasetCache cache(/*capacity_bytes=*/1000);
-  auto t1 = std::make_shared<EngineTable>(testutil::PaperTable1());
-  auto t2 = std::make_shared<EngineTable>(testutil::PaperTable1());
-  auto t3 = std::make_shared<EngineTable>(testutil::PaperTable1());
-
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-  cache.Insert("a", t1, 400);
-  cache.Insert("b", t2, 400);
-  EXPECT_EQ(cache.Lookup("a"), t1);  // refreshes "a" to most-recent
-  cache.Insert("c", t3, 400);        // capacity 1000: evicts LRU "b"
-  EXPECT_EQ(cache.Lookup("b"), nullptr);
-  EXPECT_EQ(cache.Lookup("a"), t1);
-  EXPECT_EQ(cache.Lookup("c"), t3);
-
-  DatasetCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 3u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.insertions, 3u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_EQ(stats.resident_bytes, 800u);
-
-  // An entry larger than the whole capacity is never cached.
-  cache.Insert("huge", t1, 4000);
-  EXPECT_EQ(cache.Lookup("huge"), nullptr);
-
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().resident_bytes, 0u);
-}
-
-TEST(DatasetCache, ZeroCapacityDisablesCaching) {
-  DatasetCache cache(0);
-  cache.Insert("a", std::make_shared<EngineTable>(testutil::PaperTable1()), 10);
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-}
-
-TEST(DatasetCache, KeysCarryContentIdentity) {
-  EXPECT_EQ(DatasetCache::CsvKey("/definitely/not/a/file.csv", CsvFormat::kCoded, ""), "")
-      << "unstatable files are uncacheable so the loader reports the real error";
-
-  DatasetSpec cell;
-  cell.name = "sal";
-  cell.n = 900;
-  cell.seed = 1;
-  cell.d = 3;
-  std::string key = DatasetCache::SyntheticKey(cell);
-  EXPECT_NE(key.find("sal"), std::string::npos);
-  EXPECT_NE(key.find("900"), std::string::npos);
-}
-
-TEST(Engine, RepeatRunsHitTheDatasetCache) {
+TEST(Engine, RepeatRunsHitTheCache) {
   Engine engine;
   JobSpec spec = SyntheticSpec();
   spec.algorithms = {Algorithm::kTp};
@@ -275,7 +228,7 @@ TEST(Engine, BudgetedInRamRunsCacheNormallyAndMatchByteForByte) {
   ASSERT_TRUE(plain.ok()) << plain.error().message;
 
   // 900 rows fit comfortably inside a 64M budget, so ingestion stays
-  // in-RAM and the DatasetCache serves the budgeted run like any other.
+  // in-RAM and the cache serves the budgeted run like any other.
   JobSpec budgeted = spec;
   budgeted.memory_budget = 64u << 20;
   Expected<JobResult, PipelineError> cached = engine.Run(budgeted);
@@ -283,7 +236,7 @@ TEST(Engine, BudgetedInRamRunsCacheNormallyAndMatchByteForByte) {
   EXPECT_EQ(cached->cache_hits, 1u);
   EXPECT_EQ(cached->cache_misses, 0u);
   EXPECT_EQ(cached->tables[0]->paged, nullptr);
-  EXPECT_EQ(engine.dataset_cache().stats().bypassed_paged, 0u);
+  EXPECT_EQ(engine.cache().stats().bypassed_paged, 0u);
 
   ReportOptions options;
   options.include_seconds = false;
@@ -312,7 +265,7 @@ TEST(Engine, PagedRunsBypassTheCacheButMatchByteForByte) {
   EXPECT_EQ(paged->cache_hits, 0u);
   EXPECT_EQ(paged->cache_misses, 0u);
   EXPECT_NE(paged->tables[0]->paged, nullptr);
-  EXPECT_EQ(engine.dataset_cache().stats().bypassed_paged, 1u);
+  EXPECT_EQ(engine.cache().stats().bypassed_paged, 1u);
 
   ReportOptions options;
   options.include_seconds = false;
@@ -320,7 +273,7 @@ TEST(Engine, PagedRunsBypassTheCacheButMatchByteForByte) {
   EXPECT_EQ(RenderMetricsCsv(plain.value(), options), RenderMetricsCsv(paged.value(), options));
 }
 
-TEST(Engine, SweepResolvesArtifactsOnceAndRepeatRunsHitTheArtifactCache) {
+TEST(Engine, SweepResolvesArtifactsOnceAndRepeatRunsHitTheCache) {
   Engine engine;
   JobSpec spec = SyntheticSpec();
   spec.algorithms = {Algorithm::kTp, Algorithm::kTpPlus, Algorithm::kHilbert,
@@ -340,9 +293,11 @@ TEST(Engine, SweepResolvesArtifactsOnceAndRepeatRunsHitTheArtifactCache) {
   EXPECT_EQ(second->artifact_hits, 2u);
   EXPECT_EQ(second->artifact_misses, 0u);
 
-  const ArtifactCache::Stats stats = engine.artifact_cache().stats();
-  EXPECT_EQ(stats.insertions, 2u);
-  EXPECT_EQ(stats.entries, 2u);
+  const ContentCache::Stats stats = engine.cache().stats();
+  EXPECT_EQ(stats.artifacts.misses, 2u);
+  EXPECT_EQ(stats.artifacts.hits, 2u);
+  EXPECT_EQ(stats.insertions, 3u) << "the table and its two artifacts";
+  EXPECT_EQ(stats.entries, 3u);
   EXPECT_GT(stats.resident_bytes, 0u);
 
   ReportOptions options;
@@ -352,7 +307,7 @@ TEST(Engine, SweepResolvesArtifactsOnceAndRepeatRunsHitTheArtifactCache) {
             RenderMetricsCsv(second.value(), options));
 }
 
-TEST(Engine, DisabledArtifactCacheMatchesTheHitPathByteForByte) {
+TEST(Engine, DisabledCacheMatchesTheHitPathByteForByte) {
   JobSpec spec = SyntheticSpec();
   spec.algorithms = {Algorithm::kTp, Algorithm::kTpPlus, Algorithm::kHilbert};
   spec.ls = {2, 4};
@@ -364,13 +319,11 @@ TEST(Engine, DisabledArtifactCacheMatchesTheHitPathByteForByte) {
   ASSERT_TRUE(warm.ok()) << warm.error().message;
   EXPECT_EQ(warm->artifact_hits, 2u);
 
-  Engine cold_engine;
-  JobSpec disabled = spec;
-  disabled.artifact_cache = 0;
-  Expected<JobResult, PipelineError> cold = cold_engine.Run(disabled);
+  Engine cold_engine(EngineOptions{0});
+  Expected<JobResult, PipelineError> cold = cold_engine.Run(spec);
   ASSERT_TRUE(cold.ok()) << cold.error().message;
-  EXPECT_EQ(cold_engine.artifact_cache().stats().insertions, 0u)
-      << "--artifact-cache=0 disables memoization entirely";
+  EXPECT_EQ(cold_engine.cache().stats().insertions, 0u)
+      << "cache_bytes = 0 disables memoization entirely";
 
   ReportOptions options;
   options.include_seconds = false;
@@ -379,19 +332,23 @@ TEST(Engine, DisabledArtifactCacheMatchesTheHitPathByteForByte) {
 }
 
 TEST(Engine, MatchesTheCliAdapterByteForByte) {
+  // The one-shot CLI runs Engine::Run(ToJobSpec(parsed flags)); it must
+  // match the same job written as a JobSpec.
+  const char* argv[] = {"ldiv", "--dataset=sal", "--n=900", "--d=3",
+                        "--algo=tp+", "--l=3",       "--no-timings"};
   CliOptions options;
-  options.dataset.name = "sal";
-  options.ns = {900};
-  options.ds = {3};
-  options.algorithms = {Algorithm::kTpPlus};
-  options.ls = {3};
-  options.timings = false;
-
-  Expected<PipelineResult, PipelineError> via_cli = RunPipeline(options);
+  std::string error;
+  ASSERT_TRUE(ParseCliOptions(7, argv, &options, &error)) << error;
+  Engine cli_engine;
+  Expected<JobResult, PipelineError> via_cli = cli_engine.Run(ToJobSpec(options));
   ASSERT_TRUE(via_cli.ok()) << via_cli.error().message;
 
+  JobSpec spec = SyntheticSpec();
+  spec.algorithms = {Algorithm::kTpPlus};
+  spec.ls = {3};
+  spec.timings = false;
   Engine engine;
-  Expected<JobResult, PipelineError> via_engine = engine.Run(ToJobSpec(options));
+  Expected<JobResult, PipelineError> via_engine = engine.Run(spec);
   ASSERT_TRUE(via_engine.ok()) << via_engine.error().message;
 
   ReportOptions report_options;
@@ -539,7 +496,7 @@ TEST(Engine, ConcurrentExecutesMatchTheirSoloRunsByteForByte) {
       std::remove(files[f].c_str());
     }
   }
-  EXPECT_GT(shared.dataset_cache().stats().bypassed_paged, 0u) << "the paged specs must page";
+  EXPECT_GT(shared.cache().stats().bypassed_paged, 0u) << "the paged specs must page";
   std::remove(csv.c_str());
 }
 

@@ -6,9 +6,9 @@
 #
 # Starts `ldiv serve` on a unix socket, drives it with `ldiv submit` and
 # `ldiv ctl`, and requires: byte-identical outputs versus the one-shot
-# CLI (including under --memory-budget and --threads), a DatasetCache hit
+# CLI (including under --memory-budget and --threads), a table cache hit
 # on a repeated submission (observable in the reply and in ctl stats),
-# ArtifactCache hits on a repeated sweep with byte-identical outputs,
+# artifact cache hits on a repeated sweep with byte-identical outputs,
 # explicit busy backpressure under a submit flood (exit 4, never a hang
 # or a drop), a graceful drain on shutdown, and finally a --workers=4
 # daemon running the whole submit matrix at once, every output still
@@ -110,20 +110,20 @@ done
 [ -f "$TMP/oneshot_sweep.job11.csv" ] ||
   { echo "FAIL: sweep did not write its 12 releases"; exit 1; }
 
-echo "== repeat submission hits the DatasetCache =="
+echo "== repeat submission hits the cache =="
 # daemon_csv ran the micro CSV once already; the same input again must be
 # served from cache, visible in the reply and in ctl stats.
 "$BIN" submit --socket="$SOCK" --algo=tp --l=2 --input="$INPUT" --schema="$SCHEMA" \
   --no-timings --out="$TMP/daemon_csv2" > "$TMP/repeat.out"
 grep -q "cache-hits = 1" "$TMP/repeat.out" ||
-  { echo "FAIL: repeated input missed the DatasetCache"; cat "$TMP/repeat.out"; exit 1; }
+  { echo "FAIL: repeated input missed the cache"; cat "$TMP/repeat.out"; exit 1; }
 "$BIN" ctl --socket="$SOCK" stats > "$TMP/stats.out"
 grep -q "cache-hits = [1-9]" "$TMP/stats.out" ||
   { echo "FAIL: ctl stats reports no cache hits"; cat "$TMP/stats.out"; exit 1; }
 
-echo "== repeat sweep hits the ArtifactCache =="
+echo "== repeat sweep hits the cached artifacts =="
 # A fresh (n, d) cell, so the first sweep builds its GroupedTable and
-# Hilbert order cold; the repeat resolves both from the ArtifactCache
+# Hilbert order cold; the repeat resolves both from the cache
 # (visible in the reply and in ctl stats) and every output must stay
 # byte-identical to the cold run.
 "$BIN" submit --socket="$SOCK" --algo=tp,tp+,hilbert --l=2,4 --n=5000 --d=3 --sweep \
@@ -133,7 +133,7 @@ grep -q "artifact-misses = 2" "$TMP/art_cold.out" ||
 "$BIN" submit --socket="$SOCK" --algo=tp,tp+,hilbert --l=2,4 --n=5000 --d=3 --sweep \
   --write-releases --no-timings --out="$TMP/art_hot" > "$TMP/art_hot.out"
 grep -q "artifact-hits = 2" "$TMP/art_hot.out" ||
-  { echo "FAIL: repeated sweep missed the ArtifactCache"; cat "$TMP/art_hot.out"; exit 1; }
+  { echo "FAIL: repeated sweep missed the cached artifacts"; cat "$TMP/art_hot.out"; exit 1; }
 cmp "$TMP/art_cold.json" "$TMP/art_hot.json" ||
   { echo "FAIL: artifact hit path changed the JSON report"; exit 1; }
 cmp "$TMP/art_cold_metrics.csv" "$TMP/art_hot_metrics.csv" ||
@@ -161,6 +161,7 @@ expect_exit 2 "$BIN" submit --socket="$SOCK" --algo=tp --l=100000 --input="$INPU
 expect_exit 3 "$BIN" submit --socket="$SOCK" --input="$TMP/no_such_file.csv" \
   --schema="$SCHEMA" --out="$TMP/x"
 expect_exit 4 "$BIN" submit --socket="$TMP/no_daemon_here.sock" --algo=tp --out="$TMP/x"
+expect_exit 1 "$BIN" serve --socket="$TMP/retired.sock" --artifact-cache=1M
 
 echo "== flood: backpressure is an explicit busy reply (exit 4) =="
 # More simultaneous submits than queue-depth=4 can hold behind one

@@ -11,8 +11,8 @@
 #include <sstream>
 
 #include "anonymity/release.h"
-#include "cli/pipeline.h"
 #include "core/algorithm.h"
+#include "engine/engine.h"
 #include "test_util.h"
 
 namespace ldv {
@@ -22,13 +22,13 @@ using testutil::PaperTable1;
 
 // A fully constructed one-job result with hand-picked metric values, so
 // the golden below pins the exact rendering rather than algorithm output.
-PipelineResult UnitResult() {
-  PipelineResult result;
-  auto input = std::make_shared<PipelineTable>(PaperTable1());
+JobResult UnitResult() {
+  JobResult result;
+  auto input = std::make_shared<EngineTable>(PaperTable1());
   input->source = "unit";
   result.tables.push_back(std::move(input));
 
-  PipelineJobResult job;
+  EngineJob job;
   job.spec.algorithm = Algorithm::kTp;
   job.spec.l = 2;
   job.spec.table_index = 0;

@@ -31,12 +31,12 @@
 #include <vector>
 
 #include "cli/cli_options.h"
-#include "cli/pipeline.h"
 #include "common/flags.h"
 #include "common/memory_budget.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "daemon/protocol.h"
+#include "engine/engine.h"
 #include "engine/report.h"
 
 namespace {
@@ -74,16 +74,17 @@ int OneShotMain(int argc, char** argv) {
     return kExitOk;
   }
 
-  Expected<PipelineResult, PipelineError> run = RunPipeline(options);
+  const JobSpec spec = ToJobSpec(options);
+  Engine engine;
+  Expected<JobResult, PipelineError> run = engine.Run(spec);
   if (!run.ok()) {
     std::fprintf(stderr, "ldiv: %s\n", run.error().message.c_str());
     return ExitCodeFor(run.error().code);
   }
-  const PipelineResult& result = run.value();
+  const JobResult& result = run.value();
 
   std::string notices;
-  if (std::optional<PipelineError> write_error =
-          WriteJobOutputs(ToJobSpec(options), result, &notices)) {
+  if (std::optional<PipelineError> write_error = WriteJobOutputs(spec, result, &notices)) {
     std::fprintf(stderr, "ldiv: %s\n", write_error->message.c_str());
     return ExitCodeFor(write_error->code);
   }
@@ -92,7 +93,7 @@ int OneShotMain(int argc, char** argv) {
   // One summary line per job, in job order.
   std::size_t infeasible = 0;
   for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-    const PipelineJobResult& job = result.jobs[i];
+    const EngineJob& job = result.jobs[i];
     const AnonymizationOutcome& outcome = job.outcome;
     if (!outcome.feasible) {
       ++infeasible;
@@ -122,22 +123,19 @@ int ServeMain(int argc, char** argv) {
 
   FlagSet flags;
   std::string error;
-  constexpr std::array<std::string_view, 7> kServeFlags = {
-      "socket",         "queue-depth",    "workers",      "cache-bytes",
-      "artifact-cache", "retry-after-ms", "io-timeout-ms"};
+  constexpr std::array<std::string_view, 6> kServeFlags = {
+      "socket", "queue-depth", "workers", "cache-bytes", "retry-after-ms", "io-timeout-ms"};
   DaemonOptions options;
   std::uint64_t queue_depth = 16;
   std::uint64_t workers = 1;
   std::string cache_text;
-  std::string artifact_text;
   std::uint64_t retry_after_ms = 100;
   std::uint64_t io_timeout_ms = 10000;
   bool parsed = flags.ParseArgs(argc, argv, &error) &&
                 flags.GetString("socket", "", &options.socket_path, &error) &&
                 flags.GetUint64("queue-depth", 16, &queue_depth, &error) &&
                 flags.GetUint64("workers", 1, &workers, &error) &&
-                flags.GetString("cache-bytes", "256M", &cache_text, &error) &&
-                flags.GetString("artifact-cache", "", &artifact_text, &error) &&
+                flags.GetString("cache-bytes", "", &cache_text, &error) &&
                 flags.GetUint64("retry-after-ms", 100, &retry_after_ms, &error) &&
                 flags.GetUint64("io-timeout-ms", 10000, &io_timeout_ms, &error);
   if (parsed) {
@@ -152,14 +150,9 @@ int ServeMain(int argc, char** argv) {
     parsed = false;
     error = "serve requires --socket=PATH";
   }
-  if (parsed && !ParseByteSize(cache_text, &options.cache_bytes, &error)) {
+  if (parsed && !cache_text.empty() && !ParseByteSize(cache_text, &options.cache_bytes, &error)) {
     parsed = false;
     error = "--cache-bytes: " + error;
-  }
-  if (parsed && !artifact_text.empty() &&
-      !ParseByteSize(artifact_text, &options.artifact_cache_bytes, &error)) {
-    parsed = false;
-    error = "--artifact-cache: " + error;
   }
   if (parsed && queue_depth == 0) {
     parsed = false;
