@@ -1,17 +1,17 @@
 #include "cli/cli_options.h"
 
 #include <array>
-#include <charconv>
+#include <vector>
 
 #include "common/flags.h"
-#include "common/memory_budget.h"
-#include "common/schema_spec.h"
+#include "core/run_spec.h"
 
 namespace ldv {
 
 namespace {
 
-constexpr std::array<std::string_view, 18> kKnownFlags = {
+// The one-shot flags, and the ones `submit` takes on top of them.
+constexpr std::array<std::string_view, 18> kRunFlags = {
     "algo",
     "l",
     "input",
@@ -31,145 +31,47 @@ constexpr std::array<std::string_view, 18> kKnownFlags = {
     "emit-input",
     "memory-budget",
 };
+constexpr std::array<std::string_view, 4> kSubmitFlags = {
+    "socket",
+    "priority",
+    "deadline-ms",
+    "retry",
+};
 
 }  // namespace
 
-bool ParseCliOptions(int argc, const char* const* argv, CliOptions* options, std::string* error,
-                     std::span<const std::string_view> extra_flags, FlagSet* raw_flags) {
-  FlagSet local_flags;
-  FlagSet& flags = raw_flags != nullptr ? *raw_flags : local_flags;
-  if (!flags.ParseArgs(argc, argv, error)) return false;
-  if (flags.Has("help")) {
-    options->help = true;
-    return true;
-  }
+Expected<JobSpec, PipelineError> ParseCliJob(int argc, const char* const* argv, CliCommand command,
+                                             FlagSet* flags) {
+  std::string error;
+  if (!flags->ParseArgs(argc, argv, &error)) return UsageError("", error);
+  if (flags->Has("help")) return JobSpec();
 
   std::string config;
-  if (!flags.GetString("config", "", &config, error)) return false;
-  if (!config.empty() && !flags.ParseConfigFile(config, error)) return false;
+  flags->GetString("config", "", &config, &error);
+  if (!config.empty() && !flags->ParseConfigFile(config, &error)) {
+    return UsageError("config", error);
+  }
 
-  std::vector<std::string_view> known(kKnownFlags.begin(), kKnownFlags.end());
-  known.insert(known.end(), extra_flags.begin(), extra_flags.end());
-  std::vector<std::string> unknown = flags.UnknownKeys(known);
+  std::vector<std::string_view> known(kRunFlags.begin(), kRunFlags.end());
+  if (command == CliCommand::kSubmit) {
+    known.insert(known.end(), kSubmitFlags.begin(), kSubmitFlags.end());
+  }
+  std::vector<std::string> unknown = flags->UnknownKeys(known);
   if (!unknown.empty()) {
-    *error = "unknown flag --" + unknown.front() + " (see --help)";
-    return false;
+    return UsageError(unknown.front(), "unknown flag --" + unknown.front() + " (see --help)");
   }
 
-  // Syntactic layer: flag grammar, typed values, and flag-PRESENCE
-  // conflicts (which only the parser can see -- a JobSpec has no notion
-  // of which keys were explicitly set).
-  std::string algo_list;
-  if (!flags.GetString("algo", "tp+", &algo_list, error)) return false;
-  if (!ParseAlgorithmList(algo_list, &options->algorithms, error)) return false;
-
-  constexpr std::array<std::uint32_t, 1> kDefaultL = {2};
-  if (!flags.GetUint32List("l", kDefaultL, &options->ls, error)) return false;
-
-  if (!flags.GetString("input", "", &options->input, error)) return false;
-  std::string format_text;
-  if (!flags.GetString("format", "auto", &format_text, error)) return false;
-  if (!ParseCsvFormat(format_text, &options->format, error)) {
-    *error = "--format: " + *error;
-    return false;
-  }
-  if (options->input.empty() && flags.Has("format")) {
-    *error = "--format only applies to --input CSV data";
-    return false;
-  }
-  std::string schema_spec;
-  if (!flags.GetString("schema", "", &schema_spec, error)) return false;
-  if (options->input.empty() && !schema_spec.empty()) {
-    *error = "--schema only applies to --input CSV data (synthetic datasets carry their own)";
-    return false;
-  }
-
-  if (!flags.GetString("dataset", "sal", &options->dataset.name, error)) return false;
-  std::uint64_t seed = 0;
-  if (!flags.GetUint64("seed", 0, &seed, error)) return false;
-  options->dataset.seed = seed;
-  constexpr std::array<std::uint64_t, 1> kDefaultN = {10000};
-  constexpr std::array<std::uint64_t, 1> kDefaultD = {3};
-  if (!flags.GetUint64List("n", kDefaultN, &options->ns, error)) return false;
-  if (!flags.GetUint64List("d", kDefaultD, &options->ds, error)) return false;
-  if (!options->input.empty()) {
-    for (std::string_view f : {"dataset", "n", "d", "seed"}) {
-      if (flags.Has(f)) {
-        *error = "--" + std::string(f) + " applies to synthetic data and conflicts with --input";
-        return false;
-      }
-    }
-    options->ns = {0};
-    options->ds = {0};
-  }
-
-  if (!flags.GetString("out", "ldiv_out", &options->out, error)) return false;
-  if (!flags.GetBool("sweep", false, &options->sweep, error)) return false;
-  if (!flags.GetBool("write-releases", false, &options->write_releases, error)) return false;
-  if (!flags.GetBool("kl", true, &options->compute_kl, error)) return false;
+  Expected<JobSpec, PipelineError> spec = ReadJobSpec(*flags);
+  if (!spec.ok()) return spec;
   bool no_timings = false;
-  if (!flags.GetBool("no-timings", false, &no_timings, error)) return false;
-  options->timings = !no_timings;
-  std::string threads_text;
-  if (!flags.GetString("threads", "auto", &threads_text, error)) return false;
-  if (threads_text == "auto") {
-    options->threads = 0;
-  } else {
-    const char* begin = threads_text.data();
-    const char* end = begin + threads_text.size();
-    auto [ptr, ec] = std::from_chars(begin, end, options->threads);
-    if (ec != std::errc{} || ptr != end) {
-      *error = "--threads: expected a thread count or 'auto', got '" + threads_text + "'";
-      return false;
-    }
+  if (!flags->GetBool("no-timings", false, &no_timings, &error)) {
+    return UsageError("no-timings", error);
   }
-  std::string budget_text;
-  if (!flags.GetString("memory-budget", "", &budget_text, error)) return false;
-  if (!budget_text.empty()) {
-    if (!ParseByteSize(budget_text, &options->memory_budget, error)) {
-      *error = "--memory-budget: " + *error;
-      return false;
-    }
-  }
-  if (!flags.GetString("emit-input", "", &options->emit_input, error)) return false;
+  if (no_timings) spec->timings = false;
 
-  // Semantic layer: the one validation pass shared with the daemon.
-  // Passing the raw schema text (instead of a formatted round-trip) keeps
-  // the user's spelling in error messages.
-  JobSpec spec = ToJobSpec(*options);
-  spec.schema_spec = schema_spec;
-  Expected<ResolvedJobSpec, PipelineError> resolved = ResolveJobSpec(spec);
-  if (!resolved.ok()) {
-    *error = resolved.error().message;
-    return false;
-  }
-  if (!options->input.empty()) {
-    // Surface the resolved encoding so the pipeline (and tests) only ever
-    // see kCoded or kRaw.
-    options->format = resolved->format;
-    options->schema = resolved->schema;
-  }
-  return true;
-}
-
-JobSpec ToJobSpec(const CliOptions& options) {
-  JobSpec spec;
-  spec.algorithms = options.algorithms;
-  spec.ls = options.ls;
-  spec.input = options.input;
-  spec.format = options.format;
-  spec.schema_spec = options.schema.has_value() ? FormatSchemaSpec(*options.schema) : "";
-  spec.dataset = options.dataset;
-  spec.ns = options.ns;
-  spec.ds = options.ds;
-  spec.out = options.out;
-  spec.sweep = options.sweep;
-  spec.write_releases = options.write_releases;
-  spec.compute_kl = options.compute_kl;
-  spec.timings = options.timings;
-  spec.threads = options.threads;
-  spec.memory_budget = options.memory_budget;
-  spec.emit_input = options.emit_input;
+  Expected<ResolvedJobSpec, PipelineError> resolved = ResolveJobSpec(*spec);
+  if (!resolved.ok()) return resolved.error();
+  if (!spec->input.empty()) spec->format = resolved->format;
   return spec;
 }
 

@@ -99,9 +99,11 @@ class ContentCache {
   /// file's device, inode, size and modification time in nanoseconds, so
   /// an edited file or one renamed over the path misses instead of
   /// serving stale rows. A same-size rewrite in place within one
-  /// filesystem timestamp tick still cannot be told apart. Returns ""
-  /// (uncacheable; the caller loads directly) when the file cannot be
-  /// stat'ed -- the loader then reports the real open error.
+  /// filesystem timestamp tick still cannot be told apart. The engine
+  /// passes the parsed schema re-formatted (FormatSchemaSpec), so every
+  /// spelling of one schema shares a key. Returns "" (uncacheable; the
+  /// caller loads directly) when the file cannot be stat'ed -- the loader
+  /// then reports the real open error.
   static std::string CsvKey(const std::string& path, CsvFormat format,
                             const std::string& schema_spec);
 

@@ -11,10 +11,14 @@
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
 #include "common/parallel.h"
+#include "common/schema_spec.h"
 #include "common/workspace.h"
 #include "core/batch.h"
 #include "data/dataset.h"
 #include "engine/report.h"
+#include "hilbert/hilbert_curve.h"
+#include "metrics/kl_divergence.h"
+#include "tds/tds.h"
 
 namespace ldv {
 
@@ -59,6 +63,35 @@ std::uint64_t EstimateSyntheticBytes(const DatasetSpec& cell) {
   return static_cast<std::uint64_t>(cell.n) * (cell.d + 1) * sizeof(std::uint32_t) + 4096;
 }
 
+// The kernels pack ids into 64-bit words and CHECK that they fit. A table
+// is user input, so a schema past one of those limits is a usage error
+// here, before any kernel -- the Hilbert-order artifact build included --
+// sees it. Limits the job cannot lift come first.
+std::optional<PipelineError> CheckSchemaLimits(const JobSpec& spec, const EngineTable& input) {
+  const Schema& schema = input.table.schema();
+  const std::string field = spec.input.empty() ? "dataset" : "input";
+  const auto runs = [&](Algorithm algorithm) {
+    return std::find(spec.algorithms.begin(), spec.algorithms.end(), algorithm) !=
+           spec.algorithms.end();
+  };
+  if ((runs(Algorithm::kHilbert) || runs(Algorithm::kTpPlus)) &&
+      !HilbertCurve::Fits(schema.qi_count(), 1)) {
+    return UsageError(field, input.source + ": " + std::to_string(schema.qi_count()) +
+                                 " QI attributes exceed the 64 dimensions of the Hilbert order "
+                                 "that Hilbert and TP+ use");
+  }
+  if (runs(Algorithm::kTds) && !TdsCellIdsFit(schema)) {
+    return UsageError(field,
+                      input.source + ": the QI domains exceed the 64-bit cell ids of TDS");
+  }
+  if (spec.compute_kl && !KlPointIdsFit(schema)) {
+    return UsageError(field, input.source +
+                                 ": the QI and SA domains exceed the 64-bit point ids of the KL "
+                                 "estimate; --kl=false skips it and lifts this limit");
+  }
+  return std::nullopt;
+}
+
 }  // namespace
 
 Engine::Engine(EngineOptions options) : cache_(options.cache_bytes) {}
@@ -101,7 +134,8 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
       result->tables.push_back(std::move(entry));
       return true;
     }
-    const std::string key = ContentCache::CsvKey(spec.input, resolved.format, spec.schema_spec);
+    const std::string key = ContentCache::CsvKey(
+        spec.input, resolved.format, schema != nullptr ? FormatSchemaSpec(*schema) : "");
     std::shared_ptr<const EngineTable> table =
         load(key, [&]() -> std::shared_ptr<const EngineTable> {
           std::optional<Table> loaded = LoadTableCsv(spec.input, resolved.format, schema, &error);
@@ -225,6 +259,9 @@ Expected<JobResult, PipelineError> Engine::Solve(const ResolvedJobSpec& resolved
   if (!materialized.ok()) return materialized.error();
   if (result.tables.empty()) {
     return UsageError("n", "nothing to run: the (n, d) grid produced no input tables");
+  }
+  for (const std::shared_ptr<const EngineTable>& input : result.tables) {
+    if (std::optional<PipelineError> error = CheckSchemaLimits(spec, *input)) return *error;
   }
 
   AnonymizerOptions algo_options;

@@ -1,6 +1,7 @@
 #include "engine/job_spec.h"
 
 #include <array>
+#include <charconv>
 #include <optional>
 #include <utility>
 
@@ -91,7 +92,17 @@ std::optional<PipelineError> CheckJobSpecText(std::string_view text) {
 }  // namespace
 
 std::string SerializeJobSpec(const JobSpec& spec) {
+  // Optional keys are omitted when they hold the JobSpec default, which is
+  // what ReadJobSpec gives an absent key.
+  const JobSpec defaults;
   std::string text;
+  const auto put_bool = [&](std::string_view key, bool value, bool default_value) {
+    if (value != default_value) AppendKey(key, value ? "true" : "false", &text);
+  };
+  const auto put_number = [&](std::string_view key, std::uint64_t value,
+                              std::uint64_t default_value) {
+    if (value != default_value) AppendKey(key, std::to_string(value), &text);
+  };
   AppendKey("version", std::to_string(kJobSpecVersion), &text);
 
   std::string algos;
@@ -104,28 +115,100 @@ std::string SerializeJobSpec(const JobSpec& spec) {
 
   if (!spec.input.empty()) {
     AppendKey("input", spec.input, &text);
-    if (spec.format != CsvFormat::kAuto) AppendKey("format", CsvFormatName(spec.format), &text);
-    if (!spec.schema_spec.empty()) AppendKey("schema", spec.schema_spec, &text);
+    if (spec.format != defaults.format) AppendKey("format", CsvFormatName(spec.format), &text);
+    if (spec.schema_spec != defaults.schema_spec) AppendKey("schema", spec.schema_spec, &text);
   } else {
     AppendKey("dataset", spec.dataset.name, &text);
-    if (spec.dataset.seed != 0) AppendKey("seed", std::to_string(spec.dataset.seed), &text);
+    put_number("seed", spec.dataset.seed, defaults.dataset.seed);
     AppendKey("n", JoinList(spec.ns), &text);
     AppendKey("d", JoinList(spec.ds), &text);
   }
 
   AppendKey("out", spec.out, &text);
-  if (spec.sweep) AppendKey("sweep", "true", &text);
-  if (spec.write_releases) AppendKey("write-releases", "true", &text);
-  if (!spec.compute_kl) AppendKey("kl", "false", &text);
-  if (!spec.timings) AppendKey("timings", "false", &text);
-  if (spec.threads != 0) AppendKey("threads", std::to_string(spec.threads), &text);
-  if (spec.memory_budget != 0) {
-    AppendKey("memory-budget", std::to_string(spec.memory_budget), &text);
-  }
-  if (!spec.emit_input.empty()) AppendKey("emit-input", spec.emit_input, &text);
-  if (spec.priority != 0) AppendKey("priority", std::to_string(spec.priority), &text);
-  if (spec.deadline_ms != 0) AppendKey("deadline-ms", std::to_string(spec.deadline_ms), &text);
+  put_bool("sweep", spec.sweep, defaults.sweep);
+  put_bool("write-releases", spec.write_releases, defaults.write_releases);
+  put_bool("kl", spec.compute_kl, defaults.compute_kl);
+  put_bool("timings", spec.timings, defaults.timings);
+  put_number("threads", spec.threads, defaults.threads);
+  put_number("memory-budget", spec.memory_budget, defaults.memory_budget);
+  if (spec.emit_input != defaults.emit_input) AppendKey("emit-input", spec.emit_input, &text);
+  put_number("priority", spec.priority, defaults.priority);
+  put_number("deadline-ms", spec.deadline_ms, defaults.deadline_ms);
   return text;
+}
+
+Expected<JobSpec, PipelineError> ReadJobSpec(const FlagSet& keys) {
+  const JobSpec defaults;
+  JobSpec spec;
+  std::string error;
+  std::string text;
+  // Reads `key` into `text`; false when it is absent.
+  const auto present = [&](std::string_view key) {
+    return keys.Has(key) && keys.GetString(key, "", &text, &error);
+  };
+  const auto fail = [&](std::string_view key) { return UsageError(std::string(key), error); };
+
+  if (present("algo") && !ParseAlgorithmList(text, &spec.algorithms, &error)) return fail("algo");
+  if (!keys.GetUint32List("l", defaults.ls, &spec.ls, &error)) return fail("l");
+
+  keys.GetString("input", defaults.input, &spec.input, &error);
+  if (present("format")) {
+    if (!ParseCsvFormat(text, &spec.format, &error)) {
+      error = "--format: " + error;
+      return fail("format");
+    }
+    if (spec.input.empty()) {
+      error = "--format only applies to --input CSV data";
+      return fail("format");
+    }
+  }
+  keys.GetString("schema", defaults.schema_spec, &spec.schema_spec, &error);
+
+  keys.GetString("dataset", defaults.dataset.name, &spec.dataset.name, &error);
+  if (!keys.GetUint64("seed", defaults.dataset.seed, &spec.dataset.seed, &error)) {
+    return fail("seed");
+  }
+  if (!keys.GetUint64List("n", defaults.ns, &spec.ns, &error)) return fail("n");
+  if (!keys.GetUint64List("d", defaults.ds, &spec.ds, &error)) return fail("d");
+  if (!spec.input.empty()) {
+    for (std::string_view key : {"dataset", "n", "d", "seed"}) {
+      if (keys.Has(key)) {
+        error = "--" + std::string(key) + " applies to synthetic data and conflicts with --input";
+        return fail(key);
+      }
+    }
+  }
+
+  keys.GetString("out", defaults.out, &spec.out, &error);
+  if (!keys.GetBool("sweep", defaults.sweep, &spec.sweep, &error)) return fail("sweep");
+  if (!keys.GetBool("write-releases", defaults.write_releases, &spec.write_releases, &error)) {
+    return fail("write-releases");
+  }
+  if (!keys.GetBool("kl", defaults.compute_kl, &spec.compute_kl, &error)) return fail("kl");
+  if (!keys.GetBool("timings", defaults.timings, &spec.timings, &error)) return fail("timings");
+  if (present("threads")) {
+    // `auto` is the hardware concurrency, which threads = 0 stands for.
+    const std::string_view count = text == "auto" ? "0" : std::string_view(text);
+    auto [ptr, ec] = std::from_chars(count.data(), count.data() + count.size(), spec.threads);
+    if (ec != std::errc{} || ptr != count.data() + count.size()) {
+      error = "--threads: expected a thread count or 'auto', got '" + text + "'";
+      return fail("threads");
+    }
+  }
+  // An empty size is unlimited, which memory_budget = 0 stands for.
+  if (present("memory-budget") &&
+      !ParseByteSize(text.empty() ? "0" : std::string_view(text), &spec.memory_budget, &error)) {
+    error = "--memory-budget: " + error;
+    return fail("memory-budget");
+  }
+  keys.GetString("emit-input", defaults.emit_input, &spec.emit_input, &error);
+  if (!keys.GetUint32("priority", defaults.priority, &spec.priority, &error)) {
+    return fail("priority");
+  }
+  if (!keys.GetUint64("deadline-ms", defaults.deadline_ms, &spec.deadline_ms, &error)) {
+    return fail("deadline-ms");
+  }
+  return spec;
 }
 
 Expected<JobSpec, PipelineError> ParseJobSpec(std::string_view text) {
@@ -148,48 +231,7 @@ Expected<JobSpec, PipelineError> ParseJobSpec(std::string_view text) {
                                      " (this engine speaks version " +
                                      std::to_string(kJobSpecVersion) + ")");
   }
-
-  JobSpec spec;
-  std::string algo_list;
-  if (!keys.GetString("algo", "tp+", &algo_list, &error)) return UsageError("algo", error);
-  if (!ParseAlgorithmList(algo_list, &spec.algorithms, &error)) return UsageError("algo", error);
-  constexpr std::array<std::uint32_t, 1> kDefaultL = {2};
-  if (!keys.GetUint32List("l", kDefaultL, &spec.ls, &error)) return UsageError("l", error);
-
-  if (!keys.GetString("input", "", &spec.input, &error)) return UsageError("input", error);
-  std::string format_text;
-  if (!keys.GetString("format", "auto", &format_text, &error)) return UsageError("format", error);
-  if (!ParseCsvFormat(format_text, &spec.format, &error)) return UsageError("format", error);
-  if (!keys.GetString("schema", "", &spec.schema_spec, &error)) return UsageError("schema", error);
-
-  if (!keys.GetString("dataset", "sal", &spec.dataset.name, &error)) {
-    return UsageError("dataset", error);
-  }
-  if (!keys.GetUint64("seed", 0, &spec.dataset.seed, &error)) return UsageError("seed", error);
-  constexpr std::array<std::uint64_t, 1> kDefaultN = {10000};
-  constexpr std::array<std::uint64_t, 1> kDefaultD = {3};
-  if (!keys.GetUint64List("n", kDefaultN, &spec.ns, &error)) return UsageError("n", error);
-  if (!keys.GetUint64List("d", kDefaultD, &spec.ds, &error)) return UsageError("d", error);
-
-  if (!keys.GetString("out", "ldiv_out", &spec.out, &error)) return UsageError("out", error);
-  if (!keys.GetBool("sweep", false, &spec.sweep, &error)) return UsageError("sweep", error);
-  if (!keys.GetBool("write-releases", false, &spec.write_releases, &error)) {
-    return UsageError("write-releases", error);
-  }
-  if (!keys.GetBool("kl", true, &spec.compute_kl, &error)) return UsageError("kl", error);
-  if (!keys.GetBool("timings", true, &spec.timings, &error)) return UsageError("timings", error);
-  if (!keys.GetUint32("threads", 0, &spec.threads, &error)) return UsageError("threads", error);
-  if (!keys.GetUint64("memory-budget", 0, &spec.memory_budget, &error)) {
-    return UsageError("memory-budget", error);
-  }
-  if (!keys.GetString("emit-input", "", &spec.emit_input, &error)) {
-    return UsageError("emit-input", error);
-  }
-  if (!keys.GetUint32("priority", 0, &spec.priority, &error)) return UsageError("priority", error);
-  if (!keys.GetUint64("deadline-ms", 0, &spec.deadline_ms, &error)) {
-    return UsageError("deadline-ms", error);
-  }
-  return spec;
+  return ReadJobSpec(keys);
 }
 
 Expected<ResolvedJobSpec, PipelineError> ResolveJobSpec(const JobSpec& spec) {

@@ -15,6 +15,8 @@
 
 namespace ldv {
 
+class FlagSet;
+
 /// The wire-format version SerializeJobSpec emits and ParseJobSpec
 /// accepts. Bump on any incompatible key change.
 inline constexpr std::uint32_t kJobSpecVersion = 1;
@@ -22,9 +24,10 @@ inline constexpr std::uint32_t kJobSpecVersion = 1;
 /// One complete engine job, independent of any front-end: where the input
 /// comes from (a CSV path or a synthetic algorithms x (l, n, d) grid),
 /// what to run, under which thread/memory budgets, and which outputs to
-/// write. This is what `ldiv submit` serializes onto the daemon socket
-/// and what the one-shot CLI normalizes its flags into -- both paths meet
-/// in Engine::Run, so outputs are byte-identical by construction.
+/// write. It is the only description of a run: the one-shot CLI reads its
+/// flags into one, `ldiv submit` serializes one onto the daemon socket,
+/// and both meet in Engine::Run, so outputs are byte-identical by
+/// construction. The member initializers are the only defaults.
 ///
 /// A JobSpec is *syntactically* well-formed data; ResolveJobSpec performs
 /// the one semantic validation pass (shared by the CLI parser and the
@@ -69,9 +72,21 @@ struct JobSpec {
 /// spec; keys holding their default value are omitted.
 std::string SerializeJobSpec(const JobSpec& spec);
 
+/// THE reader of job keys, shared by the CLI (argv plus a `--config`
+/// file) and the daemon (ParseJobSpec): reads each key of `keys` once onto
+/// a default JobSpec. Value grammar: `algo` a list of registry names or
+/// `all`; `l`, `n`, `d` comma-separated lists; `threads` a count or
+/// `auto`; `memory-budget` a byte size (K/M/G/T suffixes; empty means
+/// unlimited); booleans true/false/1/0/yes/no/on/off. Presence rules,
+/// which need the key set because a JobSpec cannot tell a default from a
+/// value that was set: `format` only with `input`, and `dataset`, `n`,
+/// `d` and `seed` never with `input`. Errors name the key in `field`.
+/// Unknown keys and `version` are the caller's to check.
+Expected<JobSpec, PipelineError> ReadJobSpec(const FlagSet& keys);
+
 /// Parses SerializeJobSpec output (or any hand-written spec in the same
-/// grammar). Rejects an unknown key, a missing or unsupported version,
-/// and any malformed value, naming the offending key in the error field.
+/// grammar): a strict pre-pass (no NUL byte, no duplicate or oversized
+/// key), the unknown-key and version checks, then ReadJobSpec.
 Expected<JobSpec, PipelineError> ParseJobSpec(std::string_view text);
 
 /// A JobSpec that passed the single semantic validation pass: the CSV

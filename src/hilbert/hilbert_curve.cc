@@ -64,8 +64,7 @@ HilbertCurve::HilbertCurve(std::uint32_t dimensions, std::uint32_t bits_per_dime
   LDIV_CHECK_GE(dims_, 1u);
   LDIV_CHECK_GE(bits_, 1u);
   LDIV_CHECK_LE(bits_, 32u);
-  LDIV_CHECK_LE(static_cast<std::uint64_t>(dims_) * bits_, 64u)
-      << "Hilbert index must fit in 64 bits";
+  LDIV_CHECK(Fits(dims_, bits_)) << "Hilbert index must fit in 64 bits";
 }
 
 std::uint64_t HilbertCurve::Encode(std::span<const std::uint32_t> coords) const {

@@ -44,6 +44,14 @@ class HilbertCurve {
   /// Smallest bit width that can represent values in [0, domain_size).
   static std::uint32_t BitsForDomain(std::uint64_t domain_size);
 
+  /// Whether a curve of `dimensions` x `bits_per_dimension` (at least 1)
+  /// fits the 64-bit index, as the constructor CHECKs. At one bit per
+  /// dimension at most 64 dimensions fit, so the Hilbert order of a table
+  /// with more QI attributes is refused up front.
+  static bool Fits(std::uint64_t dimensions, std::uint64_t bits_per_dimension) {
+    return dimensions <= 64 / bits_per_dimension;
+  }
+
  private:
   std::uint32_t dims_;
   std::uint32_t bits_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -13,19 +14,30 @@ namespace ldv {
 
 namespace {
 
+// Mixed-radix strides of a packed data point: one per QI attribute, then
+// the SA's. False when the product of the domains does not fit in 64 bits.
+bool PointStrides(const Schema& schema, std::vector<std::uint64_t>* strides) {
+  std::uint64_t stride = 1;
+  const auto grow = [&](std::uint64_t radix) {
+    strides->push_back(stride);
+    if (stride >= std::numeric_limits<std::uint64_t>::max() / (radix + 1)) return false;
+    stride *= radix;
+    return true;
+  };
+  for (std::size_t a = 0; a < schema.qi_count(); ++a) {
+    if (!grow(schema.qi(static_cast<AttrId>(a)).domain_size)) return false;
+  }
+  return grow(schema.sa_domain_size());
+}
+
 // Mixed-radix packing of a full data point (all QI values plus SA).
-// The products involved fit in 64 bits for every schema in this repository
-// (checked at runtime).
 class PointPacker {
  public:
   explicit PointPacker(const Schema& schema) {
-    std::uint64_t stride = 1;
-    for (std::size_t a = 0; a < schema.qi_count(); ++a) {
-      strides_.push_back(stride);
-      Grow(&stride, schema.qi(static_cast<AttrId>(a)).domain_size);
-    }
-    sa_stride_ = stride;
-    Grow(&stride, schema.sa_domain_size());
+    const bool fits = PointStrides(schema, &strides_);
+    LDIV_CHECK(fits) << "point id space exceeds 64 bits";
+    sa_stride_ = strides_.back();
+    strides_.pop_back();
   }
 
   std::uint64_t Pack(std::span<const Value> qi, SaValue sa) const {
@@ -58,12 +70,6 @@ class PointPacker {
   }
 
  private:
-  static void Grow(std::uint64_t* stride, std::uint64_t radix) {
-    LDIV_CHECK_LT(*stride, std::numeric_limits<std::uint64_t>::max() / (radix + 1))
-        << "point id space exceeds 64 bits";
-    *stride *= radix;
-  }
-
   std::vector<std::uint64_t> strides_;
   std::uint64_t sa_stride_ = 0;
 };
@@ -179,6 +185,11 @@ class KlTermSink {
 };
 
 }  // namespace
+
+bool KlPointIdsFit(const Schema& schema) {
+  std::vector<std::uint64_t> strides;
+  return PointStrides(schema, &strides);
+}
 
 double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized,
                                const KlTuning& tuning, Workspace* workspace) {

@@ -31,6 +31,12 @@ struct KlTuning {
   std::size_t block_rows = 0;
 };
 
+/// Whether the estimators' packed data-point ids -- a mixed radix over
+/// every QI domain and then the SA domain -- fit in 64 bits for `schema`.
+/// Every estimator CHECKs it; front-ends test it first, so a schema past
+/// the limit is a usage error (skipping the KL estimate lifts the limit).
+bool KlPointIdsFit(const Schema& schema);
+
 /// KL-divergence KL(f, f*) of Section 6.2 (Equation 2) between the pdf f of
 /// the microdata over the (d+1)-dimensional space Omega and the pdf f*
 /// induced by a suppression generalization: a starred attribute value is

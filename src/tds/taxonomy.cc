@@ -9,7 +9,7 @@ namespace ldv {
 Taxonomy::Taxonomy(std::size_t domain_size) : domain_size_(domain_size) {
   LDIV_CHECK_GT(domain_size, 0u);
   leaf_of_value_.assign(domain_size, -1);
-  nodes_.reserve(2 * domain_size - 1);
+  nodes_.reserve(NodeCount(domain_size));
   Build(0, static_cast<Value>(domain_size), -1);
 }
 

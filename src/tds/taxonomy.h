@@ -33,6 +33,10 @@ class Taxonomy {
  public:
   explicit Taxonomy(std::size_t domain_size);
 
+  /// Nodes of the hierarchy over a domain of `domain_size` values: a
+  /// binary tree with one leaf per value.
+  static std::size_t NodeCount(std::size_t domain_size) { return 2 * domain_size - 1; }
+
   std::int32_t root() const { return 0; }
   std::size_t node_count() const { return nodes_.size(); }
   const TaxonomyNode& node(std::int32_t id) const { return nodes_[id]; }

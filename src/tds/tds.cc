@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <queue>
 #include <unordered_map>
 
@@ -16,19 +17,41 @@ namespace ldv {
 // SingleDimGeneralization
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Mixed-radix strides of packed cell ids: attribute a's radix is its
+// taxonomy's node count + 1. False when the product does not fit in 64
+// bits.
+bool CellStrides(std::span<const std::uint64_t> node_counts,
+                 std::vector<std::uint64_t>* strides) {
+  std::uint64_t stride = 1;
+  for (std::uint64_t count : node_counts) {
+    strides->push_back(stride);
+    if (stride >= std::numeric_limits<std::uint64_t>::max() / (count + 1)) return false;
+    stride *= count + 1;
+  }
+  return true;
+}
+
+}  // namespace
+
+bool TdsCellIdsFit(const Schema& schema) {
+  std::vector<std::uint64_t> node_counts;
+  for (AttrId a = 0; a < schema.qi_count(); ++a) {
+    node_counts.push_back(Taxonomy::NodeCount(schema.qi(a).domain_size));
+  }
+  std::vector<std::uint64_t> strides;
+  return CellStrides(node_counts, &strides);
+}
+
 SingleDimGeneralization::SingleDimGeneralization(
     std::vector<Taxonomy> taxonomies, std::vector<std::vector<std::int32_t>> value_to_node)
     : taxonomies_(std::move(taxonomies)), value_to_node_(std::move(value_to_node)) {
   LDIV_CHECK_EQ(taxonomies_.size(), value_to_node_.size());
-  strides_.resize(taxonomies_.size());
-  std::uint64_t stride = 1;
-  for (std::size_t a = 0; a < taxonomies_.size(); ++a) {
-    strides_[a] = stride;
-    std::uint64_t count = taxonomies_[a].node_count();
-    LDIV_CHECK_LT(stride, std::numeric_limits<std::uint64_t>::max() / (count + 1))
-        << "cell id space exceeds 64 bits";
-    stride *= count + 1;
-  }
+  std::vector<std::uint64_t> node_counts;
+  for (const Taxonomy& taxonomy : taxonomies_) node_counts.push_back(taxonomy.node_count());
+  const bool fits = CellStrides(node_counts, &strides_);
+  LDIV_CHECK(fits) << "cell id space exceeds 64 bits";
 }
 
 double SingleDimGeneralization::CellVolume(std::span<const Value> qi) const {

@@ -37,8 +37,8 @@ class SingleDimGeneralization {
   double CellVolume(std::span<const Value> qi) const;
 
   /// Packs the cell signature of a QI vector into one integer (mixed radix
-  /// over per-attribute node ids). Requires the product of node counts to
-  /// fit in 64 bits, which holds for every workload in this repository.
+  /// over per-attribute node ids). The constructor CHECKs that the ids
+  /// fit in 64 bits (TdsCellIdsFit).
   std::uint64_t PackedCellId(std::span<const Value> qi) const;
 
  private:
@@ -46,6 +46,12 @@ class SingleDimGeneralization {
   std::vector<std::vector<std::int32_t>> value_to_node_;
   std::vector<std::uint64_t> strides_;
 };
+
+/// Whether the packed cell ids of a generalization over `schema`'s QI
+/// attributes fit in 64 bits (a mixed radix over each taxonomy's node
+/// count + 1). SingleDimGeneralization CHECKs it, so RunTds aborts past
+/// it; front-ends test it first and refuse such a schema.
+bool TdsCellIdsFit(const Schema& schema);
 
 /// Result of the TDS run.
 struct TdsResult {

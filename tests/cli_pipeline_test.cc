@@ -1,7 +1,7 @@
-// In-process end-to-end tests of the CLI pipeline -- CliOptions through
-// ToJobSpec into Engine::Run, as the one-shot `ldiv` runs it: CSV load ->
-// anonymize -> release/report, the synthetic (n, d) grid, sweep
-// determinism across thread counts, and clean failure on unreadable input.
+// In-process end-to-end tests of the CLI pipeline -- a JobSpec into
+// Engine::Run, as the one-shot `ldiv` runs it: CSV load -> anonymize ->
+// release/report, the synthetic (n, d) grid, sweep determinism across
+// thread counts, and clean failure on unreadable input.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,9 @@
 
 #include "anonymity/eligibility.h"
 #include "anonymity/release.h"
-#include "cli/cli_options.h"
 #include "common/csv.h"
 #include "common/rng.h"
+#include "common/schema_spec.h"
 #include "engine/engine.h"
 #include "engine/report.h"
 #include "test_util.h"
@@ -20,24 +20,24 @@
 namespace ldv {
 namespace {
 
-Expected<JobResult, PipelineError> RunCli(const CliOptions& options) {
+Expected<JobResult, PipelineError> RunCli(const JobSpec& spec) {
   Engine engine;
-  return engine.Run(ToJobSpec(options));
+  return engine.Run(spec);
 }
 
-CliOptions SyntheticOptions() {
-  CliOptions options;
-  options.dataset.name = "sal";
-  options.ns = {1200};
-  options.ds = {3};
-  return options;
+JobSpec SyntheticSpec() {
+  JobSpec spec;
+  spec.dataset.name = "sal";
+  spec.ns = {1200};
+  spec.ds = {3};
+  return spec;
 }
 
 TEST(CliPipeline, SingleRunOnSyntheticData) {
-  CliOptions options = SyntheticOptions();
-  options.algorithms = {Algorithm::kTp};
-  options.ls = {2};
-  Expected<JobResult, PipelineError> result_run = RunCli(options);
+  JobSpec spec = SyntheticSpec();
+  spec.algorithms = {Algorithm::kTp};
+  spec.ls = {2};
+  Expected<JobResult, PipelineError> result_run = RunCli(spec);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
   const JobResult& result = result_run.value();
   ASSERT_EQ(result.tables.size(), 1u);
@@ -50,10 +50,10 @@ TEST(CliPipeline, SingleRunOnSyntheticData) {
 }
 
 TEST(CliPipeline, EveryRegisteredAlgorithmRunsEndToEnd) {
-  CliOptions options = SyntheticOptions();
-  options.algorithms.assign(kAllAlgorithms.begin(), kAllAlgorithms.end());
-  options.ls = {4};
-  Expected<JobResult, PipelineError> result_run = RunCli(options);
+  JobSpec spec = SyntheticSpec();
+  spec.algorithms.assign(kAllAlgorithms.begin(), kAllAlgorithms.end());
+  spec.ls = {4};
+  Expected<JobResult, PipelineError> result_run = RunCli(spec);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
   const JobResult& result = result_run.value();
   ASSERT_EQ(result.jobs.size(), kAlgorithmCount);
@@ -75,13 +75,13 @@ TEST(CliPipeline, CsvInputRoundTripsThroughRelease) {
   std::string input_path = testing::TempDir() + "cli_pipeline_input.csv";
   ASSERT_TRUE(WriteTableCsv(table, input_path));
 
-  CliOptions options;
-  options.input = input_path;
-  options.format = CsvFormat::kCoded;
-  options.schema = table.schema();
-  options.algorithms = {Algorithm::kTpPlus};
-  options.ls = {3};
-  Expected<JobResult, PipelineError> result_run = RunCli(options);
+  JobSpec spec;
+  spec.input = input_path;
+  spec.format = CsvFormat::kCoded;
+  spec.schema_spec = FormatSchemaSpec(table.schema());
+  spec.algorithms = {Algorithm::kTpPlus};
+  spec.ls = {3};
+  Expected<JobResult, PipelineError> result_run = RunCli(spec);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
   const JobResult& result = result_run.value();
   ASSERT_EQ(result.jobs.size(), 1u);
@@ -112,17 +112,17 @@ TEST(CliPipeline, SweepGridIsJobOrderedAndThreadCountInvariant) {
   // 2 algorithms x 2 l x (2 n-cells x 1 d-cell) = 8 jobs. Identical
   // reports regardless of worker count is the batch-driver determinism
   // guarantee surfaced through the CLI layer.
-  CliOptions options = SyntheticOptions();
-  options.algorithms = {Algorithm::kMondrian, Algorithm::kAnatomy};
-  options.ls = {2, 4};
-  options.ns = {600, 900};
-  options.sweep = true;
+  JobSpec spec = SyntheticSpec();
+  spec.algorithms = {Algorithm::kMondrian, Algorithm::kAnatomy};
+  spec.ls = {2, 4};
+  spec.ns = {600, 900};
+  spec.sweep = true;
 
   ReportOptions report_options;
   report_options.include_seconds = false;
 
-  options.threads = 1;
-  Expected<JobResult, PipelineError> serial_run = RunCli(options);
+  spec.threads = 1;
+  Expected<JobResult, PipelineError> serial_run = RunCli(spec);
   ASSERT_TRUE(serial_run.ok()) << serial_run.error().message;
   const JobResult& serial = serial_run.value();
   ASSERT_EQ(serial.jobs.size(), 8u);
@@ -131,8 +131,8 @@ TEST(CliPipeline, SweepGridIsJobOrderedAndThreadCountInvariant) {
   EXPECT_EQ(RunSpecLabel(serial.jobs[3].spec), "Anatomy/l=4/table=0");
   EXPECT_EQ(RunSpecLabel(serial.jobs[7].spec), "Anatomy/l=4/table=1");
 
-  options.threads = 4;
-  Expected<JobResult, PipelineError> threaded_run = RunCli(options);
+  spec.threads = 4;
+  Expected<JobResult, PipelineError> threaded_run = RunCli(spec);
   ASSERT_TRUE(threaded_run.ok()) << threaded_run.error().message;
   const JobResult& threaded = threaded_run.value();
   EXPECT_EQ(RenderJsonReport(serial, report_options),
@@ -147,18 +147,18 @@ TEST(CliPipeline, SingleJobIsThreadBudgetInvariant) {
   // reductions) -- the deterministic-kernel guarantee surfaced through
   // the CLI layer. The table is large enough that every parallel path
   // actually engages.
-  CliOptions options = SyntheticOptions();
-  options.ns = {20000};
-  options.algorithms = {Algorithm::kMondrian, Algorithm::kHilbert};
-  options.ls = {6};
+  JobSpec spec = SyntheticSpec();
+  spec.ns = {20000};
+  spec.algorithms = {Algorithm::kMondrian, Algorithm::kHilbert};
+  spec.ls = {6};
 
   ReportOptions report_options;
   report_options.include_seconds = false;
 
   std::string reference_json, reference_csv;
   for (std::uint32_t threads : {1u, 2u, 4u}) {
-    options.threads = threads;
-    Expected<JobResult, PipelineError> result_run = RunCli(options);
+    spec.threads = threads;
+    Expected<JobResult, PipelineError> result_run = RunCli(spec);
     ASSERT_TRUE(result_run.ok()) << result_run.error().message;
     const JobResult& result = result_run.value();
     ASSERT_EQ(result.jobs.size(), 2u);
@@ -176,10 +176,10 @@ TEST(CliPipeline, SingleJobIsThreadBudgetInvariant) {
 }
 
 TEST(CliPipeline, ReportRecordsThreadsOnlyBesideTimings) {
-  CliOptions options = SyntheticOptions();
-  options.algorithms = {Algorithm::kTp};
-  options.threads = 3;
-  Expected<JobResult, PipelineError> result_run = RunCli(options);
+  JobSpec spec = SyntheticSpec();
+  spec.algorithms = {Algorithm::kTp};
+  spec.threads = 3;
+  Expected<JobResult, PipelineError> result_run = RunCli(spec);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
   const JobResult& result = result_run.value();
 
@@ -193,11 +193,11 @@ TEST(CliPipeline, ReportRecordsThreadsOnlyBesideTimings) {
 }
 
 TEST(CliPipeline, InfeasibleJobIsReportedNotFatal) {
-  CliOptions options = SyntheticOptions();
-  options.ns = {50};
-  options.algorithms = {Algorithm::kTp};
-  options.ls = {10000};
-  Expected<JobResult, PipelineError> result_run = RunCli(options);
+  JobSpec spec = SyntheticSpec();
+  spec.ns = {50};
+  spec.algorithms = {Algorithm::kTp};
+  spec.ls = {10000};
+  Expected<JobResult, PipelineError> result_run = RunCli(spec);
   ASSERT_TRUE(result_run.ok()) << result_run.error().message;
   const JobResult& result = result_run.value();
   ASSERT_EQ(result.jobs.size(), 1u);
@@ -205,10 +205,10 @@ TEST(CliPipeline, InfeasibleJobIsReportedNotFatal) {
 }
 
 TEST(CliPipeline, LoadAndGenerationFailuresAreCleanTypedErrors) {
-  CliOptions missing;
+  JobSpec missing;
   missing.input = testing::TempDir() + "cli_pipeline_missing.csv";
   missing.format = CsvFormat::kCoded;
-  missing.schema = testutil::MakeSchema({4, 4}, 3);
+  missing.schema_spec = FormatSchemaSpec(testutil::MakeSchema({4, 4}, 3));
   Expected<JobResult, PipelineError> result = RunCli(missing);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, PipelineErrorCode::kIo);
@@ -216,7 +216,7 @@ TEST(CliPipeline, LoadAndGenerationFailuresAreCleanTypedErrors) {
   EXPECT_NE(result.error().message.find("cannot open"), std::string::npos)
       << result.error().message;
 
-  CliOptions bad_dataset = SyntheticOptions();
+  JobSpec bad_dataset = SyntheticSpec();
   bad_dataset.dataset.name = "census";
   Expected<JobResult, PipelineError> result2 = RunCli(bad_dataset);
   ASSERT_FALSE(result2.ok());
@@ -224,7 +224,7 @@ TEST(CliPipeline, LoadAndGenerationFailuresAreCleanTypedErrors) {
   EXPECT_EQ(result2.error().field, "dataset");
   EXPECT_NE(result2.error().message.find("census"), std::string::npos);
 
-  CliOptions bad_d = SyntheticOptions();
+  JobSpec bad_d = SyntheticSpec();
   bad_d.ds = {9};
   Expected<JobResult, PipelineError> result3 = RunCli(bad_d);
   ASSERT_FALSE(result3.ok());

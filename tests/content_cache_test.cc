@@ -325,6 +325,37 @@ TEST(ContentCacheEngine, CsvContentChangeInvalidatesArtifacts) {
   std::remove(path.c_str());
 }
 
+TEST(ContentCacheEngine, SchemaSpellingsShareOneTableEntry) {
+  // "79,2,9|50" names its attributes Q1..Q3 and S, exactly as the spelled-
+  // out form does: one Schema, so one cache entry and the same outputs.
+  Rng rng(5);
+  const Table table = testutil::RandomEligibleTable(rng, 80, {79, 2, 9}, 50, 2);
+  const std::string path = testing::TempDir() + "spelling_input.csv";
+  ASSERT_TRUE(WriteTableCsv(table, path));
+
+  JobSpec spec;
+  spec.input = path;
+  spec.algorithms = {Algorithm::kTp};
+  spec.timings = false;
+  Engine engine;
+  std::vector<std::string> outputs;
+  std::vector<std::uint64_t> hits;
+  for (const char* schema : {"79,2,9|50", "Q1:79,Q2:2,Q3:9|S:50"}) {
+    spec.schema_spec = schema;
+    spec.out = testing::TempDir() + "spelling_out" + std::to_string(outputs.size());
+    Expected<ExecuteSummary, PipelineError> run = engine.Execute(spec);
+    ASSERT_TRUE(run.ok()) << run.error().message;
+    hits.push_back(run->cache_hits);
+    outputs.push_back(ReadFile(spec.out + ".csv") + ReadFile(spec.out + ".json") +
+                      ReadFile(spec.out + "_metrics.csv"));
+  }
+  EXPECT_EQ(hits, (std::vector<std::uint64_t>{0, 1})) << "the second spelling is a table hit";
+  EXPECT_FALSE(outputs[0].empty());
+  EXPECT_EQ(outputs[0], outputs[1]);
+  EXPECT_EQ(engine.cache().stats().tables.misses, 1u);
+  std::remove(path.c_str());
+}
+
 TEST(ContentCacheEngine, SameSizeRewriteAndRenameMissTheCache) {
   // The same rows with every SA value shifted: the same byte count, a
   // different release.

@@ -2,7 +2,8 @@
 // the JobSpec wire round trip and rejection rules, the single semantic
 // validation pass (ResolveJobSpec), and the Engine itself -- cache hits
 // on repeat traffic, paged-run cache bypass, cross-run artifact
-// memoization, equality with the CLI's CliOptions -> JobSpec path, and
+// memoization, equality with the CLI's argv -> JobSpec path, schemas past
+// the kernels' 64-bit packing failing typed instead of aborting, and
 // concurrent runs matching their solo runs byte for byte. The cache's
 // own mechanics are tested in content_cache_test.cc.
 
@@ -20,6 +21,7 @@
 #include "cli/cli_options.h"
 #include "common/csv.h"
 #include "common/expected.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/schema_spec.h"
 #include "engine/error.h"
@@ -332,15 +334,15 @@ TEST(Engine, DisabledCacheMatchesTheHitPathByteForByte) {
 }
 
 TEST(Engine, MatchesTheCliAdapterByteForByte) {
-  // The one-shot CLI runs Engine::Run(ToJobSpec(parsed flags)); it must
-  // match the same job written as a JobSpec.
+  // The one-shot CLI runs Engine::Run on the JobSpec it reads from argv;
+  // it must match the same job written as a JobSpec.
   const char* argv[] = {"ldiv", "--dataset=sal", "--n=900", "--d=3",
                         "--algo=tp+", "--l=3",       "--no-timings"};
-  CliOptions options;
-  std::string error;
-  ASSERT_TRUE(ParseCliOptions(7, argv, &options, &error)) << error;
+  FlagSet flags;
+  Expected<JobSpec, PipelineError> parsed = ParseCliJob(7, argv, CliCommand::kRun, &flags);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().message;
   Engine cli_engine;
-  Expected<JobResult, PipelineError> via_cli = cli_engine.Run(ToJobSpec(options));
+  Expected<JobResult, PipelineError> via_cli = cli_engine.Run(parsed.value());
   ASSERT_TRUE(via_cli.ok()) << via_cli.error().message;
 
   JobSpec spec = SyntheticSpec();
@@ -357,6 +359,120 @@ TEST(Engine, MatchesTheCliAdapterByteForByte) {
             RenderJsonReport(via_engine.value(), report_options));
   EXPECT_EQ(RenderMetricsCsv(via_cli.value(), report_options),
             RenderMetricsCsv(via_engine.value(), report_options));
+}
+
+// A coded CSV of `rows` rows over `qi_domains` and an SA of `sa_domain`,
+// cycling every column through its whole domain; returns its path.
+std::string WriteWideCodedCsv(const std::string& name, const std::vector<std::size_t>& qi_domains,
+                              std::size_t sa_domain, std::size_t rows) {
+  Table table(testutil::MakeSchema(qi_domains, sa_domain));
+  std::vector<Value> qi(qi_domains.size());
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t a = 0; a < qi.size(); ++a) {
+      qi[a] = static_cast<Value>((r * 7 + a) % qi_domains[a]);
+    }
+    table.AppendRow(qi, static_cast<SaValue>(r % sa_domain));
+  }
+  const std::string path = testing::TempDir() + name;
+  EXPECT_TRUE(WriteTableCsv(table, path));
+  return path;
+}
+
+// The spec of one run of `algorithm` over a coded CSV at `path`.
+JobSpec CodedCsvSpec(const std::string& path, const std::vector<std::size_t>& qi_domains,
+                     std::size_t sa_domain, Algorithm algorithm) {
+  JobSpec spec;
+  spec.input = path;
+  spec.schema_spec = FormatSchemaSpec(testutil::MakeSchema(qi_domains, sa_domain));
+  spec.algorithms = {algorithm};
+  spec.timings = false;
+  return spec;
+}
+
+void ExpectSchemaLimitError(const Expected<JobResult, PipelineError>& run,
+                            const std::string& limit) {
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.error().code, PipelineErrorCode::kUsage);
+  EXPECT_EQ(ExitCodeFor(run.error().code), 1);
+  EXPECT_EQ(run.error().field, "input");
+  EXPECT_NE(run.error().message.find(limit), std::string::npos) << run.error().message;
+}
+
+TEST(EngineSchemaLimits, TenQisOfDomain100AreAUsageErrorForEveryAlgorithm) {
+  // 100^10 * 4 points overflow the KL packer's 64 bits, and TDS's packed
+  // cell ids (200^10) overflow first; both used to abort the process.
+  const std::vector<std::size_t> domains(10, 100);
+  const std::string path = WriteWideCodedCsv("engine_wide_coded.csv", domains, 4, 400);
+  Engine engine;
+  for (Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    const JobSpec spec = CodedCsvSpec(path, domains, 4, algorithm);
+    if (algorithm == Algorithm::kTds) {
+      ExpectSchemaLimitError(engine.Run(spec), "64-bit cell ids of TDS");
+    } else {
+      ExpectSchemaLimitError(engine.Run(spec), "--kl=false");
+    }
+  }
+  // Without the KL estimate TP needs no packed ids and still runs.
+  JobSpec no_kl = CodedCsvSpec(path, domains, 4, Algorithm::kTp);
+  no_kl.compute_kl = false;
+  Expected<JobResult, PipelineError> tp = engine.Run(no_kl);
+  ASSERT_TRUE(tp.ok()) << tp.error().message;
+  EXPECT_TRUE(tp->jobs[0].outcome.feasible);
+  std::remove(path.c_str());
+}
+
+TEST(EngineSchemaLimits, WideRawCsvIsAUsageErrorNotAnAbort) {
+  // Seven QI columns of 90..900 distinct labels and ten SA labels: the
+  // dictionaries' domains multiply past 64 bits.
+  const std::vector<std::size_t> domains = {90, 300, 450, 600, 750, 900, 900};
+  const std::string path = testing::TempDir() + "engine_wide_raw.csv";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "c0,c1,c2,c3,c4,c5,c6,sa\n");
+    for (std::size_t r = 0; r < 1000; ++r) {
+      for (std::size_t a = 0; a < domains.size(); ++a) {
+        std::fprintf(f, "v%zu_%zu,", a, (r * 7 + a) % domains[a]);
+      }
+      std::fprintf(f, "s%zu\n", r % 10);
+    }
+    std::fclose(f);
+  }
+  JobSpec spec;
+  spec.input = path;
+  spec.algorithms = {Algorithm::kTp};
+  spec.timings = false;
+  spec.out = testing::TempDir() + "engine_wide_raw_out";
+  Engine engine;
+  Expected<ExecuteSummary, PipelineError> summary = engine.Execute(spec);
+  ASSERT_FALSE(summary.ok());
+  EXPECT_EQ(summary.error().code, PipelineErrorCode::kUsage);
+  EXPECT_EQ(summary.error().field, "input");
+  EXPECT_NE(summary.error().message.find("64-bit point ids"), std::string::npos)
+      << summary.error().message;
+  EXPECT_NE(summary.error().message.find("csv-raw:"), std::string::npos)
+      << summary.error().message;
+  std::remove(path.c_str());
+}
+
+TEST(EngineSchemaLimits, SixtyFiveQisAreAUsageErrorForTheHilbertOrder) {
+  // 65 binary QIs fit KL's and TDS's packing only without KL; the Hilbert
+  // order (Hilbert, TP+) tops out at 64 dimensions of one bit each.
+  const std::vector<std::size_t> domains(65, 2);
+  const std::string path = WriteWideCodedCsv("engine_binary65.csv", domains, 2, 200);
+  Engine engine;
+  for (Algorithm algorithm : {Algorithm::kHilbert, Algorithm::kTpPlus}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    JobSpec spec = CodedCsvSpec(path, domains, 2, algorithm);
+    spec.compute_kl = false;
+    ExpectSchemaLimitError(engine.Run(spec), "64 dimensions");
+  }
+  JobSpec tp = CodedCsvSpec(path, domains, 2, Algorithm::kTp);
+  tp.compute_kl = false;
+  Expected<JobResult, PipelineError> run = engine.Run(tp);
+  ASSERT_TRUE(run.ok()) << run.error().message;
+  std::remove(path.c_str());
 }
 
 TEST(Engine, ExecuteWritesOutputsAndMapsInfeasibleToExitCode) {

@@ -107,6 +107,24 @@ echo "$ERRMSG" | grep -q "bad.csv:2: column 3" ||
 expect_exit 2 "$BIN" --algo=tp --l=100000 --input="$INPUT" --schema="$SCHEMA" --out="$TMP/x"
 expect_exit 3 "$BIN" --input="$TMP/no_such_file.csv" --schema="$SCHEMA" --out="$TMP/x"
 expect_exit 1 "$BIN" --threads=lots --out="$TMP/x"
+# A schema past the kernels' 64-bit packing is a usage error, not an
+# abort: ten QIs of domain 100 overflow the KL estimate's packed point
+# ids (and TDS's cell ids); TP without KL needs neither and still runs.
+WIDE_SCHEMA="$(printf '100,%.0s' $(seq 1 9))100|4"
+awk 'BEGIN {
+  for (a = 1; a <= 10; a++) printf "Q%d,", a
+  print "S"
+  for (r = 0; r < 400; r++) {
+    for (a = 0; a < 10; a++) printf "%d,", (r * 7 + a) % 100
+    print r % 4
+  }
+}' > "$TMP/wide.csv"
+for algo in tp tds; do
+  expect_exit 1 "$BIN" --algo="$algo" --input="$TMP/wide.csv" --schema="$WIDE_SCHEMA" \
+    --out="$TMP/x"
+done
+expect_exit 0 "$BIN" --algo=tp --kl=false --input="$TMP/wide.csv" --schema="$WIDE_SCHEMA" \
+  --out="$TMP/x"
 
 echo "== memory budget: out-of-core runs are byte-identical =="
 # Malformed sizes and sub-floor budgets are usage errors, caught up front.

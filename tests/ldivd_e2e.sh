@@ -9,10 +9,12 @@
 # CLI (including under --memory-budget and --threads), a table cache hit
 # on a repeated submission (observable in the reply and in ctl stats),
 # artifact cache hits on a repeated sweep with byte-identical outputs,
-# explicit busy backpressure under a submit flood (exit 4, never a hang
-# or a drop), a graceful drain on shutdown, and finally a --workers=4
-# daemon running the whole submit matrix at once, every output still
-# byte-identical to its one-shot reference.
+# one `--config` job file giving the same bytes one-shot and submitted,
+# a schema past the kernels' 64-bit packing failing typed without taking
+# the daemon down, explicit busy backpressure under a submit flood (exit
+# 4, never a hang or a drop), a graceful drain on shutdown, and finally a
+# --workers=4 daemon running the whole submit matrix at once, every
+# output still byte-identical to its one-shot reference.
 #
 # LDIVD_E2E_ONLY=concurrent writes the one-shot references and runs just
 # that last section -- the TSan CI job runs it against a TSan build.
@@ -146,6 +148,29 @@ done
 grep -q "artifact-hits = [1-9]" "$TMP/stats_art.out" ||
   { echo "FAIL: ctl stats reports no artifact hits"; cat "$TMP/stats_art.out"; exit 1; }
 
+echo "== one --config job file: one-shot and submitted, byte-identical =="
+# The daemon reads the same keys with the same reader, so the file's
+# `threads = auto` and byte-size budget mean the same on both paths.
+cat > "$TMP/job.conf" << EOF
+algo = tp,hilbert,anatomy
+l = 2,3
+input = $INPUT
+schema = $SCHEMA
+sweep = true
+write-releases = true
+no-timings = true
+threads = auto
+memory-budget = 64M
+EOF
+"$BIN" --config="$TMP/job.conf" --out="$TMP/conf_oneshot" 2> /dev/null
+"$BIN" submit --socket="$SOCK" --config="$TMP/job.conf" --out="$TMP/conf_daemon" > /dev/null
+[ -f "$TMP/conf_oneshot.job5.csv" ] || { echo "FAIL: config job wrote no releases"; exit 1; }
+for ref in "$TMP/conf_oneshot".* "$TMP/conf_oneshot"_*; do
+  [ -e "$ref" ] || continue
+  cmp "$ref" "$TMP/conf_daemon${ref#"$TMP/conf_oneshot"}" ||
+    { echo "FAIL: ${ref##*/} differs between ldiv --config and submit --config"; exit 1; }
+done
+
 echo "== spec errors reply with exit codes, not hangs =="
 expect_exit() {
   local want=$1
@@ -162,6 +187,31 @@ expect_exit 3 "$BIN" submit --socket="$SOCK" --input="$TMP/no_such_file.csv" \
   --schema="$SCHEMA" --out="$TMP/x"
 expect_exit 4 "$BIN" submit --socket="$TMP/no_daemon_here.sock" --algo=tp --out="$TMP/x"
 expect_exit 1 "$BIN" serve --socket="$TMP/retired.sock" --artifact-cache=1M
+
+echo "== a schema past the 64-bit packing fails typed; the daemon survives =="
+# Seven raw QI columns of 90..900 labels: their domains multiply past the
+# KL estimate's 64-bit point ids. The job gets an error reply (exit 1),
+# and the daemon keeps serving with its counters consistent.
+awk 'BEGIN {
+  split("90 300 450 600 750 900 900", dom, " ")
+  print "c1,c2,c3,c4,c5,c6,c7,sa"
+  for (r = 0; r < 1000; r++) {
+    for (a = 1; a <= 7; a++) printf "v%d_%d,", a, (r * 7 + a) % dom[a]
+    print "s" (r % 10)
+  }
+}' > "$TMP/wide_raw.csv"
+expect_exit 1 "$BIN" submit --socket="$SOCK" --algo=tp --l=2 --input="$TMP/wide_raw.csv" \
+  --out="$TMP/x"
+"$BIN" ctl --socket="$SOCK" ping | grep -q "status = ok" ||
+  { echo "FAIL: the daemon stopped answering after a wide-schema job"; cat "$SERVE_LOG"; exit 1; }
+"$BIN" ctl --socket="$SOCK" stats > "$TMP/stats_wide.out"
+stat_value() { sed -n "s/^$1 = //p" "$TMP/stats_wide.out"; }
+[ "$(stat_value accepted)" -eq \
+  $(($(stat_value completed) + $(stat_value expired) + $(stat_value failed))) ] ||
+  { echo "FAIL: accepted != completed + expired + failed"; cat "$TMP/stats_wide.out"; exit 1; }
+matrix_job csv
+"$BIN" submit --socket="$SOCK" "${JOB[@]}" --no-timings --out="$TMP/after_wide" > /dev/null
+compare_outputs csv "$TMP/after_wide"
 
 echo "== flood: backpressure is an explicit busy reply (exit 4) =="
 # More simultaneous submits than queue-depth=4 can hold behind one

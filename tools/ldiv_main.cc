@@ -63,18 +63,19 @@ std::string Absolutize(const std::string& path) {
 int OneShotMain(int argc, char** argv) {
   using namespace ldv;
 
-  CliOptions options;
-  std::string error;
-  if (!ParseCliOptions(argc, argv, &options, &error)) {
-    std::fprintf(stderr, "ldiv: %s\n\n%s", error.c_str(), CliUsage(argv[0]).c_str());
+  FlagSet flags;
+  const Expected<JobSpec, PipelineError> parsed = ParseCliJob(argc, argv, CliCommand::kRun, &flags);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "ldiv: %s\n\n%s", parsed.error().message.c_str(),
+                 CliUsage(argv[0]).c_str());
     return kExitUsage;
   }
-  if (options.help) {
+  if (flags.Has("help")) {
     std::fprintf(stdout, "%s", CliUsage(argv[0]).c_str());
     return kExitOk;
   }
 
-  const JobSpec spec = ToJobSpec(options);
+  const JobSpec& spec = parsed.value();
   Engine engine;
   Expected<JobResult, PipelineError> run = engine.Run(spec);
   if (!run.ok()) {
@@ -108,8 +109,8 @@ int OneShotMain(int argc, char** argv) {
                  static_cast<unsigned long long>(outcome.suppressed_tuples),
                  outcome.group_stats.group_count, outcome.kl_divergence, outcome.seconds);
   }
-  std::fprintf(stderr, "report: %s.json, %s_metrics.csv (%zu jobs)\n", options.out.c_str(),
-               options.out.c_str(), result.jobs.size());
+  std::fprintf(stderr, "report: %s.json, %s_metrics.csv (%zu jobs)\n", spec.out.c_str(),
+               spec.out.c_str(), result.jobs.size());
 
   // A sweep treats infeasible cells as data; a single run fails loudly.
   if (result.jobs.size() == 1 && infeasible > 0) {
@@ -203,29 +204,23 @@ int ServeMain(int argc, char** argv) {
 int SubmitMain(int argc, char** argv) {
   using namespace ldv;
 
-  constexpr std::array<std::string_view, 4> kSubmitFlags = {"socket", "priority", "deadline-ms",
-                                                            "retry"};
-  CliOptions options;
-  FlagSet raw_flags;
-  std::string error;
-  if (!ParseCliOptions(argc, argv, &options, &error,
-                       std::span<const std::string_view>(kSubmitFlags), &raw_flags)) {
-    std::fprintf(stderr, "ldiv submit: %s\n\n%s", error.c_str(), CliUsage(argv[0]).c_str());
+  FlagSet flags;
+  Expected<JobSpec, PipelineError> parsed = ParseCliJob(argc, argv, CliCommand::kSubmit, &flags);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "ldiv submit: %s\n\n%s", parsed.error().message.c_str(),
+                 CliUsage(argv[0]).c_str());
     return kExitUsage;
   }
-  if (options.help) {
+  if (flags.Has("help")) {
     std::fprintf(stdout, "%s", CliUsage(argv[0]).c_str());
     return kExitOk;
   }
 
   std::string socket_path;
-  std::uint32_t priority = 0;
-  std::uint64_t deadline_ms = 0;
   std::uint64_t retries = 0;
-  if (!raw_flags.GetString("socket", "", &socket_path, &error) ||
-      !raw_flags.GetUint32("priority", 0, &priority, &error) ||
-      !raw_flags.GetUint64("deadline-ms", 0, &deadline_ms, &error) ||
-      !raw_flags.GetUint64("retry", 0, &retries, &error)) {
+  std::string error;
+  if (!flags.GetString("socket", "", &socket_path, &error) ||
+      !flags.GetUint64("retry", 0, &retries, &error)) {
     std::fprintf(stderr, "ldiv submit: %s\n", error.c_str());
     return kExitUsage;
   }
@@ -234,12 +229,10 @@ int SubmitMain(int argc, char** argv) {
     return kExitUsage;
   }
 
-  options.input = Absolutize(options.input);
-  options.out = Absolutize(options.out);
-  options.emit_input = Absolutize(options.emit_input);
-  JobSpec spec = ToJobSpec(options);
-  spec.priority = priority;
-  spec.deadline_ms = deadline_ms;
+  JobSpec& spec = parsed.value();
+  spec.input = Absolutize(spec.input);
+  spec.out = Absolutize(spec.out);
+  spec.emit_input = Absolutize(spec.emit_input);
 
   // Jittered exponential backoff against `busy` backpressure: the daemon's
   // retry-after-ms hint is the base, doubled per attempt (capped at 10s),
