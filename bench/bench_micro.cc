@@ -292,12 +292,12 @@ BENCHMARK(BM_KlBlock)->Name("kl_block")->Arg(1024)->Arg(4096)->Arg(16384);
 //
 // The paged data plane under its default (unbudgeted) sizing: streamed
 // synthetic ingestion through the PagedTableBuilder (chunked generation,
-// page staging, spill-file writes, SIMD domain validation, then the mmap
-// seal) and the chunked GroupedTable build with a sort buffer small
-// enough that both cardinalities spill runs and k-way merge. Both paths
-// are byte-identical to their in-RAM twins (paged_equivalence_test), so
-// these series track the cost of going out of core, not a different
-// answer.
+// page staging and spill-file writes with a running-max domain check at
+// append, then the mmap seal) and the chunked GroupedTable build with a
+// sort buffer small enough that both cardinalities spill runs and k-way
+// merge. Both paths are byte-identical to their in-RAM twins
+// (paged_equivalence_test), so these series track the cost of going out
+// of core, not a different answer.
 
 void BM_IngestStream(benchmark::State& state) {
   DatasetSpec spec;

@@ -109,10 +109,10 @@ std::string CliUsage(std::string_view program) {
   usage += "                     workers, single jobs on in-kernel parallelism. T = count\n";
   usage += "                     or 'auto' (hardware). Outputs are byte-identical at any\n";
   usage += "                     T. default: auto\n";
-  usage += "  --memory-budget=B  cap accounted working memory (paged ingestion, page\n";
-  usage += "                     cache, external sorts, grouping arenas), e.g. 512M or\n";
-  usage += "                     2G (binary suffixes K/M/G/T). 0 or unset = unlimited\n";
-  usage += "                     (all-in-RAM). Outputs are byte-identical at any budget\n";
+  usage += "  --memory-budget=B  cap accounted working memory (paged ingestion, external\n";
+  usage += "                     sorts, grouping arenas), e.g. 512M or 2G (binary\n";
+  usage += "                     suffixes K/M/G/T). 0 or unset = unlimited (all-in-RAM).\n";
+  usage += "                     Outputs are byte-identical at any budget\n";
   usage += "  --kl=false         skip the KL-divergence estimate\n";
   usage += "  --no-timings       omit wall-clock fields (byte-deterministic reports)\n";
   usage += "  --emit-input=FILE  also write the input table as coded CSV\n";

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/memory_budget.h"
-#include "common/page_cache.h"
+#include "common/spill_file.h"
 #include "common/workspace.h"
 
 namespace ldv {

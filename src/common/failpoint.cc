@@ -22,7 +22,6 @@ constexpr const char* kSiteNames[kSiteCount] = {
     "paged.append",    // kPagedAppend
     "paged.seal",      // kPagedSeal
     "paged.map",       // kPagedMap
-    "page_cache.read", // kPageCacheRead
     "extsort.spill",   // kExtSortSpill
     "extsort.merge",   // kExtSortMerge
     "csv.read",        // kCsvRead

@@ -10,7 +10,7 @@
 
 namespace ldv {
 
-/// Thrown by the deep I/O layers (spill files, page refaults, external
+/// Thrown by the deep I/O layers (spill files, paged columns, external
 /// sort runs) on a syscall failure that cannot be handled in place, and
 /// by armed failpoints simulating one. Caught at exactly two boundaries:
 /// Engine::Run/Execute converts it to PipelineError{kIo} (CLI exit 3),
@@ -35,8 +35,7 @@ enum class Site : int {
   kSpillRead,        ///< SpillFile::Read (pread loop)
   kPagedAppend,      ///< PagedColumn::Append full-page flush
   kPagedSeal,        ///< PagedColumn::Seal tail flush
-  kPagedMap,         ///< PagedColumn::Map (mmap)
-  kPageCacheRead,    ///< PageCache::Pin miss / refault read
+  kPagedMap,         ///< PagedColumn::Seal mmap
   kExtSortSpill,     ///< ExternalSorter sorted-run spill
   kExtSortMerge,     ///< ExternalSorter merge refill read
   kCsvRead,          ///< streaming CSV ingestion row loop

@@ -9,9 +9,10 @@
 
 namespace ldv {
 
-/// Byte-accounting object shared by the paged data plane: the page cache,
-/// the external sorter, and the budget-aware kernel paths all charge their
-/// resident buffers here so one number bounds the engine's working set.
+/// Byte-accounting object shared by the paged data plane: the paged
+/// columns' staging pages, the external sorter, and the budget-aware
+/// kernel paths all charge their resident buffers here so one number
+/// bounds the engine's working set.
 /// A total of 0 means "unlimited" (the in-RAM fast path); accounting is
 /// advisory -- Charge never fails -- and callers size their structures via
 /// remaining() BEFORE allocating, so the budget steers allocation sizes

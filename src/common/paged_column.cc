@@ -11,14 +11,14 @@
 
 namespace ldv {
 
-PagedColumn::PagedColumn(std::unique_ptr<SpillFile> file, PageCache* cache,
+PagedColumn::PagedColumn(std::unique_ptr<SpillFile> file, std::size_t page_bytes,
                          std::shared_ptr<MemoryBudget> budget)
-    : file_(std::move(file)), cache_(cache) {
+    : file_(std::move(file)), page_values_(page_bytes / sizeof(std::uint32_t)) {
   LDIV_CHECK(file_ != nullptr);
-  LDIV_CHECK(cache_ != nullptr);
-  LDIV_CHECK_EQ(page_bytes() % sizeof(std::uint32_t), 0u);
-  staging_.reserve(values_per_page());
-  staging_reservation_ = MemoryReservation(std::move(budget), page_bytes());
+  LDIV_CHECK_GT(page_bytes, 0u);
+  LDIV_CHECK_EQ(page_bytes % sizeof(std::uint32_t), 0u);
+  staging_.reserve(page_values_);
+  staging_reservation_ = MemoryReservation(std::move(budget), page_bytes);
 }
 
 PagedColumn::~PagedColumn() {
@@ -27,26 +27,27 @@ PagedColumn::~PagedColumn() {
 
 void PagedColumn::Append(const std::uint32_t* values, std::size_t count) {
   LDIV_CHECK(!sealed_) << "append to a sealed paged column";
-  const std::size_t per_page = values_per_page();
+  if (count > 0) max_ = std::max(max_, *std::max_element(values, values + count));
   while (count > 0) {
-    const std::size_t take = std::min(count, per_page - staging_.size());
+    const std::size_t take = std::min(count, page_values_ - staging_.size());
     staging_.insert(staging_.end(), values, values + take);
     values += take;
     count -= take;
     size_ += take;
-    if (staging_.size() == per_page) {
+    if (staging_.size() == page_values_) {
       failpoint::Injection injection;
       if (failpoint::Check(failpoint::Site::kPagedAppend, &injection)) {
         throw IoFailure(failpoint::Describe(failpoint::Site::kPagedAppend, injection,
                                             "paged column append failed"));
       }
-      file_->Write(file_->Allocate(page_bytes()), staging_.data(), page_bytes());
+      const std::size_t page_bytes = page_values_ * sizeof(std::uint32_t);
+      file_->Write(file_->Allocate(page_bytes), staging_.data(), page_bytes);
       staging_.clear();
     }
   }
 }
 
-bool PagedColumn::Seal(bool map, std::string* error) {
+bool PagedColumn::Seal(std::string* error) {
   LDIV_CHECK(!sealed_) << "double seal of a paged column";
   if (!staging_.empty()) {
     failpoint::Injection injection;
@@ -56,19 +57,12 @@ bool PagedColumn::Seal(bool map, std::string* error) {
     }
     const std::size_t tail_bytes = staging_.size() * sizeof(std::uint32_t);
     file_->Write(file_->Allocate(tail_bytes), staging_.data(), tail_bytes);
-    staging_.clear();
-    staging_.shrink_to_fit();
   }
+  staging_ = {};
   staging_reservation_.Reset();
   sealed_ = true;
   LDIV_CHECK_EQ(file_->size(), size_ * sizeof(std::uint32_t));
-  if (map) return Map(error);
-  return true;
-}
-
-bool PagedColumn::Map(std::string* error) {
-  LDIV_CHECK(sealed_) << "map of an unsealed column";
-  if (mapped() || size_ == 0) return true;
+  if (size_ == 0) return true;
   failpoint::Injection injection;
   if (failpoint::Check(failpoint::Site::kPagedMap, &injection)) {
     if (error != nullptr) {
@@ -93,99 +87,19 @@ bool PagedColumn::Map(std::string* error) {
 std::span<const std::uint32_t> PagedColumn::mapping() const {
   LDIV_CHECK(sealed_) << "mapping of an unsealed column";
   if (size_ == 0) return {};
-  LDIV_CHECK(mapped()) << "mapping of an unmapped column";
+  LDIV_CHECK(map_addr_ != nullptr) << "mapping of an unmapped column";
   return {static_cast<const std::uint32_t*>(map_addr_), static_cast<std::size_t>(size_)};
-}
-
-std::size_t PagedColumn::PageValidBytes(std::uint64_t page) const {
-  const std::uint64_t total = size_ * sizeof(std::uint32_t);
-  const std::uint64_t start = page * page_bytes();
-  LDIV_CHECK_LT(start, total);
-  return static_cast<std::size_t>(std::min<std::uint64_t>(page_bytes(), total - start));
-}
-
-std::uint32_t PagedColumn::Get(std::uint64_t row) const {
-  LDIV_CHECK(sealed_) << "read of an unsealed column";
-  LDIV_CHECK_LT(row, size_);
-  if (mapped()) return static_cast<const std::uint32_t*>(map_addr_)[row];
-  const std::uint64_t page = row / values_per_page();
-  const std::byte* data = cache_->Pin(*file_, page, PageValidBytes(page));
-  const std::uint32_t value = reinterpret_cast<const std::uint32_t*>(
-      data)[row % values_per_page()];
-  cache_->Unpin(*file_, page);
-  return value;
-}
-
-ColumnCursor::ColumnCursor(const PagedColumn& column, std::uint64_t begin, std::uint64_t end)
-    : column_(&column), pos_(begin), end_(end) {
-  LDIV_CHECK(column.sealed()) << "cursor over an unsealed column";
-  LDIV_CHECK_LE(begin, end);
-  LDIV_CHECK_LE(end, column.size());
-}
-
-ColumnCursor::~ColumnCursor() { ReleasePin(); }
-
-void ColumnCursor::ReleasePin() {
-  if (pinned_) {
-    column_->cache_->Unpin(*column_->file_, pinned_page_);
-    pinned_ = false;
-  }
-}
-
-bool ColumnCursor::Next(std::span<const std::uint32_t>* span) {
-  ReleasePin();
-  if (pos_ >= end_) return false;
-  if (column_->mapped()) {
-    *span = column_->mapping().subspan(static_cast<std::size_t>(pos_),
-                                       static_cast<std::size_t>(end_ - pos_));
-    pos_ = end_;
-    return true;
-  }
-  const std::size_t per_page = column_->values_per_page();
-  const std::uint64_t page = pos_ / per_page;
-  const std::uint64_t page_end = std::min<std::uint64_t>(end_, (page + 1) * per_page);
-  const std::byte* data = column_->cache_->Pin(*column_->file_, page,
-                                               column_->PageValidBytes(page));
-  pinned_ = true;
-  pinned_page_ = page;
-  *span = {reinterpret_cast<const std::uint32_t*>(data) + (pos_ - page * per_page),
-           static_cast<std::size_t>(page_end - pos_)};
-  pos_ = page_end;
-  return true;
-}
-
-const Table& PagedTable::resident() const {
-  LDIV_CHECK(resident_.has_value())
-      << "paged table was built without map_on_seal; no resident view";
-  return *resident_;
-}
-
-std::vector<std::uint32_t> PagedTable::SaHistogramCounts() const {
-  std::vector<std::uint32_t> counts(schema_.sa_domain_size(), 0);
-  ColumnCursor cursor(*sa_column_);
-  std::span<const std::uint32_t> span;
-  while (cursor.Next(&span)) {
-    for (std::uint32_t v : span) counts[v]++;
-  }
-  return counts;
 }
 
 std::unique_ptr<PagedTableBuilder> PagedTableBuilder::Create(std::size_t qi_count,
                                                              const Options& options,
                                                              std::string* error) {
-  LDIV_CHECK_GT(options.page_bytes, 0u);
-  LDIV_CHECK_EQ(options.page_bytes % sizeof(std::uint32_t), 0u);
-  std::unique_ptr<PagedTableBuilder> builder(new PagedTableBuilder(options));
-  builder->cache_ = std::make_unique<PageCache>(PageCacheOptions{
-      .page_bytes = options.page_bytes,
-      .frames = std::max<std::size_t>(options.cache_frames, 1),
-      .budget = options.budget,
-  });
+  std::unique_ptr<PagedTableBuilder> builder(new PagedTableBuilder());
   for (std::size_t a = 0; a <= qi_count; ++a) {
     std::unique_ptr<SpillFile> file = SpillFile::Create(error);
     if (file == nullptr) return nullptr;
-    auto column = std::make_unique<PagedColumn>(std::move(file), builder->cache_.get(),
-                                                options.budget);
+    auto column =
+        std::make_unique<PagedColumn>(std::move(file), options.page_bytes, options.budget);
     if (a < qi_count) {
       builder->qi_columns_.push_back(std::move(column));
     } else {
@@ -212,22 +126,6 @@ void PagedTableBuilder::AppendSaChunk(const SaValue* values, std::size_t count) 
   rows_ += count;
 }
 
-namespace {
-
-/// Max over a sealed column, streamed through the page cache -- the
-/// validation sweep never needs more than one resident page per column.
-std::uint32_t ColumnMax(const PagedColumn& column) {
-  std::uint32_t max_value = 0;
-  ColumnCursor cursor(column);
-  std::span<const std::uint32_t> span;
-  while (cursor.Next(&span)) {
-    for (std::uint32_t v : span) max_value = std::max(max_value, v);
-  }
-  return max_value;
-}
-
-}  // namespace
-
 std::unique_ptr<PagedTable> PagedTableBuilder::Finish(Schema schema, std::string* error) {
   const auto fail = [&](const std::string& reason) -> std::unique_ptr<PagedTable> {
     if (error != nullptr) *error = reason;
@@ -242,47 +140,26 @@ std::unique_ptr<PagedTable> PagedTableBuilder::Finish(Schema schema, std::string
       return fail("ragged paged column '" + schema.qi(static_cast<AttrId>(a)).name + "'");
     }
   }
-  // Seal unmapped first so the validation sweep streams through the page
-  // cache (bounded frames), then map on a second pass for the resident
-  // view once the data is known good.
-  for (std::size_t a = 0; a <= qi_columns_.size(); ++a) {
-    PagedColumn& column = a < qi_columns_.size() ? *qi_columns_[a] : *sa_column_;
-    if (!column.Seal(/*map=*/false, error)) return nullptr;
-  }
-  if (rows_ > 0) {
-    for (std::size_t a = 0; a < qi_columns_.size(); ++a) {
-      const Attribute& attr = schema.qi(static_cast<AttrId>(a));
-      const std::uint32_t max_value = ColumnMax(*qi_columns_[a]);
-      if (max_value >= attr.domain_size) {
-        return fail("column '" + attr.name + "': value " + std::to_string(max_value) +
-                    " outside domain of size " + std::to_string(attr.domain_size));
-      }
-    }
-    const std::uint32_t sa_max = ColumnMax(*sa_column_);
-    if (sa_max >= schema.sa_domain_size()) {
-      return fail("column '" + schema.sensitive().name + "': value " + std::to_string(sa_max) +
-                  " outside domain of size " + std::to_string(schema.sa_domain_size()));
+  // Every column holds its running max, so validation reads no page back.
+  std::vector<std::unique_ptr<PagedColumn>> columns = std::move(qi_columns_);
+  columns.push_back(std::move(sa_column_));
+  for (std::size_t a = 0; a < columns.size(); ++a) {
+    const Attribute& attr =
+        a < schema.qi_count() ? schema.qi(static_cast<AttrId>(a)) : schema.sensitive();
+    if (rows_ > 0 && columns[a]->max() >= attr.domain_size) {
+      return fail("column '" + attr.name + "': value " + std::to_string(columns[a]->max()) +
+                  " outside domain of size " + std::to_string(attr.domain_size));
     }
   }
-  std::unique_ptr<PagedTable> table(new PagedTable());
-  table->schema_ = std::move(schema);
-  table->rows_ = rows_;
-  table->cache_ = std::move(cache_);
-  table->qi_columns_ = std::move(qi_columns_);
-  table->sa_column_ = std::move(sa_column_);
-  if (options_.map_on_seal) {
-    std::vector<std::span<const Value>> qi_spans;
-    qi_spans.reserve(table->qi_columns_.size());
-    for (auto& column : table->qi_columns_) {
-      if (!column->Map(error)) return nullptr;
-      qi_spans.push_back(column->mapping());
-    }
-    if (!table->sa_column_->Map(error)) return nullptr;
-    table->resident_ =
-        Table::FromBorrowedColumns(table->schema_, std::move(qi_spans),
-                                   table->sa_column_->mapping());
+  for (std::unique_ptr<PagedColumn>& column : columns) {
+    if (!column->Seal(error)) return nullptr;
   }
-  return table;
+  std::vector<std::span<const Value>> qi_spans;
+  qi_spans.reserve(schema.qi_count());
+  for (std::size_t a = 0; a < schema.qi_count(); ++a) qi_spans.push_back(columns[a]->mapping());
+  const std::span<const SaValue> sa_span = columns.back()->mapping();
+  Table resident = Table::FromBorrowedColumns(std::move(schema), std::move(qi_spans), sa_span);
+  return std::unique_ptr<PagedTable>(new PagedTable(std::move(columns), std::move(resident)));
 }
 
 }  // namespace ldv

@@ -1,4 +1,4 @@
-#include "common/page_cache.h"
+#include "common/spill_file.h"
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -8,17 +8,11 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/check.h"
 #include "common/failpoint.h"
 
 namespace ldv {
 
 namespace {
-
-std::uint32_t NextSpillId() {
-  static std::atomic<std::uint32_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
 
 // Leak probe: every live SpillFile counts itself here, so tests can
 // assert that an unwound failure released all spill storage.
@@ -94,7 +88,7 @@ std::unique_ptr<SpillFile> SpillFile::Create(std::string* error) {
   // reclaims it when the fd closes -- even if the process crashes.
   ::unlink(pattern.c_str());
   g_live_spill_files.fetch_add(1, std::memory_order_relaxed);
-  return std::unique_ptr<SpillFile>(new SpillFile(fd, NextSpillId(), directory));
+  return std::unique_ptr<SpillFile>(new SpillFile(fd, directory));
 }
 
 std::uint64_t SpillFile::LiveCount() {
@@ -156,99 +150,6 @@ void SpillFile::Read(std::uint64_t offset, void* data, std::size_t bytes) const 
     offset += static_cast<std::uint64_t>(n);
     bytes -= static_cast<std::size_t>(n);
   }
-}
-
-PageCache::PageCache(PageCacheOptions options) : options_(options) {
-  LDIV_CHECK_GT(options_.page_bytes, 0u);
-  LDIV_CHECK_GT(options_.frames, 0u);
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(options_.frames) * options_.page_bytes;
-  reservation_ = MemoryReservation(options_.budget, bytes);
-  storage_.resize(bytes);
-  frames_.resize(options_.frames);
-}
-
-PageCache::~PageCache() = default;
-
-std::size_t PageCache::pinned_frames() const {
-  std::size_t pinned = 0;
-  for (const Frame& frame : frames_) {
-    if (frame.valid && frame.pins > 0) ++pinned;
-  }
-  return pinned;
-}
-
-std::uint64_t PageCache::Key(const SpillFile& file, std::uint64_t page) {
-  LDIV_CHECK_LT(page, 1ull << 40) << "spill page index out of range";
-  return (static_cast<std::uint64_t>(file.id()) << 40) | page;
-}
-
-std::size_t PageCache::EvictFrame() {
-  // First fill frames that have never been used.
-  for (std::size_t i = 0; i < frames_.size(); ++i) {
-    if (!frames_[i].valid) return i;
-  }
-  // CLOCK: sweep for an unpinned frame whose reference bit is clear,
-  // clearing bits as the hand passes. Two full sweeps guarantee progress
-  // unless every frame is pinned, which is a caller bug.
-  for (std::size_t step = 0; step < 2 * frames_.size(); ++step) {
-    Frame& frame = frames_[clock_hand_];
-    const std::size_t index = clock_hand_;
-    clock_hand_ = (clock_hand_ + 1) % frames_.size();
-    if (frame.pins > 0) continue;
-    if (frame.referenced) {
-      frame.referenced = false;
-      continue;
-    }
-    index_.erase(frame.key);
-    evicted_.insert(frame.key);
-    frame.valid = false;
-    ++stats_.evictions;
-    return index;
-  }
-  LDIV_CHECK(false) << "page cache exhausted: all " << frames_.size() << " frames pinned";
-  return 0;
-}
-
-const std::byte* PageCache::Pin(const SpillFile& file, std::uint64_t page,
-                                std::size_t valid_bytes) {
-  LDIV_CHECK_LE(valid_bytes, options_.page_bytes);
-  const std::uint64_t key = Key(file, page);
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    Frame& frame = frames_[it->second];
-    ++frame.pins;
-    ++stats_.hits;
-    return storage_.data() + it->second * options_.page_bytes;
-  }
-  ++stats_.misses;
-  if (evicted_.count(key) > 0) ++stats_.refaults;
-  const std::size_t index = EvictFrame();
-  Frame& frame = frames_[index];
-  std::byte* data = storage_.data() + index * options_.page_bytes;
-  failpoint::Injection injection;
-  if (failpoint::Check(failpoint::Site::kPageCacheRead, &injection)) {
-    // The frame stays invalid (and unindexed), so the cache is intact
-    // after the unwind.
-    throw IoFailure(failpoint::Describe(failpoint::Site::kPageCacheRead, injection,
-                                        "page cache read failed"));
-  }
-  file.Read(page * options_.page_bytes, data, valid_bytes);
-  frame.key = key;
-  frame.pins = 1;
-  frame.referenced = false;
-  frame.valid = true;
-  index_[key] = index;
-  return data;
-}
-
-void PageCache::Unpin(const SpillFile& file, std::uint64_t page) {
-  const auto it = index_.find(Key(file, page));
-  LDIV_CHECK(it != index_.end()) << "unpin of a page that is not cached";
-  Frame& frame = frames_[it->second];
-  LDIV_CHECK_GT(frame.pins, 0u) << "unpin of an unpinned page";
-  --frame.pins;
-  frame.referenced = true;
 }
 
 }  // namespace ldv

@@ -77,8 +77,9 @@ class Table {
   /// one span per QI attribute plus the SA span, all of equal length. The
   /// backing memory must outlive the table and every copy of it. Unlike
   /// FromColumns, values are NOT validated against the schema domains --
-  /// the paged builder validates at seal time with a MinMax pass, and
-  /// re-scanning a multi-gigabyte mapping here would defeat the point.
+  /// the paged builder validates each column's running max before it
+  /// seals, and re-scanning a multi-gigabyte mapping here would defeat
+  /// the point.
   static Table FromBorrowedColumns(Schema schema, std::vector<std::span<const Value>> qi_columns,
                                    std::span<const SaValue> sa_column);
 

@@ -24,11 +24,11 @@ namespace ldv {
 
 namespace {
 
-// Sizes the paged-ingestion machinery from the run's memory budget: the
-// page cache gets roughly a quarter of the budget (clamped to [8, 256]
-// frames) so staging pages, sort buffers, and grouping arenas keep the
-// rest. LDIV_PAGE_BYTES overrides the page size (tests and the CI
-// memory-capped leg set it tiny to force heavy eviction on small inputs).
+// Paged ingestion charges its per-column staging pages to the run's
+// budget and releases them at seal, leaving the whole budget to the sort
+// buffers and grouping arenas. LDIV_PAGE_BYTES overrides the staging and
+// spill page size (tests set it tiny to force page flushes on small
+// inputs).
 PagedTableBuilder::Options PagedOptionsFromBudget(std::shared_ptr<MemoryBudget> budget) {
   PagedTableBuilder::Options paged;
   if (const char* env = std::getenv("LDIV_PAGE_BYTES")) {
@@ -38,8 +38,6 @@ PagedTableBuilder::Options PagedOptionsFromBudget(std::shared_ptr<MemoryBudget> 
       paged.page_bytes = static_cast<std::size_t>(bytes);
     }
   }
-  const std::uint64_t frames = budget->total() / 4 / paged.page_bytes;
-  paged.cache_frames = static_cast<std::size_t>(std::clamp<std::uint64_t>(frames, 8, 256));
   paged.budget = std::move(budget);
   return paged;
 }
@@ -188,9 +186,13 @@ Expected<bool, PipelineError> Engine::MaterializeTables(const ResolvedJobSpec& r
   return true;
 }
 
-std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, Workspace& run,
+std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, const Workspace& run,
                                        JobResult* result) {
   result->artifacts.assign(result->tables.size(), TableArtifacts{});
+  // The builds draw their scratch from a pool of their own, freed on
+  // return: pooled in `run` it would sit idle for the rest of the run,
+  // since a sweep's jobs solve on per-worker workspaces.
+  Workspace build_ws(run.threads(), run.budget());
   std::vector<char> need_grouped(result->tables.size(), 0);
   std::vector<char> need_order(result->tables.size(), 0);
   for (const RunSpec& spec : specs) {
@@ -212,7 +214,7 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, Workspace
 
     if (need_grouped[i] != 0) {
       const std::function<std::shared_ptr<const GroupedTable>()> build = [&] {
-        auto grouped = std::make_shared<GroupedTable>(input.table, &run);
+        auto grouped = std::make_shared<GroupedTable>(input.table, &build_ws);
         // The build may have charged its arenas to THIS run's budget; an
         // artifact that may outlive the run must not carry that charge.
         // The run re-charges the resident bytes with a run-scoped
@@ -230,7 +232,7 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, Workspace
     if (need_order[i] != 0) {
       const std::function<std::shared_ptr<const std::vector<RowId>>()> build = [&] {
         auto order = std::make_shared<std::vector<RowId>>();
-        HilbertComputeOrder(input.table, &run, order.get());
+        HilbertComputeOrder(input.table, &build_ws, order.get());
         return order;
       };
       bool hit = false;

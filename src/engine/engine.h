@@ -142,7 +142,7 @@ class Engine {
   /// when the table is cache-eligible (non-empty cache_key, not paged).
   /// Returns the total resident bytes of the artifacts now pinned by
   /// `result`, so the run can charge them to its budget.
-  std::uint64_t ResolveArtifacts(std::span<const RunSpec> specs, Workspace& run,
+  std::uint64_t ResolveArtifacts(std::span<const RunSpec> specs, const Workspace& run,
                                  JobResult* result);
 
   ContentCache cache_;

@@ -25,7 +25,7 @@
 
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
-#include "common/page_cache.h"
+#include "common/spill_file.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "daemon/protocol.h"

@@ -525,7 +525,7 @@ std::vector<std::string> OutputFiles(const JobSpec& spec, std::size_t jobs) {
 // CSV and synthetic inputs -- must each write exactly the bytes it writes
 // when it runs alone, and report its own thread count.
 TEST(Engine, ConcurrentExecutesMatchTheirSoloRunsByteForByte) {
-  // 4K pages: the paged specs' page caches are small enough to evict.
+  // 4K pages: even the small paged specs flush many pages per column.
   ::setenv("LDIV_PAGE_BYTES", "4096", 1);
   Rng rng(11);
   Table table = testutil::RandomEligibleTable(rng, 2000, {9, 5, 7}, 6, 2);

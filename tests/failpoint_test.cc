@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/memory_budget.h"
-#include "common/page_cache.h"
+#include "common/spill_file.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "daemon/protocol.h"
@@ -127,8 +127,7 @@ TEST_F(FailpointTest, DescribeNamesTheSiteAndTheErrno) {
 
 // A paged Hilbert run that exercises the storage-layer sites: the 8M
 // budget (the smallest ResolveJobSpec accepts) with 4K pages forces
-// paged ingestion with heavy eviction -- spill create/write/read, paged
-// append/seal/map, cache refaults.
+// paged ingestion -- spill create/write, paged append/seal/map.
 JobSpec PagedHilbertSpec() {
   JobSpec spec;
   spec.dataset.name = "sal";
@@ -143,10 +142,11 @@ JobSpec PagedHilbertSpec() {
   return spec;
 }
 
-// Reaches the external-sort sites: 12 bytes/row of Hilbert sort state
-// over 800k rows (9.6M) can never fit the 8M budget, so ComputeOrder is
-// forced onto the external spill+merge path, and 800k records overflow
-// the budget-derived sort buffer into multiple runs.
+// Reaches the external-sort sites and the spill reads, whose only caller
+// is the sort's merge: 12 bytes/row of Hilbert sort state over 800k rows
+// (9.6M) can never fit the 8M budget, so ComputeOrder is forced onto the
+// external spill+merge path, and 800k records overflow the
+// budget-derived sort buffer into multiple runs.
 JobSpec SortHeavySpec() {
   JobSpec spec = PagedHilbertSpec();
   spec.ns = {800000};
@@ -233,12 +233,12 @@ TEST_F(FailpointTest, MatrixEveryEngineSiteSurfacesAsTypedIoError) {
   // Which driver reaches which site. Enumerated over the full registry so
   // a future site cannot be added without a matrix entry.
   std::map<Site, const JobSpec*> drivers = {
-      {Site::kSpillCreate, &paged},  {Site::kSpillWrite, &paged},
-      {Site::kSpillRead, &paged},    {Site::kPagedAppend, &paged},
-      {Site::kPagedSeal, &paged},    {Site::kPagedMap, &paged},
-      {Site::kPageCacheRead, &paged}, {Site::kExtSortSpill, &extsort},
-      {Site::kExtSortMerge, &extsort}, {Site::kCsvRead, &csv},
-      {Site::kReportWrite, &report}, {Site::kReleaseWrite, &report},
+      {Site::kSpillCreate, &paged},     {Site::kSpillWrite, &paged},
+      {Site::kSpillRead, &extsort},     {Site::kPagedAppend, &paged},
+      {Site::kPagedSeal, &paged},       {Site::kPagedMap, &paged},
+      {Site::kExtSortSpill, &extsort},  {Site::kExtSortMerge, &extsort},
+      {Site::kCsvRead, &csv},           {Site::kReportWrite, &report},
+      {Site::kReleaseWrite, &report},
   };
   const std::vector<Site> daemon_sites = {Site::kDaemonAccept, Site::kDaemonRead,
                                           Site::kDaemonWrite};

@@ -139,7 +139,7 @@ LDIV_PAGE_BYTES=4096 "$BIN" --algo=all --l=2 --input="$INPUT" --schema="$SCHEMA"
   --out="$TMP/csvbud" 2> /dev/null
 # Synthetic table big enough that the 8M budget cannot hold the grouping
 # scratch (32n = 12.8M): the GroupedTable build streams through the
-# external sorter and ingestion goes through the page cache.
+# external sorter and ingestion goes through paged columns.
 "$BIN" --algo=all --l=4 --n=400000 --d=3 --sweep --write-releases \
   --no-timings --out="$TMP/bigref" 2> /dev/null
 LDIV_PAGE_BYTES=4096 "$BIN" --algo=all --l=4 --n=400000 --d=3 --sweep \
@@ -162,6 +162,29 @@ for pair in "csvref csvbud" "bigref bigbud"; do
   done
   echo "ok: $1 == $2"
 done
+# A bad code fails a paged load exactly as it fails an in-RAM one: exit 3
+# and the parser's "FILE:LINE: column C: ..." line. At ~1.4 MB the CSV's
+# in-RAM estimate (2x its size) is over a quarter of 8M, so it pages; an
+# armed spill.create proves that the budgeted run takes the paged loader.
+awk 'BEGIN {
+  print "Age,Gender,Race,Income"
+  for (r = 0; r < 145000; r++) {
+    printf "%d,%d,%d,%d\n", r % 79, r % 2, (r == 100000 ? 9 : r % 9), r % 50
+  }
+}' > "$TMP/badcode.csv"
+BAD_LINE="badcode.csv:100002: column 3: value 9 is outside the domain [0, 9) of attribute 'Race'"
+for budget in 0 8M; do
+  got=0
+  "$BIN" --algo=tp --l=2 --input="$TMP/badcode.csv" --schema="$SCHEMA" \
+    --memory-budget="$budget" --out="$TMP/x" > /dev/null 2> "$TMP/badcode_$budget.err" || got=$?
+  [ "$got" -eq 3 ] && grep -qF "$BAD_LINE" "$TMP/badcode_$budget.err" ||
+    { echo "FAIL: bad code at budget $budget: exit $got"; cat "$TMP/badcode_$budget.err"; exit 1; }
+done
+LDIV_FAILPOINT=spill.create=ENOSPC "$BIN" --algo=tp --l=2 --input="$TMP/badcode.csv" \
+  --schema="$SCHEMA" --memory-budget=8M --out="$TMP/x" > /dev/null 2> "$TMP/badcode.err" || true
+grep -q "failpoint spill.create" "$TMP/badcode.err" ||
+  { echo "FAIL: the 8M bad-code run did not page"; cat "$TMP/badcode.err"; exit 1; }
+echo "ok: a paged bad code fails like an in-RAM one"
 
 fi  # LDIV_E2E_ONLY != threads
 

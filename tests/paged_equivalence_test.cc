@@ -1,9 +1,9 @@
 // Byte-identity gate for the out-of-core engine: everything the paged
 // data plane touches -- streamed ingestion (CSV and synthetic), the
 // chunked GroupedTable build, the external Hilbert order, and the full
-// six-algorithm pipeline under a tight memory budget with heavy page
-// eviction -- must reproduce the in-RAM results bit for bit. The budget
-// may only change WHERE bytes live, never WHICH bytes come out.
+// six-algorithm pipeline under a tight memory budget over tiny pages --
+// must reproduce the in-RAM results bit for bit. The budget may only
+// change WHERE bytes live, never WHICH bytes come out.
 
 #include <gtest/gtest.h>
 
@@ -34,12 +34,11 @@ class PagedEquivalence : public ::testing::Test {
   void TearDown() override { SetMemoryBudget(0); }
 };
 
-// Tiny pages and few frames: even small test tables span many pages and
-// the bounded cache must evict constantly.
+// Tiny pages: even small test tables span many pages, so every column
+// flushes pages and seals a ragged tail.
 PagedTableBuilder::Options TinyPages() {
   PagedTableBuilder::Options options;
   options.page_bytes = 4096;
-  options.cache_frames = 8;
   options.budget = GlobalMemoryBudgetShared();
   return options;
 }
@@ -86,7 +85,6 @@ TEST_F(PagedEquivalence, GeneratorPagedMatchesInRam) {
       ASSERT_TRUE(expected.has_value()) << error;
       std::unique_ptr<PagedTable> paged = GenerateDatasetPaged(spec, TinyPages(), &error);
       ASSERT_NE(paged, nullptr) << error;
-      ASSERT_TRUE(paged->has_resident());
       ExpectSameTable(*expected, paged->resident());
     }
   }
@@ -140,12 +138,11 @@ TEST_F(PagedEquivalence, AllAlgorithmsByteIdenticalUnderTightBudget) {
 
   // 256 KiB budget: far below the 32n sharded-grouping scratch (960 KB)
   // and the 12n Hilbert code buffer (360 KB), so every budget-aware
-  // dispatch takes its streaming path, over a paged table whose 8-frame
-  // 4 KiB-page cache evicted heavily during ingestion validation.
+  // dispatch takes its streaming path, over a paged table ingested
+  // through 4 KiB pages.
   SetMemoryBudget(256u << 10);
   std::unique_ptr<PagedTable> paged = GenerateDatasetPaged(spec, TinyPages(), &error);
   ASSERT_NE(paged, nullptr) << error;
-  EXPECT_GT(paged->cache().stats().evictions, 0u);
   const Table& table = paged->resident();
 
   Workspace ws;

@@ -1,22 +1,21 @@
 // Unit tests of the out-of-core building blocks: byte-size parsing and
-// the MemoryBudget accounting, SpillFile round trips, PageCache
-// pin/evict/refault behavior, PagedColumn staging + cursor spans, the
-// PagedTableBuilder -> Table bridge, and ExternalSorter ordering on both
-// the in-RAM fast path and forced multi-run spills.
+// the MemoryBudget accounting, SpillFile round trips, PagedColumn page
+// staging + sealed mapping, the PagedTableBuilder -> Table bridge and its
+// budget release, and ExternalSorter ordering on both the in-RAM fast
+// path and forced multi-run spills.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <numeric>
 #include <vector>
 
 #include "common/external_sort.h"
 #include "common/memory_budget.h"
-#include "common/page_cache.h"
 #include "common/paged_column.h"
 #include "common/rng.h"
+#include "common/spill_file.h"
 #include "test_util.h"
 
 namespace ldv {
@@ -145,106 +144,18 @@ TEST(SpillFile, AllocateWriteReadRoundTrip) {
   back.resize(50);
   file->Read(off_b, back.data(), back.size() * sizeof(std::uint32_t));
   EXPECT_EQ(back, b);
-
-  // Ids are process-unique so the page cache can key frames by (id, page).
-  std::unique_ptr<SpillFile> other = SpillFile::Create(&error);
-  ASSERT_NE(other, nullptr) << error;
-  EXPECT_NE(file->id(), other->id());
 }
 
-// Writes `pages` pages of 16 u32s each, page p filled with p * 1000 + i.
-std::unique_ptr<SpillFile> MakePagedFile(std::size_t pages, std::size_t page_bytes) {
-  std::string error;
-  std::unique_ptr<SpillFile> file = SpillFile::Create(&error);
-  EXPECT_NE(file, nullptr) << error;
-  const std::size_t per_page = page_bytes / sizeof(std::uint32_t);
-  for (std::size_t p = 0; p < pages; ++p) {
-    std::vector<std::uint32_t> data(per_page);
-    for (std::size_t i = 0; i < per_page; ++i) {
-      data[i] = static_cast<std::uint32_t>(p * 1000 + i);
-    }
-    file->Write(file->Allocate(page_bytes), data.data(), page_bytes);
-  }
-  return file;
-}
-
-TEST(PageCache, PinsHitAndMiss) {
-  constexpr std::size_t kPageBytes = 64;
-  std::unique_ptr<SpillFile> file = MakePagedFile(4, kPageBytes);
-  auto budget = std::make_shared<MemoryBudget>(1 << 20);
-  PageCache cache({kPageBytes, 4, budget});
-  EXPECT_EQ(budget->used(), 4 * kPageBytes);  // frames charged up front
-
-  const std::byte* p0 = cache.Pin(*file, 0, kPageBytes);
-  std::uint32_t value = 0;
-  std::memcpy(&value, p0, sizeof(value));
-  EXPECT_EQ(value, 0u);
-  std::memcpy(&value, p0 + 4, sizeof(value));
-  EXPECT_EQ(value, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.pinned_frames(), 1u);
-
-  // Nested pin of the same page: a hit, still one frame.
-  const std::byte* again = cache.Pin(*file, 0, kPageBytes);
-  EXPECT_EQ(again, p0);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.pinned_frames(), 1u);
-  cache.Unpin(*file, 0);
-  EXPECT_EQ(cache.pinned_frames(), 1u);  // one pin still outstanding
-  cache.Unpin(*file, 0);
-  EXPECT_EQ(cache.pinned_frames(), 0u);
-
-  // An unpinned page stays resident: re-pinning is a hit, not a re-read.
-  cache.Pin(*file, 0, kPageBytes);
-  EXPECT_EQ(cache.stats().hits, 2u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-  cache.Unpin(*file, 0);
-}
-
-TEST(PageCache, EvictsUnpinnedFramesAndCountsRefaults) {
-  constexpr std::size_t kPageBytes = 64;
-  std::unique_ptr<SpillFile> file = MakePagedFile(8, kPageBytes);
-  PageCache cache({kPageBytes, 2, nullptr});
-
-  // Touch 8 pages through 2 frames: 8 misses, 6 evictions.
-  for (std::uint64_t p = 0; p < 8; ++p) {
-    const std::byte* data = cache.Pin(*file, p, kPageBytes);
-    std::uint32_t value = 0;
-    std::memcpy(&value, data, sizeof(value));
-    EXPECT_EQ(value, static_cast<std::uint32_t>(p * 1000));
-    cache.Unpin(*file, p);
-  }
-  EXPECT_EQ(cache.stats().misses, 8u);
-  EXPECT_EQ(cache.stats().evictions, 6u);
-  EXPECT_EQ(cache.stats().refaults, 0u);
-
-  // Page 0 was evicted long ago; touching it again is a refault.
-  cache.Pin(*file, 0, kPageBytes);
-  cache.Unpin(*file, 0);
-  EXPECT_EQ(cache.stats().refaults, 1u);
-
-  // A pinned frame is never evicted: pin page 0, then stream the rest --
-  // its bytes must stay valid throughout.
-  const std::byte* pinned = cache.Pin(*file, 0, kPageBytes);
-  for (std::uint64_t p = 1; p < 8; ++p) {
-    cache.Pin(*file, p, kPageBytes);
-    cache.Unpin(*file, p);
-  }
-  std::uint32_t value = 0;
-  std::memcpy(&value, pinned + 4, sizeof(value));
-  EXPECT_EQ(value, 1u);
-  cache.Unpin(*file, 0);
-}
-
-TEST(PagedColumn, AppendsAcrossPageBoundariesAndServesCursorSpans) {
+TEST(PagedColumn, AppendsAcrossPageBoundariesAndSealsToOneMapping) {
   constexpr std::size_t kPageBytes = 64;  // 16 values per page
   auto budget = std::make_shared<MemoryBudget>(1 << 20);
-  PageCache cache({kPageBytes, 2, budget});
   std::string error;
   std::unique_ptr<SpillFile> file = SpillFile::Create(&error);
   ASSERT_NE(file, nullptr) << error;
+  const SpillFile* spill = file.get();
 
-  PagedColumn column(std::move(file), &cache, budget);
+  PagedColumn column(std::move(file), kPageBytes, budget);
+  EXPECT_EQ(budget->used(), kPageBytes);  // the one staging page
   // 41 values: two full pages plus a 9-value tail, fed in ragged chunks.
   std::vector<std::uint32_t> values(41);
   for (std::size_t i = 0; i < values.size(); ++i) values[i] = static_cast<std::uint32_t>(i * 3);
@@ -252,42 +163,15 @@ TEST(PagedColumn, AppendsAcrossPageBoundariesAndServesCursorSpans) {
   column.Append(values.data() + 10, 25);
   for (std::size_t i = 35; i < values.size(); ++i) column.Append(values[i]);
   EXPECT_EQ(column.size(), values.size());
+  EXPECT_EQ(column.max(), 120u);
+  EXPECT_EQ(spill->size(), 2 * kPageBytes);  // full pages wrote through
 
-  ASSERT_TRUE(column.Seal(/*map=*/false, &error)) << error;
-  EXPECT_EQ(column.page_count(), 3u);
-  EXPECT_FALSE(column.mapped());
-
-  // Random access.
-  EXPECT_EQ(column.Get(0), 0u);
-  EXPECT_EQ(column.Get(16), 48u);
-  EXPECT_EQ(column.Get(40), 120u);
-
-  // Full-range cursor: three spans of 16 / 16 / 9 values.
-  ColumnCursor cursor(column);
-  std::vector<std::uint32_t> streamed;
-  std::vector<std::size_t> span_sizes;
-  std::span<const std::uint32_t> span;
-  while (cursor.Next(&span)) {
-    span_sizes.push_back(span.size());
-    streamed.insert(streamed.end(), span.begin(), span.end());
-  }
-  EXPECT_EQ(span_sizes, (std::vector<std::size_t>{16, 16, 9}));
-  EXPECT_EQ(streamed, values);
-  EXPECT_EQ(cache.pinned_frames(), 0u);  // cursor released its pin
-
-  // Sub-range cursor starting mid-page.
-  ColumnCursor sub(column, 5, 20);
-  streamed.clear();
-  while (sub.Next(&span)) streamed.insert(streamed.end(), span.begin(), span.end());
-  EXPECT_EQ(streamed, std::vector<std::uint32_t>(values.begin() + 5, values.begin() + 20));
-
-  // Mapping the sealed column turns the cursor into one whole-range span.
-  ASSERT_TRUE(column.Map(&error)) << error;
-  ColumnCursor mapped(column);
-  ASSERT_TRUE(mapped.Next(&span));
-  EXPECT_EQ(span.size(), values.size());
-  EXPECT_FALSE(mapped.Next(&span));
-  EXPECT_TRUE(std::equal(span.begin(), span.end(), values.begin()));
+  // Sealing flushes the tail, releases the staging page, and maps the
+  // whole column as one span across the page boundaries.
+  ASSERT_TRUE(column.Seal(&error)) << error;
+  EXPECT_EQ(spill->size(), values.size() * sizeof(std::uint32_t));
+  EXPECT_EQ(budget->used(), 0u);
+  EXPECT_TRUE(std::ranges::equal(column.mapping(), values));
 }
 
 TEST(PagedTableBuilder, FinishedTableMatchesInRamTable) {
@@ -296,7 +180,6 @@ TEST(PagedTableBuilder, FinishedTableMatchesInRamTable) {
 
   PagedTableBuilder::Options options;
   options.page_bytes = 256;  // tiny pages: every column spans many pages
-  options.cache_frames = 8;
   std::string error;
   std::unique_ptr<PagedTableBuilder> builder =
       PagedTableBuilder::Create(expected.qi_count(), options, &error);
@@ -306,7 +189,6 @@ TEST(PagedTableBuilder, FinishedTableMatchesInRamTable) {
   }
   std::unique_ptr<PagedTable> paged = builder->Finish(expected.schema(), &error);
   ASSERT_NE(paged, nullptr) << error;
-  ASSERT_TRUE(paged->has_resident());
 
   const Table& resident = paged->resident();
   EXPECT_TRUE(resident.borrowed());
@@ -316,17 +198,39 @@ TEST(PagedTableBuilder, FinishedTableMatchesInRamTable) {
     EXPECT_TRUE(std::ranges::equal(resident.column(a), expected.column(a))) << "attr " << a;
   }
   EXPECT_TRUE(std::ranges::equal(resident.sa_column(), expected.sa_column()));
-  EXPECT_EQ(paged->SaHistogramCounts(), expected.SaHistogramCounts());
+}
+
+// The staging pages are the builder's only budget charge, and each is
+// released as its column seals: a finished table leaves the whole budget
+// to the solvers' budget-steered paths.
+TEST(PagedTableBuilder, FinishLeavesTheWholeBudgetToTheSolvers) {
+  Rng rng(5);
+  Table expected = testutil::RandomEligibleTable(rng, 2000, {16, 8, 5}, 6, 2);
+  auto budget = std::make_shared<MemoryBudget>(8u << 20);
+  PagedTableBuilder::Options options;
+  options.page_bytes = 256;
+  options.budget = budget;
+  std::string error;
+  std::unique_ptr<PagedTableBuilder> builder =
+      PagedTableBuilder::Create(expected.qi_count(), options, &error);
+  ASSERT_NE(builder, nullptr) << error;
+  for (RowId r = 0; r < expected.size(); ++r) {
+    builder->AppendRow(expected.qi_row(r), expected.sa(r));
+  }
+  std::unique_ptr<PagedTable> paged = builder->Finish(expected.schema(), &error);
+  ASSERT_NE(paged, nullptr) << error;
+  EXPECT_EQ(budget->used(), 0u);
+  EXPECT_EQ(budget->remaining(), budget->total());
+  EXPECT_EQ(budget->peak(), (expected.qi_count() + 1) * options.page_bytes);
 }
 
 TEST(PagedTableBuilder, ValidationRejectsOutOfDomainAndRaggedColumns) {
   Schema schema = testutil::MakeSchema({4, 3}, 2);
   PagedTableBuilder::Options options;
   options.page_bytes = 64;
-  options.cache_frames = 4;
   std::string error;
 
-  // Out-of-domain QI value, detected by the streamed validation sweep.
+  // Out-of-domain QI value, caught by the column's running max.
   std::unique_ptr<PagedTableBuilder> builder = PagedTableBuilder::Create(2, options, &error);
   ASSERT_NE(builder, nullptr) << error;
   for (int i = 0; i < 50; ++i) {
@@ -335,6 +239,17 @@ TEST(PagedTableBuilder, ValidationRejectsOutOfDomainAndRaggedColumns) {
   }
   EXPECT_EQ(builder->Finish(schema, &error), nullptr);
   EXPECT_NE(error.find("A1"), std::string::npos) << error;
+
+  // Out-of-domain SA value, fed through the chunked path.
+  builder = PagedTableBuilder::Create(2, options, &error);
+  ASSERT_NE(builder, nullptr) << error;
+  const Value ones[3] = {1, 1, 1};
+  const SaValue bad_sa[3] = {0, 5, 1};
+  builder->AppendQiChunk(0, ones, 3);
+  builder->AppendQiChunk(1, ones, 3);
+  builder->AppendSaChunk(bad_sa, 3);
+  EXPECT_EQ(builder->Finish(schema, &error), nullptr);
+  EXPECT_EQ(error, "column 'B': value 5 outside domain of size 2");
 
   // Ragged columns (chunked feeding left one column short).
   builder = PagedTableBuilder::Create(2, options, &error);
