@@ -272,21 +272,20 @@ void BM_KlMultiDimColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_KlMultiDimColumnar)->Name("kl_multidim_columnar")->Arg(10000)->Arg(100000);
 
-// Cache-blocking sweep of the KL term staging (KlTuning::block_rows) on
-// the heaviest estimator workload. The committed kKlBlockRows default was
-// picked from this series; it stays registered so any future change to
-// the staging layout re-measures the same points.
-void BM_KlBlock(benchmark::State& state) {
-  const Table& t = SizedSal7(100000);
-  MondrianResult mondrian = MondrianAnonymize(t, 6);
-  KlTuning tuning;
-  tuning.block_rows = static_cast<std::size_t>(state.range(0));
+// Suppression KL over a release with many star masks: Hilbert at l = 2 on
+// the full-width SAL table publishes all 128 masks of its 7 QIs, so every
+// distinct point probes 128 mask buckets. (`kl_suppression` runs TP's
+// release, which has two masks, and never exercises that loop.)
+void BM_KlSuppressionMasks(benchmark::State& state) {
+  const Table& t = SizedSal7(static_cast<std::size_t>(state.range(0)));
+  HilbertResult hilbert = HilbertAnonymize(t, 2);
+  GeneralizedTable generalized(t, hilbert.partition);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(KlDivergenceMultiDim(t, mondrian.generalization, tuning));
+    benchmark::DoNotOptimize(KlDivergenceSuppression(t, generalized));
   }
   state.SetItemsProcessed(state.iterations() * t.size());
 }
-BENCHMARK(BM_KlBlock)->Name("kl_block")->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_KlSuppressionMasks)->Name("kl_suppression_masks")->Arg(10000)->Arg(100000);
 
 // ---- Out-of-core series ----
 //
@@ -473,13 +472,11 @@ void RegisterBenchFields() {
     fields[series("kl_multidim")] = {n, 4, 1, ActiveSimd()};
     fields[series("grouping_columnar")] = {n, 7, 1, ActiveSimd()};
     fields[series("kl_multidim_columnar")] = {n, 7, 1, ActiveSimd()};
+    fields[series("kl_suppression_masks")] = {n, 7, 1, ActiveSimd()};
     fields[series("ingest_stream")] = {n, 7, 1, ActiveSimd()};
     fields[series("grouping_paged")] = {n, 7, 1, ActiveSimd()};
     fields[series("sweep_cached")] = {n, 4, 1, ActiveSimd()};
     fields[series("grouping_artifact_hit")] = {n, 4, 1, ActiveSimd()};
-  }
-  for (const char* name : {"kl_block/1024", "kl_block/4096", "kl_block/16384"}) {
-    fields[name] = {100000, 7, 1, ActiveSimd()};
   }
   fields["BM_GroupedTableConstruction"] = {50000, 4, 1, ActiveSimd()};
   for (const char* name : {"BM_TpSolveFromGroups/2", "BM_TpSolveFromGroups/6",

@@ -47,7 +47,7 @@ void GatherU32Scalar(const std::uint32_t* values, const std::uint32_t* idx, std:
 
 std::size_t StabCandidatesScalar(const std::uint32_t* candidates, std::size_t n,
                                  const std::uint32_t* point, const std::uint32_t* const* lo,
-                                 const std::uint32_t* const* hi, std::size_t d, bool first_only,
+                                 const std::uint32_t* const* hi, std::size_t d,
                                  std::uint32_t* hits) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -60,10 +60,7 @@ std::size_t StabCandidatesScalar(const std::uint32_t* candidates, std::size_t n,
         break;
       }
     }
-    if (inside) {
-      hits[count++] = g;
-      if (first_only) break;
-    }
+    if (inside) hits[count++] = g;
   }
   return count;
 }
@@ -225,9 +222,8 @@ void GatherU32(const std::uint32_t* values, const std::uint32_t* idx, std::size_
 
 std::size_t StabCandidates(const std::uint32_t* candidates, std::size_t n,
                            const std::uint32_t* point, const std::uint32_t* const* lo,
-                           const std::uint32_t* const* hi, std::size_t d, bool first_only,
-                           std::uint32_t* hits) {
-  return Active().stab_candidates(candidates, n, point, lo, hi, d, first_only, hits);
+                           const std::uint32_t* const* hi, std::size_t d, std::uint32_t* hits) {
+  return Active().stab_candidates(candidates, n, point, lo, hi, d, hits);
 }
 
 void KlAccumulate(const double* count, const double* fstar_n, double n, std::size_t len,

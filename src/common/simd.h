@@ -72,15 +72,13 @@ void GatherU32(const std::uint32_t* values, const std::uint32_t* idx, std::size_
 /// g = candidates[i] (in ascending i order), tests
 ///   point[a] >= lo[a][g] && point[a] < hi[a][g]   for a in [1, d)
 /// (attribute 0 is pre-filtered by the caller's inverted index) and
-/// appends g to `hits`. Returns the number of hits; stops after the first
-/// hit when `first_only` (disjoint tilings contain each point at most
-/// once). `hits` must have room for n entries. All coordinates and bounds
-/// must be below 2^31 (attribute domains are categorical codes, far below;
-/// the AVX2 path compares as signed 32-bit).
+/// appends g to `hits`. Returns the number of hits. `hits` must have room
+/// for n entries. All coordinates and bounds must be below 2^31 (attribute
+/// domains are categorical codes, far below; the AVX2 path compares as
+/// signed 32-bit).
 std::size_t StabCandidates(const std::uint32_t* candidates, std::size_t n,
                            const std::uint32_t* point, const std::uint32_t* const* lo,
-                           const std::uint32_t* const* hi, std::size_t d, bool first_only,
-                           std::uint32_t* hits);
+                           const std::uint32_t* const* hi, std::size_t d, std::uint32_t* hits);
 
 /// The KL term accumulation: for i in [0, len),
 ///   term_i = (count[i] / n) * log(count[i] / fstar_n[i])
@@ -121,7 +119,7 @@ struct Kernels {
   void (*gather_u32)(const std::uint32_t*, const std::uint32_t*, std::size_t, std::uint32_t*);
   std::size_t (*stab_candidates)(const std::uint32_t*, std::size_t, const std::uint32_t*,
                                  const std::uint32_t* const*, const std::uint32_t* const*,
-                                 std::size_t, bool, std::uint32_t*);
+                                 std::size_t, std::uint32_t*);
   void (*kl_accumulate)(const double*, const double*, double, std::size_t, double[4]);
   void (*hilbert_encode_block)(const std::uint32_t* const*, std::size_t, std::uint32_t,
                                std::uint32_t, std::size_t, std::size_t, std::uint64_t*);

@@ -67,7 +67,7 @@ void StrideAccumulateSse2(std::uint64_t* acc, const std::uint32_t* col, std::uin
 // movemask in ascending candidate order.
 std::size_t StabCandidatesSse2(const std::uint32_t* candidates, std::size_t n,
                                const std::uint32_t* point, const std::uint32_t* const* lo,
-                               const std::uint32_t* const* hi, std::size_t d, bool first_only,
+                               const std::uint32_t* const* hi, std::size_t d,
                                std::uint32_t* hits) {
   const __m128i ones = _mm_set1_epi32(-1);
   std::size_t count = 0;
@@ -93,7 +93,6 @@ std::size_t StabCandidatesSse2(const std::uint32_t* candidates, std::size_t n,
     while (m != 0) {
       const int j = __builtin_ctz(static_cast<unsigned>(m));
       hits[count++] = candidates[i + static_cast<std::size_t>(j)];
-      if (first_only) return count;
       m &= m - 1;
     }
   }
@@ -107,10 +106,7 @@ std::size_t StabCandidatesSse2(const std::uint32_t* candidates, std::size_t n,
         break;
       }
     }
-    if (inside) {
-      hits[count++] = g;
-      if (first_only) break;
-    }
+    if (inside) hits[count++] = g;
   }
   return count;
 }

@@ -83,9 +83,13 @@ std::optional<PipelineError> CheckSchemaLimits(const JobSpec& spec, const Engine
                       input.source + ": the QI domains exceed the 64-bit cell ids of TDS");
   }
   if (spec.compute_kl && !KlPointIdsFit(schema)) {
-    return UsageError(field, input.source +
-                                 ": the QI and SA domains exceed the 64-bit point ids of the KL "
-                                 "estimate; --kl=false skips it and lifts this limit");
+    const std::string limit =
+        schema.qi_count() > 64
+            ? std::to_string(schema.qi_count()) +
+                  " QI attributes exceed the 64-bit star masks of the KL estimate"
+            : "the QI and SA domains exceed the 64-bit point ids of the KL estimate";
+    return UsageError(field, input.source + ": " + limit +
+                                 "; --kl=false skips it and lifts this limit");
   }
   return std::nullopt;
 }

@@ -9,32 +9,11 @@
 
 namespace ldv {
 
-/// Tuning knobs of the parallel KL estimators. Every field is a pure
-/// performance parameter: the estimators' chunk geometry and combine order
-/// are functions of these values alone, so two runs with the same tuning
-/// produce bit-identical doubles at every thread count and SIMD level --
-/// but changing a value changes where the partial sums break and therefore
-/// the last-bit rounding. Callers that compare KL values across runs must
-/// compare runs with the same tuning (the defaults, for every production
-/// call site).
-struct KlTuning {
-  /// Distinct points per parallel chunk; 0 = the tuned default. The
-  /// default ParallelReduce grain heuristic targets cheap per-item work,
-  /// but a multi-dim KL point costs hundreds of box probes, so the right
-  /// grain here is much smaller than for the scan-like kernels.
-  std::size_t point_grain = 0;
-  /// Rows per KL accumulation block (term staging for the SIMD
-  /// p*log(p/q) kernel, used by the multi-dimensional estimator; the
-  /// suppression estimator folds inline -- its points are too cheap for
-  /// staging to pay); 0 = the tuned default. Rounded up to a multiple of
-  /// 4 so the virtual-lane assignment never depends on the block size.
-  std::size_t block_rows = 0;
-};
-
 /// Whether the estimators' packed data-point ids -- a mixed radix over
-/// every QI domain and then the SA domain -- fit in 64 bits for `schema`.
-/// Every estimator CHECKs it; front-ends test it first, so a schema past
-/// the limit is a usage error (skipping the KL estimate lifts the limit).
+/// every QI domain and then the SA domain -- fit in 64 bits for `schema`,
+/// and its QIs fit the suppression estimator's 64-bit star masks. Every
+/// estimator CHECKs it; front-ends test it first, so a schema past the
+/// limit is a usage error (skipping the KL estimate lifts the limit).
 bool KlPointIdsFit(const Schema& schema);
 
 /// KL-divergence KL(f, f*) of Section 6.2 (Equation 2) between the pdf f of
@@ -43,15 +22,16 @@ bool KlPointIdsFit(const Schema& schema);
 /// treated as uniform over the whole attribute domain, a retained value as a
 /// point mass; SA values are never generalized.
 ///
-/// Exact computation in O(n * 2^d): the groups of T* are bucketed by their
-/// star mask (at most 2^d masks), and f*(p) is assembled per distinct data
-/// point by one lookup per mask.
+/// Exact computation in O(n * B) for B distinct star masks (B <= 2^d and
+/// B <= the group count): the groups of T* are bucketed by their star
+/// mask, and f*(p) sums one hash lookup per mask bucket for each distinct
+/// data point, probed bucket by bucket.
 ///
 /// Every estimator draws its scratch from `workspace` and fans out to its
 /// threads() when one is supplied (a solve passes its own, so a one-thread
 /// job's KL stays on its thread); null means a default workspace.
 double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized,
-                               const KlTuning& tuning = {}, Workspace* workspace = nullptr);
+                               Workspace* workspace = nullptr);
 
 /// KL-divergence for a single-dimensional generalization: each tuple is
 /// uniform over its cell (the product of its published sub-domains). Cells
@@ -60,11 +40,15 @@ double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& 
                              Workspace* workspace = nullptr);
 
 /// KL-divergence for a multi-dimensional generalization: each tuple is
-/// uniform over its group's box; boxes may overlap (Section 2), so f*(p)
-/// sums contributions from every box containing p. Candidate boxes per
-/// point are pruned through an inverted index on the first QI attribute.
+/// uniform over its group's box. When the boxes tile the space
+/// (gen.tiling(), as Mondrian's do) the only box containing p is the box
+/// of its own rows' group, so f*(p) is read from that group in one pass
+/// over the release: O(n * d) time, O(n + m) memory. Otherwise boxes may
+/// overlap (Section 2) and f*(p) sums every box containing p, found by
+/// stabbing an inverted index on the first QI attribute: O(groups * m)
+/// memory and up to O(points * groups) box probes.
 double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
-                            const KlTuning& tuning = {}, Workspace* workspace = nullptr);
+                            Workspace* workspace = nullptr);
 
 /// KL-divergence for an Anatomy release (QI table published exactly, SA
 /// linked only through l-diverse buckets): the adversary's density at point

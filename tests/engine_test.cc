@@ -475,6 +475,53 @@ TEST(EngineSchemaLimits, SixtyFiveQisAreAUsageErrorForTheHilbertOrder) {
   std::remove(path.c_str());
 }
 
+TEST(EngineSchemaLimits, TwentyOneQisRunTheSuppressionKlInsteadOfAborting) {
+  // 21 two-label QIs: the points fit in 64 bits, but the suppression
+  // estimator's star masks used to stop at 20 QIs and abort the process.
+  const std::string path = testing::TempDir() + "engine_raw21.csv";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    for (std::size_t a = 0; a < 21; ++a) std::fprintf(f, "q%zu,", a);
+    std::fprintf(f, "sa\n");
+    for (std::size_t r = 0; r < 60; ++r) {
+      for (std::size_t a = 0; a < 21; ++a) std::fprintf(f, "%s,", (r >> (a % 6)) & 1 ? "y" : "n");
+      std::fprintf(f, "s%zu\n", r % 3);
+    }
+    std::fclose(f);
+  }
+  Engine engine;
+  for (Algorithm algorithm : {Algorithm::kTp, Algorithm::kHilbert}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    JobSpec spec;
+    spec.input = path;
+    spec.algorithms = {algorithm};
+    spec.timings = false;
+    Expected<JobResult, PipelineError> run = engine.Run(spec);
+    ASSERT_TRUE(run.ok()) << run.error().message;
+    ASSERT_TRUE(run->jobs[0].outcome.feasible);
+    EXPECT_GE(run->jobs[0].outcome.kl_divergence, 0.0);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(EngineSchemaLimits, SixtyFiveQisOfDomainOneAreAKlUsageError) {
+  // 65 QIs of domain 1 pack into tiny point ids, but not into the
+  // suppression estimator's 64-bit star masks: a usage error that
+  // --kl=false lifts, never an abort.
+  const std::vector<std::size_t> domains(65, 1);
+  const std::string path = WriteWideCodedCsv("engine_unary65.csv", domains, 2, 40);
+  Engine engine;
+  ExpectSchemaLimitError(engine.Run(CodedCsvSpec(path, domains, 2, Algorithm::kTp)),
+                         "65 QI attributes exceed the 64-bit star masks of the KL estimate");
+  JobSpec no_kl = CodedCsvSpec(path, domains, 2, Algorithm::kTp);
+  no_kl.compute_kl = false;
+  Expected<JobResult, PipelineError> run = engine.Run(no_kl);
+  ASSERT_TRUE(run.ok()) << run.error().message;
+  EXPECT_TRUE(run->jobs[0].outcome.feasible);
+  std::remove(path.c_str());
+}
+
 TEST(Engine, ExecuteWritesOutputsAndMapsInfeasibleToExitCode) {
   Engine engine;
   JobSpec spec = SyntheticSpec();

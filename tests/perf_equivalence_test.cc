@@ -16,6 +16,7 @@
 #include "anonymity/generalization.h"
 #include "anonymity/multidim.h"
 #include "anonymity/partition.h"
+#include "common/flat_map.h"
 #include "common/grouped_table.h"
 #include "common/histogram.h"
 #include "common/parallel.h"
@@ -280,6 +281,115 @@ double ReferenceKlMultiDim(const Table& table, const BoxGeneralization& gen) {
   return kl;
 }
 
+// The suppression estimator's point-major loop, before it went bucket-major:
+// the same mask buckets (first-occurrence order, FlatMap masses), the same
+// distinct points (first-occurrence order), the same 4096-point chunks
+// folded in ascending order -- but each point probes every bucket before
+// the next point starts. The bucket-major loop must match it bit for bit.
+double PointMajorKlSuppression(const Table& table, const GeneralizedTable& generalized,
+                               std::size_t* bucket_count) {
+  const Schema& schema = table.schema();
+  const std::size_t d = table.qi_count();
+  const double n = static_cast<double>(table.size());
+  const std::size_t m = schema.sa_domain_size();
+
+  struct MaskBucket {
+    std::uint64_t mask = 0;
+    std::vector<AttrId> unstarred;
+    std::vector<std::uint64_t> strides;
+    std::uint64_t sa_stride = 0;
+    FlatMap<double> mass;
+  };
+  std::vector<MaskBucket> buckets;
+  FlatMap<std::uint32_t> bucket_index;
+  std::vector<std::uint32_t> sa_counts(m, 0);
+  std::vector<SaValue> sa_touched;
+  for (GroupId g = 0; g < generalized.group_count(); ++g) {
+    const std::vector<Value>& sig = generalized.signature(g);
+    std::uint64_t mask = 0;
+    double volume = 1.0;
+    for (AttrId a = 0; a < d; ++a) {
+      if (IsStar(sig[a])) {
+        mask |= std::uint64_t{1} << a;
+        volume *= static_cast<double>(schema.qi(a).domain_size);
+      }
+    }
+    auto [slot, inserted] =
+        bucket_index.TryEmplace(mask, static_cast<std::uint32_t>(buckets.size()));
+    if (inserted) {
+      MaskBucket& b = buckets.emplace_back();
+      b.mask = mask;
+      std::uint64_t stride = 1;
+      for (AttrId a = 0; a < d; ++a) {
+        if ((mask >> a) & 1u) continue;
+        b.unstarred.push_back(a);
+        b.strides.push_back(stride);
+        stride *= schema.qi(a).domain_size;
+      }
+      b.sa_stride = stride;
+    }
+    MaskBucket& bucket = buckets[*slot];
+    sa_touched.clear();
+    for (RowId r : generalized.rows(g)) {
+      SaValue v = table.sa(r);
+      if (sa_counts[v]++ == 0) sa_touched.push_back(v);
+    }
+    std::uint64_t base = 0;
+    for (std::size_t i = 0; i < bucket.unstarred.size(); ++i) {
+      base += bucket.strides[i] * sig[bucket.unstarred[i]];
+    }
+    for (SaValue v : sa_touched) {
+      bucket.mass[base + bucket.sa_stride * v] += static_cast<double>(sa_counts[v]) / volume;
+      sa_counts[v] = 0;
+    }
+  }
+  *bucket_count = buckets.size();
+
+  struct Point {
+    std::uint64_t key = 0;
+    RowId representative = 0;
+    std::uint32_t count = 0;
+  };
+  ReferencePointPacker packer(schema);
+  std::vector<Point> points;
+  FlatMap<std::uint32_t> index;
+  for (RowId r = 0; r < table.size(); ++r) {
+    const std::uint64_t key = packer.Pack(table.qi_row(r), table.sa(r));
+    auto [slot, inserted] = index.TryEmplace(key, static_cast<std::uint32_t>(points.size()));
+    if (inserted) {
+      points.push_back(Point{key, r, 1});
+    } else {
+      ++points[*slot].count;
+    }
+  }
+
+  constexpr std::size_t kGrain = 4096;
+  double kl = 0.0;
+  for (std::size_t begin = 0; begin < points.size(); begin += kGrain) {
+    const std::size_t end = std::min(points.size(), begin + kGrain);
+    double partial = 0.0;
+    for (std::size_t p = begin; p < end; ++p) {
+      const Point& pc = points[p];
+      const SaValue sa = table.sa(pc.representative);
+      double fstar_n = 0.0;
+      for (const MaskBucket& bucket : buckets) {
+        std::uint64_t probe = pc.key;
+        if (bucket.mask != 0) {
+          probe = static_cast<std::uint64_t>(sa) * bucket.sa_stride;
+          for (std::size_t i = 0; i < bucket.unstarred.size(); ++i) {
+            probe += bucket.strides[i] * table.qi(pc.representative, bucket.unstarred[i]);
+          }
+        }
+        const double* mass = bucket.mass.Find(probe);
+        if (mass != nullptr) fstar_n += *mass;
+      }
+      partial += (pc.count / n) * std::log(pc.count / fstar_n);
+    }
+    kl = kl + partial;
+  }
+  return kl;
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence tests
 // ---------------------------------------------------------------------------
@@ -364,6 +474,53 @@ TEST(KlEquivalence, MultiDimMatchesSeedOnMondrianBoxes) {
     double expected = ReferenceKlMultiDim(table, mondrian.generalization);
     double actual = KlDivergenceMultiDim(table, mondrian.generalization);
     EXPECT_NEAR(actual, expected, 1e-9) << "trial " << trial;
+  }
+}
+
+TEST(KlEquivalence, SuppressionBucketMajorMatchesPointMajorBitForBit) {
+  // TP+ and Hilbert releases of the full-width SAL table publish many star
+  // masks, so every point probes many buckets and the bucket-major loop's
+  // per-point sums are exercised in depth.
+  const Table t = GenerateSal(20000, 1);
+  for (Algorithm algo : {Algorithm::kTpPlus, Algorithm::kHilbert}) {
+    for (std::uint32_t l : {2u, 4u}) {
+      SCOPED_TRACE(std::string(AlgorithmName(algo)) + " l=" + std::to_string(l));
+      AnonymizationOutcome outcome = Anonymize(t, l, algo);
+      ASSERT_TRUE(outcome.feasible);
+      std::size_t buckets = 0;
+      const double point_major = PointMajorKlSuppression(t, *outcome.generalized, &buckets);
+      ASSERT_GE(buckets, 16u);
+      EXPECT_EQ(KlDivergenceSuppression(t, *outcome.generalized), point_major);
+      Workspace four_threads(4, nullptr);
+      EXPECT_EQ(KlDivergenceSuppression(t, *outcome.generalized, &four_threads), point_major);
+    }
+  }
+}
+
+TEST(KlEquivalence, TilingMatchesStabbingBitForBit) {
+  // Mondrian marks its boxes as a tiling, so the estimator reads each
+  // point's f* from its own group. An unmarked copy of the same boxes goes
+  // through the stabbing path, which sums every containing box -- exactly
+  // one, since the boxes are disjoint -- so the doubles must agree exactly.
+  // The full-width table gives tens of thousands of small boxes; its
+  // {Race, Education} projection gives ~20 boxes of ~1000 rows, whose long
+  // per-SA sums expose any change in how a group's mass is added up.
+  const Table sal = GenerateSal(20000, 1);
+  const Table narrow = sal.ProjectQi({kRace, kEducation});
+  for (const Table* t : {&sal, &narrow}) {
+    for (std::uint32_t l : {2u, 6u}) {
+      SCOPED_TRACE("d=" + std::to_string(t->qi_count()) + " l=" + std::to_string(l));
+      MondrianResult mondrian = MondrianAnonymize(*t, l);
+      ASSERT_TRUE(mondrian.feasible);
+      ASSERT_TRUE(mondrian.generalization.tiling());
+      BoxGeneralization unmarked;
+      for (std::size_t g = 0; g < mondrian.generalization.group_count(); ++g) {
+        unmarked.AddGroup(mondrian.generalization.box(g), mondrian.generalization.rows(g));
+      }
+      ASSERT_FALSE(unmarked.tiling());
+      EXPECT_EQ(KlDivergenceMultiDim(*t, mondrian.generalization),
+                KlDivergenceMultiDim(*t, unmarked));
+    }
   }
 }
 

@@ -172,20 +172,17 @@ TEST(SimdKernels, StabCandidatesMatchesScalar) {
     for (auto& c : candidates) c = rng.Below(kGroups);
     std::uint32_t point[kDims];
     for (auto& p : point) p = rng.Below(kDomain);
-    for (bool first_only : {false, true}) {
-      std::vector<std::uint32_t> want(n + 1, 0xdeadbeefu), got(n + 1, 0xdeadbeefu);
-      simd::ForceLevel(Level::kScalar);
-      std::size_t want_n = simd::StabCandidates(candidates.data() + 1, n, point, lo, hi, kDims,
-                                                first_only, want.data());
-      for (Level level : RunnableLevels()) {
-        simd::ForceLevel(level);
-        std::size_t got_n = simd::StabCandidates(candidates.data() + 1, n, point, lo, hi,
-                                                 kDims, first_only, got.data());
-        ASSERT_EQ(got_n, want_n)
-            << simd::LevelName(level) << " n=" << n << " first_only=" << first_only;
-        for (std::size_t k = 0; k < want_n; ++k) {
-          EXPECT_EQ(got[k], want[k]) << simd::LevelName(level) << " hit " << k;
-        }
+    std::vector<std::uint32_t> want(n + 1, 0xdeadbeefu), got(n + 1, 0xdeadbeefu);
+    simd::ForceLevel(Level::kScalar);
+    std::size_t want_n =
+        simd::StabCandidates(candidates.data() + 1, n, point, lo, hi, kDims, want.data());
+    for (Level level : RunnableLevels()) {
+      simd::ForceLevel(level);
+      std::size_t got_n =
+          simd::StabCandidates(candidates.data() + 1, n, point, lo, hi, kDims, got.data());
+      ASSERT_EQ(got_n, want_n) << simd::LevelName(level) << " n=" << n;
+      for (std::size_t k = 0; k < want_n; ++k) {
+        EXPECT_EQ(got[k], want[k]) << simd::LevelName(level) << " hit " << k;
       }
     }
   }
