@@ -2,24 +2,16 @@
 #define LDIV_COMMON_FLAT_MAP_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/mix.h"
 
 namespace ldv {
-
-/// splitmix64 finalizer: full-avalanche mixing of a 64-bit key. Hot-path
-/// keys (packed point ids, signature hashes) are highly structured, so
-/// they must be scrambled before masking into a power-of-two table.
-inline std::uint64_t MixU64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Open-addressing hash map from 64-bit keys to small trivially-copyable
 /// values, built for the packed-point and packed-cell accumulation loops of
@@ -141,6 +133,109 @@ class FlatMap {
   std::vector<std::uint64_t> keys_;
   std::vector<V> vals_;
   std::vector<std::uint8_t> used_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// Read-only table frozen from a finished FlatMap<double>, for lookups
+/// with no data-dependent branch: every key lies within kWindow slots of
+/// its home MixU64(key) & slot_mask(), so a lookup compares all kWindow
+/// keys of that window and ORs the value bits of the one that matches
+/// (Select). The suppression KL estimator probes its mask buckets through
+/// simd::WindowProbeAdd, which makes the same select.
+///
+/// Layout: keys and the values' bit patterns in two flat arrays of
+/// capacity() + kWindow slots -- a power of two at load <= 1/2, plus
+/// padding so a window never wraps. Empty slots hold key kEmptyKey and
+/// bits 0, so a miss selects 0 (+0.0 read as a double); kEmptyKey itself
+/// cannot be stored. Placement is Robin Hood from the home, without
+/// wrap-around, which keeps every run of slots in home order; when some
+/// key would land kWindow or more slots past its home, the slots double
+/// and the table is placed again. At load <= 1/2 that is rare: the
+/// farthest key sits 5-7 slots out for 1k-100k random keys, and only
+/// tables of a few hundred thousand keys near load 1/2 reach 8.
+class WindowTable {
+ public:
+  /// Slots a lookup reads, starting at the key's home.
+  static constexpr std::size_t kWindow = 8;
+  /// Key of an empty slot.
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+
+  /// An empty table: every lookup selects 0.
+  WindowTable() : keys_(1 + kWindow, kEmptyKey), bits_(1 + kWindow, 0) {}
+
+  /// Freezes every (key, value) of `map`. CHECKs that no key is kEmptyKey.
+  explicit WindowTable(const FlatMap<double>& map) : size_(map.size()) {
+    std::size_t slots = 1;
+    while (slots < 2 * map.size()) slots <<= 1;
+    while (!TryPlace(map, slots)) slots <<= 1;
+  }
+
+  /// Number of keys stored.
+  std::size_t size() const { return size_; }
+
+  /// Number of home slots (a power of two); the arrays hold kWindow more.
+  std::size_t capacity() const { return mask_ + 1; }
+
+  std::uint64_t slot_mask() const { return mask_; }
+  const std::uint64_t* keys() const { return keys_.data(); }
+  const std::uint64_t* bits() const { return bits_.data(); }
+
+  /// The value bits of `key`, or 0 when absent.
+  std::uint64_t Bits(std::uint64_t key) const {
+    const std::size_t home = MixU64(key) & mask_;
+    return Select(keys_.data() + home, bits_.data() + home, key);
+  }
+
+  /// The bits of the slot among keys[0, kWindow) that holds `key`, or 0:
+  /// each slot's bits masked by its key compare, ORed together.
+  static std::uint64_t Select(const std::uint64_t* keys, const std::uint64_t* bits,
+                              std::uint64_t key) {
+    std::uint64_t hit = 0;
+    for (std::size_t j = 0; j < kWindow; ++j) {
+      hit |= bits[j] & (std::uint64_t{0} - std::uint64_t{keys[j] == key});
+    }
+    return hit;
+  }
+
+ private:
+  // Places every entry of `map` over `slots` home slots; false when some
+  // key would land kWindow or more slots past its home.
+  bool TryPlace(const FlatMap<double>& map, std::size_t slots) {
+    keys_.assign(slots + kWindow, kEmptyKey);
+    bits_.assign(slots + kWindow, 0);
+    mask_ = slots - 1;
+    bool placed = true;
+    map.ForEach([&](std::uint64_t key, double value) {
+      LDIV_CHECK_NE(key, kEmptyKey) << "is reserved for empty window-table slots";
+      if (placed) placed = Place(key, std::bit_cast<std::uint64_t>(value));
+    });
+    return placed;
+  }
+
+  // Robin Hood insertion without wrap-around: a key that meets a resident
+  // whose home lies later (a resident nearer its home) takes that slot
+  // and carries the resident on.
+  bool Place(std::uint64_t key, std::uint64_t bits) {
+    std::size_t home = MixU64(key) & mask_;
+    for (std::size_t s = home; s - home < kWindow; ++s) {
+      if (keys_[s] == kEmptyKey) {
+        keys_[s] = key;
+        bits_[s] = bits;
+        return true;
+      }
+      const std::size_t resident_home = MixU64(keys_[s]) & mask_;
+      if (resident_home > home) {
+        std::swap(key, keys_[s]);
+        std::swap(bits, bits_[s]);
+        home = resident_home;
+      }
+    }
+    return false;
+  }
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint64_t> bits_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
 };

@@ -7,10 +7,13 @@
 #include "common/simd.h"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "common/flat_map.h"
 
 namespace ldv {
 namespace simd {
@@ -71,6 +74,16 @@ void KlAccumulateScalar(const double* count, const double* fstar_n, double n, st
     const double ratio = count[i] / fstar_n[i];
     const double lg = std::log(ratio);
     acc[i & 3] += (count[i] / n) * lg;
+  }
+}
+
+void WindowProbeAddScalar(const std::uint64_t* keys, const std::uint64_t* bits,
+                          std::uint64_t slot_mask, const std::uint64_t* probes, std::size_t n,
+                          double* fstar) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t home = MixU64(probes[i]) & slot_mask;
+    const std::uint64_t hit = WindowTable::Select(keys + home, bits + home, probes[i]);
+    fstar[i] += std::bit_cast<double>(hit);
   }
 }
 
@@ -170,8 +183,8 @@ const detail::Kernels& Active() { return *ActiveTable().load(std::memory_order_r
 namespace detail {
 
 const Kernels kScalarKernels = {
-    FnvFoldColumnScalar,   StrideAccumulateScalar,  MinMaxGatherU32Scalar, GatherU32Scalar,
-    StabCandidatesScalar,  KlAccumulateScalar,      HilbertEncodeBlockScalar,
+    FnvFoldColumnScalar,  StrideAccumulateScalar, MinMaxGatherU32Scalar, GatherU32Scalar,
+    StabCandidatesScalar, KlAccumulateScalar,     WindowProbeAddScalar,  HilbertEncodeBlockScalar,
 };
 
 }  // namespace detail
@@ -229,6 +242,11 @@ std::size_t StabCandidates(const std::uint32_t* candidates, std::size_t n,
 void KlAccumulate(const double* count, const double* fstar_n, double n, std::size_t len,
                   double acc[4]) {
   Active().kl_accumulate(count, fstar_n, n, len, acc);
+}
+
+void WindowProbeAdd(const std::uint64_t* keys, const std::uint64_t* bits, std::uint64_t slot_mask,
+                    const std::uint64_t* probes, std::size_t n, double* fstar) {
+  Active().window_probe_add(keys, bits, slot_mask, probes, n, fstar);
 }
 
 void HilbertEncodeBlock(const std::uint32_t* const* cols, std::size_t d, std::uint32_t bits,

@@ -94,6 +94,18 @@ std::size_t StabCandidates(const std::uint32_t* candidates, std::size_t n,
 void KlAccumulate(const double* count, const double* fstar_n, double n, std::size_t len,
                   double acc[4]);
 
+/// Branch-free probes of a frozen WindowTable (common/flat_map.h): for
+/// each i in [0, n), with home h = MixU64(probes[i]) & slot_mask, ORs the
+/// bits of every slot of [h, h + 8) whose key equals probes[i] and adds
+/// the result, read as a double, to fstar[i]. A key in the table adds its
+/// exact value; an absent key selects 0 and adds +0.0, which leaves any
+/// fstar[i] >= +0.0 bit-for-bit unchanged. `keys` and `bits` hold
+/// slot_mask + 1 + 8 slots. The select is exact integer work and the add
+/// is one IEEE addition at every tier, so the result is bit-identical
+/// across tiers.
+void WindowProbeAdd(const std::uint64_t* keys, const std::uint64_t* bits, std::uint64_t slot_mask,
+                    const std::uint64_t* probes, std::size_t n, double* fstar);
+
 /// Batch Hilbert encode (Skilling's transform + bit interleave) of rows
 /// [row_begin, row_begin + count) over d coordinate columns, each
 /// coordinate right-shifted by `shift`: out[i] is the curve index of row
@@ -121,6 +133,8 @@ struct Kernels {
                                  const std::uint32_t* const*, const std::uint32_t* const*,
                                  std::size_t, std::uint32_t*);
   void (*kl_accumulate)(const double*, const double*, double, std::size_t, double[4]);
+  void (*window_probe_add)(const std::uint64_t*, const std::uint64_t*, std::uint64_t,
+                           const std::uint64_t*, std::size_t, double*);
   void (*hilbert_encode_block)(const std::uint32_t* const*, std::size_t, std::uint32_t,
                                std::uint32_t, std::size_t, std::size_t, std::uint64_t*);
 };

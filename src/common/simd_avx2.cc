@@ -15,6 +15,8 @@
 
 #include <cmath>
 
+#include "common/mix.h"
+
 namespace ldv {
 namespace simd {
 namespace {
@@ -169,6 +171,29 @@ void KlAccumulateAvx2(const double* count, const double* fstar_n, double n, std:
   }
 }
 
+// The 8-slot window in two 4-key compares: each compare masks its four
+// slots' bits, the halves OR down to one 64-bit lane, and the selected
+// bits add into fstar[i] through one scalar IEEE add, like the scalar
+// tier.
+void WindowProbeAddAvx2(const std::uint64_t* keys, const std::uint64_t* bits,
+                        std::uint64_t slot_mask, const std::uint64_t* probes, std::size_t n,
+                        double* fstar) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t home = MixU64(probes[i]) & slot_mask;
+    const __m256i vp = _mm256_set1_epi64x(static_cast<long long>(probes[i]));
+    const __m256i* k = reinterpret_cast<const __m256i*>(keys + home);
+    const __m256i* b = reinterpret_cast<const __m256i*>(bits + home);
+    const __m256i eq_lo = _mm256_cmpeq_epi64(_mm256_loadu_si256(k), vp);
+    const __m256i eq_hi = _mm256_cmpeq_epi64(_mm256_loadu_si256(k + 1), vp);
+    const __m256i lo = _mm256_and_si256(eq_lo, _mm256_loadu_si256(b));
+    const __m256i hi = _mm256_and_si256(eq_hi, _mm256_loadu_si256(b + 1));
+    const __m256i hit4 = _mm256_or_si256(lo, hi);
+    __m128i hit = _mm_or_si128(_mm256_castsi256_si128(hit4), _mm256_extracti128_si256(hit4, 1));
+    hit = _mm_or_si128(hit, _mm_unpackhi_epi64(hit, hit));
+    _mm_store_sd(fstar + i, _mm_add_sd(_mm_load_sd(fstar + i), _mm_castsi128_pd(hit)));
+  }
+}
+
 // Four rows per step on 64-bit lanes; same branchless mask form as the
 // SSE2 tier (see simd_sse2.cc for the derivation).
 void HilbertEncodeBlockAvx2(const std::uint32_t* const* cols, std::size_t d, std::uint32_t bits,
@@ -230,7 +255,7 @@ namespace detail {
 const Kernels* Avx2Kernels() {
   static const Kernels table = {
       FnvFoldColumnAvx2,  StrideAccumulateAvx2, MinMaxGatherU32Avx2, GatherU32Avx2,
-      StabCandidatesAvx2, KlAccumulateAvx2,     HilbertEncodeBlockAvx2,
+      StabCandidatesAvx2, KlAccumulateAvx2,     WindowProbeAddAvx2,  HilbertEncodeBlockAvx2,
   };
   return &table;
 }

@@ -16,6 +16,8 @@
 
 #include <cmath>
 
+#include "common/mix.h"
+
 namespace ldv {
 namespace simd {
 namespace {
@@ -142,6 +144,29 @@ void KlAccumulateSse2(const double* count, const double* fstar_n, double n, std:
   }
 }
 
+// Two slots per step over the 8-slot window. SSE2 has no 64-bit compare:
+// a 64-bit lane is equal when both of its 32-bit halves are, so the
+// 32-bit compare is ANDed with its half-swapped copy. The selected bits
+// add into fstar[i] through one scalar IEEE add, like the scalar tier.
+void WindowProbeAddSse2(const std::uint64_t* keys, const std::uint64_t* bits,
+                        std::uint64_t slot_mask, const std::uint64_t* probes, std::size_t n,
+                        double* fstar) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t home = MixU64(probes[i]) & slot_mask;
+    const __m128i vp = _mm_set1_epi64x(static_cast<long long>(probes[i]));
+    __m128i hit = _mm_setzero_si128();
+    for (std::size_t j = 0; j < 8; j += 2) {
+      const __m128i k = _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + home + j));
+      const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bits + home + j));
+      const __m128i eq32 = _mm_cmpeq_epi32(k, vp);
+      const __m128i eq64 = _mm_and_si128(eq32, _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1)));
+      hit = _mm_or_si128(hit, _mm_and_si128(eq64, b));
+    }
+    hit = _mm_or_si128(hit, _mm_unpackhi_epi64(hit, hit));
+    _mm_store_sd(fstar + i, _mm_add_sd(_mm_load_sd(fstar + i), _mm_castsi128_pd(hit)));
+  }
+}
+
 // Two rows per step on 64-bit lanes. The data-dependent branch of
 // Skilling's walk ("if the q bit of x[i] is set") becomes a full-lane mask
 // built from that bit: sel = 0 - ((x[i] >> log2 q) & 1), then
@@ -210,6 +235,7 @@ const Kernels* Sse2Kernels() {
     k.stride_accumulate = StrideAccumulateSse2;
     k.stab_candidates = StabCandidatesSse2;
     k.kl_accumulate = KlAccumulateSse2;
+    k.window_probe_add = WindowProbeAddSse2;
     k.hilbert_encode_block = HilbertEncodeBlockSse2;
     return k;
   }();

@@ -319,13 +319,15 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
   // Per star-mask aggregation: for each mask, map (projected unstarred
   // values, SA) -> accumulated count / volume over groups with that mask.
   // Masks live in a small flat vector (first-occurrence order); each
-  // bucket's mass lives in a FlatMap keyed by the packed projection.
+  // bucket's mass accumulates in a FlatMap keyed by the packed projection,
+  // in group order, and is then frozen into a window table for the probes.
   struct MaskBucket {
     std::uint64_t mask = 0;
     std::vector<AttrId> unstarred;
     std::vector<std::uint64_t> strides;  // one per unstarred attr
     std::uint64_t sa_stride = 0;
     FlatMap<double> mass;
+    WindowTable table;
   };
   std::vector<MaskBucket> buckets;
   FlatMap<std::uint32_t> bucket_index;
@@ -379,17 +381,28 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
     }
   }
 
-  // The probes only read the bucket maps, so the distinct points fan out
+  // Freeze each bucket's masses, freeing its map as it goes. A packed
+  // projection is below the point-id space, which KlPointIdsFit keeps
+  // under 2^64 - 1, so no key is the table's empty-slot key (the table
+  // CHECKs it).
+  for (MaskBucket& bucket : buckets) {
+    bucket.table = WindowTable(bucket.mass);
+    bucket.mass = FlatMap<double>();
+  }
+
+  // The probes only read the bucket tables, so the distinct points fan out
   // in fixed chunks with one partial sum each, folded in chunk order.
   // Within a chunk the loop runs bucket-major: the chunk's points are
   // gathered into columns once, each bucket's projections are packed
-  // column-wise and probed back to back (independent lookups the core can
-  // overlap), and the hits add into a per-point f* in bucket order -- the
-  // order the point-major loop summed them in. The no-star bucket packs
-  // exactly like the point ids, so it probes by id, and only the columns
-  // some starred bucket projects are gathered. The p*log(p/q) fold stays
-  // inline instead of staging through KlTermSink: bench_micro measured the
-  // sink's staging pass at ~9 ns/point here, a 21% loss on
+  // column-wise and probed back to back by one window-select kernel call
+  // (independent, branch-free lookups the core can overlap). Every point
+  // adds one term per bucket into its f*, in bucket order: the mass it
+  // hits, or +0.0 on a miss, which leaves the sum's bits unchanged -- so
+  // f* is the point-major loop's sum of hits, bit for bit. The no-star
+  // bucket packs exactly like the point ids, so it probes by id, and only
+  // the columns some starred bucket projects are gathered. The p*log(p/q)
+  // fold stays inline instead of staging through KlTermSink: bench_micro
+  // measured the sink's staging pass at ~9 ns/point here, a 21% loss on
   // kl_suppression/10k.
   std::vector<AttrId> projected;
   for (AttrId a = 0; a < d; ++a) {
@@ -438,10 +451,8 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
                                      bucket.strides[i], len);
             }
           }
-          for (std::size_t i = 0; i < len; ++i) {
-            const double* mass = bucket.mass.Find(probes[i]);
-            if (mass != nullptr) fstar[i] += *mass;
-          }
+          simd::WindowProbeAdd(bucket.table.keys(), bucket.table.bits(),
+                               bucket.table.slot_mask(), probes.data(), len, fstar.data());
         }
         double partial = 0.0;
         for (std::size_t i = 0; i < len; ++i) {

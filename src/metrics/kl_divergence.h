@@ -24,8 +24,14 @@ bool KlPointIdsFit(const Schema& schema);
 ///
 /// Exact computation in O(n * B) for B distinct star masks (B <= 2^d and
 /// B <= the group count): the groups of T* are bucketed by their star
-/// mask, and f*(p) sums one hash lookup per mask bucket for each distinct
-/// data point, probed bucket by bucket.
+/// mask, and f*(p) sums one lookup per mask bucket for each distinct data
+/// point, probed bucket by bucket. Each bucket's masses are frozen into a
+/// WindowTable (common/flat_map.h), so every probe reads one fixed 8-slot
+/// window with no data-dependent branch (simd::WindowProbeAdd): its cost
+/// depends on which cache level holds the table, not on hits or probe-run
+/// lengths. The tables take 16 bytes per slot at load <= 1/2, 1.4-2x the
+/// bytes of the FlatMaps they are frozen from; each map is freed as its
+/// table is built.
 ///
 /// Every estimator draws its scratch from `workspace` and fans out to its
 /// threads() when one is supplied (a solve passes its own, so a one-thread

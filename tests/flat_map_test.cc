@@ -1,10 +1,12 @@
-// Unit tests for the open-addressing FlatMap / FlatSet and the Workspace
-// buffer pools backing the allocation-lean hot paths.
+// Unit tests for the open-addressing FlatMap / FlatSet, the frozen
+// WindowTable and the Workspace buffer pools backing the allocation-lean
+// hot paths.
 
 #include "common/flat_map.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -108,6 +110,107 @@ TEST(FlatSet, InsertAndContains) {
   EXPECT_TRUE(set.Contains(11));
   EXPECT_FALSE(set.Contains(12));
   EXPECT_EQ(set.size(), 1u);
+}
+
+std::uint64_t BitsOf(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// The first `count` keys, counting up from 0, whose home among `slots`
+// home slots is `home`.
+std::vector<std::uint64_t> KeysWithHome(std::size_t count, std::size_t slots, std::size_t home) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = 0; keys.size() < count; ++k) {
+    if ((MixU64(k) & (slots - 1)) == home) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(WindowTable, EveryKeyReturnsItsExactValueBits) {
+  Rng rng(101);
+  FlatMap<double> map;
+  for (int i = 0; i < 5000; ++i) map[rng.Next64() >> 1] = rng.NextDouble() * 1000.0 - 500.0;
+  map[12345] = -0.0;  // bits, not values: -0.0 must not come back as +0.0
+  const WindowTable table(map);
+  EXPECT_EQ(table.size(), map.size());
+  EXPECT_LE(2 * table.size(), table.capacity());  // load <= 1/2
+  map.ForEach([&](std::uint64_t key, double value) {
+    EXPECT_EQ(table.Bits(key), BitsOf(value)) << "key " << key;
+  });
+}
+
+TEST(WindowTable, AbsentKeysSelectZero) {
+  FlatMap<double> map;
+  for (std::uint64_t k = 0; k < 2000; k += 2) map[k] = 1.0 + static_cast<double>(k);
+  const WindowTable table(map);
+  for (std::uint64_t k = 1; k < 2000; k += 2) EXPECT_EQ(table.Bits(k), 0u) << "key " << k;
+  // The empty-slot key matches only empty slots, whose bits are 0.
+  EXPECT_EQ(table.Bits(WindowTable::kEmptyKey), 0u);
+}
+
+TEST(WindowTable, EightKeysSharingAHomeFitTheWindow) {
+  // Eight keys take 16 home slots at load 1/2. Sharing the last home,
+  // they fill its window exactly, through the padding past the home
+  // slots, so the table keeps its first capacity.
+  const std::vector<std::uint64_t> keys = KeysWithHome(8, 16, 15);
+  FlatMap<double> map;
+  for (std::size_t i = 0; i < keys.size(); ++i) map[keys[i]] = 0.25 + static_cast<double>(i);
+  const WindowTable table(map);
+  EXPECT_EQ(table.capacity(), 16u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(table.Bits(keys[i]), BitsOf(0.25 + static_cast<double>(i))) << "key " << i;
+  }
+}
+
+TEST(WindowTable, NineKeysSharingAHomeForceGrowth) {
+  // Nine keys fit 32 home slots at load 1/2, but nine keys with one home
+  // cannot all lie within 8 slots of it: the slots must double.
+  const std::vector<std::uint64_t> keys = KeysWithHome(9, 32, 5);
+  FlatMap<double> map;
+  for (std::size_t i = 0; i < keys.size(); ++i) map[keys[i]] = 0.5 + static_cast<double>(i);
+  const WindowTable table(map);
+  EXPECT_GT(table.capacity(), 32u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(table.Bits(keys[i]), BitsOf(0.5 + static_cast<double>(i))) << "key " << i;
+  }
+}
+
+TEST(WindowTable, LargeStructuredTableFindsEveryKey) {
+  // Structured keys (a mixed-radix packing, like the KL projections) at
+  // the largest bucket sizes the estimator builds. Near load 1/2 a key
+  // can land 8 or more slots out, so a table this size may take the
+  // doubling path; either way every key must come back exactly.
+  FlatMap<double> map;
+  for (std::uint64_t k = 0; k < 250000; ++k) {
+    map[(k % 79) + 79 * 50 * (k / 79)] = static_cast<double>(k) + 0.5;
+  }
+  const WindowTable table(map);
+  EXPECT_GE(table.capacity(), std::size_t{1} << 19);  // 2 * 250000 rounded up
+  map.ForEach([&](std::uint64_t key, double value) {
+    ASSERT_EQ(table.Bits(key), BitsOf(value)) << "key " << key;
+  });
+  for (std::uint64_t k = 0; k < 10000; ++k) EXPECT_EQ(table.Bits(79 + 79 * 50 * k), 0u);
+}
+
+TEST(WindowTable, OneEntryAndEmptyTables) {
+  FlatMap<double> map;
+  map[42] = 3.25;
+  const WindowTable one(map);
+  EXPECT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.capacity(), 2u);
+  EXPECT_EQ(one.Bits(42), BitsOf(3.25));
+  EXPECT_EQ(one.Bits(0), 0u);
+  EXPECT_EQ(one.Bits(43), 0u);
+  for (const WindowTable& empty : {WindowTable(), WindowTable(FlatMap<double>())}) {
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_EQ(empty.capacity(), 1u);
+    EXPECT_EQ(empty.Bits(42), 0u);
+  }
+}
+
+TEST(WindowTableDeathTest, EmptySlotKeyIsRejected) {
+  FlatMap<double> map;
+  map[1] = 1.0;
+  map[WindowTable::kEmptyKey] = 2.0;
+  EXPECT_DEATH(WindowTable{map}, "CHECK failed");
 }
 
 TEST(Workspace, BuffersAreRecycledWithCapacity) {

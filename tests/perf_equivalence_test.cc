@@ -281,11 +281,13 @@ double ReferenceKlMultiDim(const Table& table, const BoxGeneralization& gen) {
   return kl;
 }
 
-// The suppression estimator's point-major loop, before it went bucket-major:
-// the same mask buckets (first-occurrence order, FlatMap masses), the same
-// distinct points (first-occurrence order), the same 4096-point chunks
-// folded in ascending order -- but each point probes every bucket before
-// the next point starts. The bucket-major loop must match it bit for bit.
+// The FlatMap-probe reference of the suppression estimator: the same mask
+// buckets (first-occurrence order, FlatMap masses), the same distinct
+// points (first-occurrence order), the same 4096-point chunks folded in
+// ascending order -- but each point probes every bucket's FlatMap with
+// Find, adding only the masses it hits, before the next point starts. The
+// estimator (bucket-major, frozen window tables, a branch-free select that
+// adds +0.0 on a miss) must match it bit for bit at every SIMD tier.
 double PointMajorKlSuppression(const Table& table, const GeneralizedTable& generalized,
                                std::size_t* bucket_count) {
   const Schema& schema = table.schema();
@@ -480,19 +482,35 @@ TEST(KlEquivalence, MultiDimMatchesSeedOnMondrianBoxes) {
 TEST(KlEquivalence, SuppressionBucketMajorMatchesPointMajorBitForBit) {
   // TP+ and Hilbert releases of the full-width SAL table publish many star
   // masks, so every point probes many buckets and the bucket-major loop's
-  // per-point sums are exercised in depth.
-  const Table t = GenerateSal(20000, 1);
-  for (Algorithm algo : {Algorithm::kTpPlus, Algorithm::kHilbert}) {
+  // per-point sums are exercised in depth. TP's release of the 4-QI
+  // projection has two masks, and its no-star bucket (9k-16k rows) is the
+  // biggest window table. Every SIMD tier the host runs must reproduce
+  // the FlatMap-probe reference exactly.
+  struct LevelRestore {
+    simd::Level saved = simd::ActiveLevel();
+    ~LevelRestore() { simd::ForceLevel(saved); }
+  } restore;
+  const Table sal = GenerateSal(20000, 1);
+  const Table narrow = sal.ProjectQi({kAge, kGender, kRace, kEducation});
+  const std::pair<const Table*, Algorithm> releases[] = {
+      {&sal, Algorithm::kTpPlus}, {&sal, Algorithm::kHilbert}, {&narrow, Algorithm::kTp}};
+  for (const auto& [table, algo] : releases) {
+    const Table& t = *table;
     for (std::uint32_t l : {2u, 4u}) {
       SCOPED_TRACE(std::string(AlgorithmName(algo)) + " l=" + std::to_string(l));
       AnonymizationOutcome outcome = Anonymize(t, l, algo);
       ASSERT_TRUE(outcome.feasible);
       std::size_t buckets = 0;
       const double point_major = PointMajorKlSuppression(t, *outcome.generalized, &buckets);
-      ASSERT_GE(buckets, 16u);
-      EXPECT_EQ(KlDivergenceSuppression(t, *outcome.generalized), point_major);
-      Workspace four_threads(4, nullptr);
-      EXPECT_EQ(KlDivergenceSuppression(t, *outcome.generalized, &four_threads), point_major);
+      ASSERT_GE(buckets, algo == Algorithm::kTp ? 2u : 16u);
+      for (simd::Level level : {simd::Level::kScalar, simd::Level::kSse2, simd::Level::kAvx2}) {
+        if (level > simd::DetectedLevel()) continue;
+        SCOPED_TRACE(std::string("simd=") + simd::LevelName(level));
+        simd::ForceLevel(level);
+        EXPECT_EQ(KlDivergenceSuppression(t, *outcome.generalized), point_major);
+        Workspace four_threads(4, nullptr);
+        EXPECT_EQ(KlDivergenceSuppression(t, *outcome.generalized, &four_threads), point_major);
+      }
     }
   }
 }

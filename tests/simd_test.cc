@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/rng.h"
 #include "hilbert/hilbert_curve.h"
 
@@ -239,6 +241,58 @@ TEST(SimdKernels, KlAccumulateBlockSizeInvariant) {
       }
     }
   }
+}
+
+// A hand-laid window table of 1024 home slots (plus the 8 padding
+// slots): probe i's key sits at offset i % 8 past its home, so every
+// window offset 0-7 is hit, except every ninth probe, which stays out of
+// the table (half of those probe the empty-slot key itself). Start values
+// are non-zero and of either sign, and every tier must match scalar bit
+// for bit -- and scalar must add exactly the placed mass, or +0.0.
+TEST(SimdKernels, WindowProbeAddMatchesScalar) {
+  LevelGuard guard;
+  Rng rng(18);
+  constexpr std::uint64_t kSlotMask = 1023;
+  unsigned offsets_hit = 0;
+  for (std::size_t n = 0; n <= 37; ++n) {
+    std::vector<std::uint64_t> keys(kSlotMask + 1 + 8, WindowTable::kEmptyKey);
+    std::vector<std::uint64_t> bits(kSlotMask + 1 + 8, 0);
+    std::vector<std::uint64_t> probes(n);
+    std::vector<double> start(n), expected(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      start[i] = rng.NextDouble() * 8.0 - 4.0;
+      expected[i] = start[i] + 0.0;
+      if (i % 9 == 8) {
+        probes[i] = i % 2 == 0 ? WindowTable::kEmptyKey : rng.Next64() >> 1;
+        continue;
+      }
+      probes[i] = rng.Next64() >> 1;
+      const double mass = rng.NextDouble() + 0.5;
+      const std::uint64_t slot = (MixU64(probes[i]) & kSlotMask) + i % 8;
+      if (keys[slot] != WindowTable::kEmptyKey) continue;  // taken: probe stays absent
+      keys[slot] = probes[i];
+      bits[slot] = std::bit_cast<std::uint64_t>(mass);
+      expected[i] = start[i] + mass;
+      offsets_hit |= 1u << (i % 8);
+    }
+    std::vector<double> want = start;
+    simd::ForceLevel(Level::kScalar);
+    simd::WindowProbeAdd(keys.data(), bits.data(), kSlotMask, probes.data(), n, want.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i]), std::bit_cast<std::uint64_t>(expected[i]))
+          << "scalar n=" << n << " probe " << i;
+    }
+    for (Level level : RunnableLevels()) {
+      std::vector<double> got = start;
+      simd::ForceLevel(level);
+      simd::WindowProbeAdd(keys.data(), bits.data(), kSlotMask, probes.data(), n, got.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]), std::bit_cast<std::uint64_t>(want[i]))
+            << simd::LevelName(level) << " n=" << n << " probe " << i;
+      }
+    }
+  }
+  EXPECT_EQ(offsets_hit, 0xffu);
 }
 
 TEST(SimdKernels, HilbertEncodeBlockMatchesCurveEncode) {
