@@ -43,8 +43,9 @@ class BoxGeneralization {
   /// Declares that the boxes are pairwise disjoint (they tile the QI
   /// space), so every point lies in at most one box. Set by producers
   /// whose construction guarantees it -- Mondrian's boxes are global cuts
-  /// of the parent box -- and exploited by KlDivergenceMultiDim to stop
-  /// each point probe at its first hit.
+  /// of the parent box -- and exploited by KlDivergenceMultiDim, which
+  /// then reads each row's f* from its own group's box instead of
+  /// stabbing the whole box set.
   void MarkTiling() { tiling_ = true; }
   bool tiling() const { return tiling_; }
 

@@ -1,14 +1,9 @@
 // Scalar reference kernels and the runtime dispatch of the SIMD layer.
-// This translation unit compiles with -ffp-contract=off (see CMakeLists)
-// so the scalar KlAccumulate cannot fuse its multiply-add into an FMA --
-// the SSE2/AVX2 tiers use separate single-rounded multiplies and adds, and
-// bit-equality across tiers depends on the scalar tier doing the same.
 
 #include "common/simd.h"
 
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,52 +24,6 @@ void FnvFoldColumnScalar(std::uint64_t* hashes, const std::uint32_t* col, std::s
 void StrideAccumulateScalar(std::uint64_t* acc, const std::uint32_t* col, std::uint64_t stride,
                             std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += stride * col[i];
-}
-
-void MinMaxGatherU32Scalar(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                           std::uint32_t* mn, std::uint32_t* mx) {
-  std::uint32_t lo = values[idx[0]], hi = lo;
-  for (std::size_t i = 1; i < n; ++i) {
-    std::uint32_t v = values[idx[i]];
-    lo = v < lo ? v : lo;
-    hi = v > hi ? v : hi;
-  }
-  *mn = lo;
-  *mx = hi;
-}
-
-void GatherU32Scalar(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                     std::uint32_t* out) {
-  for (std::size_t i = 0; i < n; ++i) out[i] = values[idx[i]];
-}
-
-std::size_t StabCandidatesScalar(const std::uint32_t* candidates, std::size_t n,
-                                 const std::uint32_t* point, const std::uint32_t* const* lo,
-                                 const std::uint32_t* const* hi, std::size_t d,
-                                 std::uint32_t* hits) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t g = candidates[i];
-    bool inside = true;
-    for (std::size_t a = 1; a < d; ++a) {
-      const std::uint32_t v = point[a];
-      if (v < lo[a][g] || v >= hi[a][g]) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) hits[count++] = g;
-  }
-  return count;
-}
-
-void KlAccumulateScalar(const double* count, const double* fstar_n, double n, std::size_t len,
-                        double acc[4]) {
-  for (std::size_t i = 0; i < len; ++i) {
-    const double ratio = count[i] / fstar_n[i];
-    const double lg = std::log(ratio);
-    acc[i & 3] += (count[i] / n) * lg;
-  }
 }
 
 void WindowProbeAddScalar(const std::uint64_t* keys, const std::uint64_t* bits,
@@ -183,8 +132,10 @@ const detail::Kernels& Active() { return *ActiveTable().load(std::memory_order_r
 namespace detail {
 
 const Kernels kScalarKernels = {
-    FnvFoldColumnScalar,  StrideAccumulateScalar, MinMaxGatherU32Scalar, GatherU32Scalar,
-    StabCandidatesScalar, KlAccumulateScalar,     WindowProbeAddScalar,  HilbertEncodeBlockScalar,
+    FnvFoldColumnScalar,
+    StrideAccumulateScalar,
+    WindowProbeAddScalar,
+    HilbertEncodeBlockScalar,
 };
 
 }  // namespace detail
@@ -221,27 +172,6 @@ void FnvFoldColumn(std::uint64_t* hashes, const std::uint32_t* col, std::size_t 
 void StrideAccumulate(std::uint64_t* acc, const std::uint32_t* col, std::uint64_t stride,
                       std::size_t n) {
   Active().stride_accumulate(acc, col, stride, n);
-}
-
-void MinMaxGatherU32(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                     std::uint32_t* mn, std::uint32_t* mx) {
-  Active().min_max_gather_u32(values, idx, n, mn, mx);
-}
-
-void GatherU32(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-               std::uint32_t* out) {
-  Active().gather_u32(values, idx, n, out);
-}
-
-std::size_t StabCandidates(const std::uint32_t* candidates, std::size_t n,
-                           const std::uint32_t* point, const std::uint32_t* const* lo,
-                           const std::uint32_t* const* hi, std::size_t d, std::uint32_t* hits) {
-  return Active().stab_candidates(candidates, n, point, lo, hi, d, hits);
-}
-
-void KlAccumulate(const double* count, const double* fstar_n, double n, std::size_t len,
-                  double acc[4]) {
-  Active().kl_accumulate(count, fstar_n, n, len, acc);
 }
 
 void WindowProbeAdd(const std::uint64_t* keys, const std::uint64_t* bits, std::uint64_t slot_mask,

@@ -8,9 +8,8 @@ namespace ldv {
 namespace simd {
 
 /// Instruction-set tiers of the kernel library. Every kernel has one
-/// implementation per tier (the SSE2 tier reuses the scalar body for the
-/// gather-heavy kernels, where 128-bit SIMD has no gather to offer); the
-/// scalar tier is the portable reference the others are tested against.
+/// implementation per tier; the scalar tier is the portable reference the
+/// others are tested against.
 enum class Level : int {
   kScalar = 0,
   kSse2 = 1,
@@ -38,12 +37,11 @@ Level ActiveLevel();
 void ForceLevel(Level level);
 
 // ---------------------------------------------------------------------------
-// Kernels. Every kernel produces byte-identical output at every tier: the
-// integer kernels are exact by nature, and KlAccumulate fixes both its
-// floating-point operation set (IEEE single-rounded div/mul/add, scalar
-// std::log, no FMA contraction -- the kernel translation units compile with
-// -ffp-contract=off) and its accumulation geometry (see below) so the bits
-// cannot depend on the lane width.
+// Kernels. Only loops whose vector tiers measurably pay end to end live
+// here; the rest stay inline at their callers. Every kernel produces
+// byte-identical output at every tier: three are integer kernels, exact by
+// nature, and WindowProbeAdd's one floating-point operation is a single
+// IEEE add per probe.
 // ---------------------------------------------------------------------------
 
 /// FNV-1a column fold: hashes[i] = (hashes[i] ^ col[i]) * 0x100000001b3.
@@ -57,42 +55,6 @@ void FnvFoldColumn(std::uint64_t* hashes, const std::uint32_t* col, std::size_t 
 /// halves for the lane multiplies).
 void StrideAccumulate(std::uint64_t* acc, const std::uint32_t* col, std::uint64_t stride,
                       std::size_t n);
-
-/// Min and max of values[idx[0..n)], n >= 1. The Mondrian min-max fallback
-/// scan (column values gathered through the node's row-id slice).
-void MinMaxGatherU32(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                     std::uint32_t* mn, std::uint32_t* mx);
-
-/// out[i] = values[idx[i]]. The Mondrian SA re-gather after a partition
-/// commit and the nth_element staging copy.
-void GatherU32(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-               std::uint32_t* out);
-
-/// Box-containment scan of the KL stabbing loop: for each candidate group
-/// g = candidates[i] (in ascending i order), tests
-///   point[a] >= lo[a][g] && point[a] < hi[a][g]   for a in [1, d)
-/// (attribute 0 is pre-filtered by the caller's inverted index) and
-/// appends g to `hits`. Returns the number of hits. `hits` must have room
-/// for n entries. All coordinates and bounds must be below 2^31 (attribute
-/// domains are categorical codes, far below; the AVX2 path compares as
-/// signed 32-bit).
-std::size_t StabCandidates(const std::uint32_t* candidates, std::size_t n,
-                           const std::uint32_t* point, const std::uint32_t* const* lo,
-                           const std::uint32_t* const* hi, std::size_t d, std::uint32_t* hits);
-
-/// The KL term accumulation: for i in [0, len),
-///   term_i = (count[i] / n) * log(count[i] / fstar_n[i])
-/// added into acc[i % 4]. The four virtual lanes are the fixed accumulation
-/// geometry: scalar keeps four running sums, SSE2 two 2-double registers,
-/// AVX2 one 4-double register -- the same terms land in the same lane at
-/// every tier, and the caller folds acc[0..3] in index order. Logs are
-/// taken by scalar std::log at every tier (on identical, single-rounded
-/// quotients), so the result is byte-identical across tiers.
-///
-/// Call with consecutive blocks whose lengths are multiples of 4 (except
-/// the last) so that i % 4 stays aligned with the global element index.
-void KlAccumulate(const double* count, const double* fstar_n, double n, std::size_t len,
-                  double acc[4]);
 
 /// Branch-free probes of a frozen WindowTable (common/flat_map.h): for
 /// each i in [0, n), with home h = MixU64(probes[i]) & slot_mask, ORs the
@@ -126,13 +88,6 @@ namespace detail {
 struct Kernels {
   void (*fnv_fold_column)(std::uint64_t*, const std::uint32_t*, std::size_t);
   void (*stride_accumulate)(std::uint64_t*, const std::uint32_t*, std::uint64_t, std::size_t);
-  void (*min_max_gather_u32)(const std::uint32_t*, const std::uint32_t*, std::size_t,
-                             std::uint32_t*, std::uint32_t*);
-  void (*gather_u32)(const std::uint32_t*, const std::uint32_t*, std::size_t, std::uint32_t*);
-  std::size_t (*stab_candidates)(const std::uint32_t*, std::size_t, const std::uint32_t*,
-                                 const std::uint32_t* const*, const std::uint32_t* const*,
-                                 std::size_t, std::uint32_t*);
-  void (*kl_accumulate)(const double*, const double*, double, std::size_t, double[4]);
   void (*window_probe_add)(const std::uint64_t*, const std::uint64_t*, std::uint64_t,
                            const std::uint64_t*, std::size_t, double*);
   void (*hilbert_encode_block)(const std::uint32_t* const*, std::size_t, std::uint32_t,

@@ -1,19 +1,15 @@
-// AVX2 kernel tier: 256-bit lanes (four 64-bit rows or eight 32-bit
-// candidates per step) plus hardware gathers for the index-chasing
-// kernels. This translation unit alone is compiled with -mavx2 (see
+// AVX2 kernel tier: 256-bit lanes (four 64-bit rows or four window slots
+// per step). This translation unit alone is compiled with -mavx2 (see
 // CMakeLists); its code only runs after the CPUID dispatch in simd.cc has
 // confirmed AVX2, so no other object file ever contains AVX2 encodings.
-//
-// Compiled with -ffp-contract=off: KlAccumulate's bit-equality across
-// tiers requires single-rounded multiplies and adds.
+// Index-chasing loops (row gathers, box containment) have no AVX2 body:
+// their hardware gathers measured within noise of the scalar loops.
 
 #include "common/simd.h"
 
 #ifdef __AVX2__
 
 #include <immintrin.h>
-
-#include <cmath>
 
 #include "common/mix.h"
 
@@ -56,119 +52,6 @@ void StrideAccumulateAvx2(std::uint64_t* acc, const std::uint32_t* col, std::uin
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), _mm256_add_epi64(va, prod));
   }
   for (; i < n; ++i) acc[i] += stride * col[i];
-}
-
-void MinMaxGatherU32Avx2(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                         std::uint32_t* mn, std::uint32_t* mx) {
-  std::uint32_t lo = values[idx[0]], hi = lo;
-  std::size_t i = 0;
-  if (n >= 8) {
-    __m256i vlo = _mm256_set1_epi32(static_cast<int>(lo));
-    __m256i vhi = vlo;
-    for (; i + 8 <= n; i += 8) {
-      const __m256i vidx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-      const __m256i v = _mm256_i32gather_epi32(reinterpret_cast<const int*>(values), vidx, 4);
-      vlo = _mm256_min_epu32(vlo, v);
-      vhi = _mm256_max_epu32(vhi, v);
-    }
-    alignas(32) std::uint32_t lanes[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vlo);
-    for (int j = 0; j < 8; ++j) lo = lanes[j] < lo ? lanes[j] : lo;
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vhi);
-    for (int j = 0; j < 8; ++j) hi = lanes[j] > hi ? lanes[j] : hi;
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t v = values[idx[i]];
-    lo = v < lo ? v : lo;
-    hi = v > hi ? v : hi;
-  }
-  *mn = lo;
-  *mx = hi;
-}
-
-void GatherU32Avx2(const std::uint32_t* values, const std::uint32_t* idx, std::size_t n,
-                   std::uint32_t* out) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vidx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    const __m256i v = _mm256_i32gather_epi32(reinterpret_cast<const int*>(values), vidx, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), v);
-  }
-  for (; i < n; ++i) out[i] = values[idx[i]];
-}
-
-// Eight candidates per step: the per-attribute lo/hi bounds come in
-// through hardware gathers over the SoA bound arrays, the containment
-// test is two signed compares (coordinates < 2^31 by contract), and hits
-// leave through the movemask in ascending candidate order.
-std::size_t StabCandidatesAvx2(const std::uint32_t* candidates, std::size_t n,
-                               const std::uint32_t* point, const std::uint32_t* const* lo,
-                               const std::uint32_t* const* hi, std::size_t d,
-                               std::uint32_t* hits) {
-  const __m256i ones = _mm256_set1_epi32(-1);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vg = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(candidates + i));
-    __m256i inside = ones;
-    for (std::size_t a = 1; a < d; ++a) {
-      const __m256i vpt = _mm256_set1_epi32(static_cast<int>(point[a]));
-      const __m256i vlo =
-          _mm256_i32gather_epi32(reinterpret_cast<const int*>(lo[a]), vg, 4);
-      const __m256i vhi =
-          _mm256_i32gather_epi32(reinterpret_cast<const int*>(hi[a]), vg, 4);
-      const __m256i ge = _mm256_andnot_si256(_mm256_cmpgt_epi32(vlo, vpt), ones);
-      const __m256i lt = _mm256_cmpgt_epi32(vhi, vpt);
-      inside = _mm256_and_si256(inside, _mm256_and_si256(ge, lt));
-      if (_mm256_movemask_ps(_mm256_castsi256_ps(inside)) == 0) break;
-    }
-    int m = _mm256_movemask_ps(_mm256_castsi256_ps(inside));
-    while (m != 0) {
-      const int j = __builtin_ctz(static_cast<unsigned>(m));
-      hits[count++] = candidates[i + static_cast<std::size_t>(j)];
-      m &= m - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t g = candidates[i];
-    bool inside = true;
-    for (std::size_t a = 1; a < d; ++a) {
-      const std::uint32_t v = point[a];
-      if (v < lo[a][g] || v >= hi[a][g]) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) hits[count++] = g;
-  }
-  return count;
-}
-
-// One 4-double register is exactly the four virtual lanes of the KL
-// accumulation geometry; logs still go through scalar std::log on the
-// single-rounded quotients, so every tier adds the identical term
-// sequence into the identical lane.
-void KlAccumulateAvx2(const double* count, const double* fstar_n, double n, std::size_t len,
-                      double acc[4]) {
-  __m256d vacc = _mm256_loadu_pd(acc);
-  const __m256d vn = _mm256_set1_pd(n);
-  alignas(32) double ratio[4], lg[4];
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256d c = _mm256_loadu_pd(count + i);
-    _mm256_store_pd(ratio, _mm256_div_pd(c, _mm256_loadu_pd(fstar_n + i)));
-    lg[0] = std::log(ratio[0]);
-    lg[1] = std::log(ratio[1]);
-    lg[2] = std::log(ratio[2]);
-    lg[3] = std::log(ratio[3]);
-    vacc = _mm256_add_pd(vacc, _mm256_mul_pd(_mm256_div_pd(c, vn), _mm256_load_pd(lg)));
-  }
-  _mm256_storeu_pd(acc, vacc);
-  for (; i < len; ++i) {
-    const double r = count[i] / fstar_n[i];
-    const double l = std::log(r);
-    acc[i & 3] += (count[i] / n) * l;
-  }
 }
 
 // The 8-slot window in two 4-key compares: each compare masks its four
@@ -254,8 +137,10 @@ namespace detail {
 
 const Kernels* Avx2Kernels() {
   static const Kernels table = {
-      FnvFoldColumnAvx2,  StrideAccumulateAvx2, MinMaxGatherU32Avx2, GatherU32Avx2,
-      StabCandidatesAvx2, KlAccumulateAvx2,     WindowProbeAddAvx2,  HilbertEncodeBlockAvx2,
+      FnvFoldColumnAvx2,
+      StrideAccumulateAvx2,
+      WindowProbeAddAvx2,
+      HilbertEncodeBlockAvx2,
   };
   return &table;
 }

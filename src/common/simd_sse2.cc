@@ -1,20 +1,15 @@
-// SSE2 kernel tier: 128-bit integer lanes (two 64-bit rows per step) and
-// two 2-double accumulators for the KL geometry. SSE2 is the x86-64
-// baseline, so this translation unit needs no extra target flags; it
-// compiles to an empty stub elsewhere. The gather-dependent kernels
-// (MinMaxGatherU32, GatherU32) keep the scalar bodies -- 128-bit SSE has
-// no gather, so there is nothing to vectorize but the compares.
-//
-// Compiled with -ffp-contract=off (see CMakeLists): KlAccumulate's
-// bit-equality across tiers requires single-rounded multiplies and adds.
+// SSE2 kernel tier: 128-bit integer lanes (two 64-bit rows or two window
+// slots per step). SSE2 is the x86-64 baseline, so this translation unit
+// needs no extra target flags; it compiles to an empty stub elsewhere.
+// The tier stays because hosts without AVX2 run on it, and on them it
+// measurably speeds up the suppression-KL window probes and the Hilbert
+// encode over the scalar bodies.
 
 #include "common/simd.h"
 
 #ifdef __SSE2__
 
 #include <emmintrin.h>
-
-#include <cmath>
 
 #include "common/mix.h"
 
@@ -62,86 +57,6 @@ void StrideAccumulateSse2(std::uint64_t* acc, const std::uint32_t* col, std::uin
     _mm_storeu_si128(reinterpret_cast<__m128i*>(acc + i), _mm_add_epi64(va, prod));
   }
   for (; i < n; ++i) acc[i] += stride * col[i];
-}
-
-// Four candidates per step: scalar gathers of the bounds (SSE2 has no
-// gather) feeding branchless signed compares; hits are extracted from the
-// movemask in ascending candidate order.
-std::size_t StabCandidatesSse2(const std::uint32_t* candidates, std::size_t n,
-                               const std::uint32_t* point, const std::uint32_t* const* lo,
-                               const std::uint32_t* const* hi, std::size_t d,
-                               std::uint32_t* hits) {
-  const __m128i ones = _mm_set1_epi32(-1);
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i inside = ones;
-    alignas(16) std::uint32_t lob[4], hib[4];
-    for (std::size_t a = 1; a < d; ++a) {
-      for (int j = 0; j < 4; ++j) {
-        const std::uint32_t g = candidates[i + static_cast<std::size_t>(j)];
-        lob[j] = lo[a][g];
-        hib[j] = hi[a][g];
-      }
-      const __m128i vpt = _mm_set1_epi32(static_cast<int>(point[a]));
-      const __m128i vlo = _mm_load_si128(reinterpret_cast<const __m128i*>(lob));
-      const __m128i vhi = _mm_load_si128(reinterpret_cast<const __m128i*>(hib));
-      const __m128i ge = _mm_andnot_si128(_mm_cmpgt_epi32(vlo, vpt), ones);
-      const __m128i lt = _mm_cmpgt_epi32(vhi, vpt);
-      inside = _mm_and_si128(inside, _mm_and_si128(ge, lt));
-      if (_mm_movemask_ps(_mm_castsi128_ps(inside)) == 0) break;
-    }
-    int m = _mm_movemask_ps(_mm_castsi128_ps(inside));
-    while (m != 0) {
-      const int j = __builtin_ctz(static_cast<unsigned>(m));
-      hits[count++] = candidates[i + static_cast<std::size_t>(j)];
-      m &= m - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t g = candidates[i];
-    bool inside = true;
-    for (std::size_t a = 1; a < d; ++a) {
-      const std::uint32_t v = point[a];
-      if (v < lo[a][g] || v >= hi[a][g]) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) hits[count++] = g;
-  }
-  return count;
-}
-
-// Two 2-double registers hold virtual lanes {0,1} and {2,3}; logs go
-// through scalar std::log on the single-rounded quotients, exactly like
-// the scalar tier, so lane j accumulates the identical term sequence.
-void KlAccumulateSse2(const double* count, const double* fstar_n, double n, std::size_t len,
-                      double acc[4]) {
-  __m128d acc01 = _mm_loadu_pd(acc);
-  __m128d acc23 = _mm_loadu_pd(acc + 2);
-  const __m128d vn = _mm_set1_pd(n);
-  alignas(16) double ratio[4], lg[4];
-  std::size_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m128d c01 = _mm_loadu_pd(count + i);
-    const __m128d c23 = _mm_loadu_pd(count + i + 2);
-    _mm_store_pd(ratio, _mm_div_pd(c01, _mm_loadu_pd(fstar_n + i)));
-    _mm_store_pd(ratio + 2, _mm_div_pd(c23, _mm_loadu_pd(fstar_n + i + 2)));
-    lg[0] = std::log(ratio[0]);
-    lg[1] = std::log(ratio[1]);
-    lg[2] = std::log(ratio[2]);
-    lg[3] = std::log(ratio[3]);
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(_mm_div_pd(c01, vn), _mm_load_pd(lg)));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(_mm_div_pd(c23, vn), _mm_load_pd(lg + 2)));
-  }
-  _mm_storeu_pd(acc, acc01);
-  _mm_storeu_pd(acc + 2, acc23);
-  for (; i < len; ++i) {
-    const double r = count[i] / fstar_n[i];
-    const double l = std::log(r);
-    acc[i & 3] += (count[i] / n) * l;
-  }
 }
 
 // Two slots per step over the 8-slot window. SSE2 has no 64-bit compare:
@@ -229,16 +144,12 @@ void HilbertEncodeBlockSse2(const std::uint32_t* const* cols, std::size_t d, std
 namespace detail {
 
 const Kernels* Sse2Kernels() {
-  static const Kernels table = [] {
-    Kernels k = kScalarKernels;  // gather-dependent kernels keep scalar bodies
-    k.fnv_fold_column = FnvFoldColumnSse2;
-    k.stride_accumulate = StrideAccumulateSse2;
-    k.stab_candidates = StabCandidatesSse2;
-    k.kl_accumulate = KlAccumulateSse2;
-    k.window_probe_add = WindowProbeAddSse2;
-    k.hilbert_encode_block = HilbertEncodeBlockSse2;
-    return k;
-  }();
+  static const Kernels table = {
+      FnvFoldColumnSse2,
+      StrideAccumulateSse2,
+      WindowProbeAddSse2,
+      HilbertEncodeBlockSse2,
+  };
   return &table;
 }
 

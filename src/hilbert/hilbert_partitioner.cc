@@ -344,57 +344,6 @@ void EmitGroups(const std::vector<RowId>& order, const std::vector<std::uint32_t
 
 }  // namespace
 
-HilbertResult HilbertAnonymizeWithSpec(const Table& table, const DiversitySpec& spec,
-                                       Workspace* workspace) {
-  HilbertResult result;
-  if (table.empty()) {
-    result.feasible = true;
-    return result;
-  }
-  const std::size_t m = table.schema().sa_domain_size();
-  {
-    SaHistogram whole(std::vector<std::uint32_t>(table.SaHistogramCounts()));
-    if (!SatisfiesDiversity(whole, spec)) return result;
-  }
-  auto start_time = std::chrono::steady_clock::now();
-
-  Workspace local;
-  Workspace& ws = workspace != nullptr ? *workspace : local;
-  auto order_s = ws.U32();
-  std::vector<RowId>& order = *order_s;
-  ComputeOrder(table, ws, &order);
-
-  // Greedy close + backward merge, with the generic (monotone) predicate.
-  std::vector<std::uint32_t> starts;
-  SaHistogram acc(m);
-  std::size_t group_start = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (acc.empty()) group_start = i;
-    acc.Add(table.sa(order[i]));
-    if (SatisfiesDiversity(acc, spec)) {
-      starts.push_back(static_cast<std::uint32_t>(group_start));
-      acc = SaHistogram(m);
-    }
-  }
-  if (!acc.empty()) {
-    std::size_t tail_start = group_start;
-    while (!SatisfiesDiversity(acc, spec)) {
-      LDIV_CHECK(!starts.empty());
-      std::size_t prev = starts.back();
-      starts.pop_back();
-      for (std::size_t i = prev; i < tail_start; ++i) acc.Add(table.sa(order[i]));
-      tail_start = prev;
-    }
-    starts.push_back(static_cast<std::uint32_t>(tail_start));
-  }
-
-  EmitGroups(order, starts, &result.partition);
-  result.feasible = true;
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-  return result;
-}
-
 void HilbertComputeOrder(const Table& table, Workspace* workspace, std::vector<RowId>* order) {
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;

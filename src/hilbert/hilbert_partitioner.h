@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "anonymity/diversity.h"
 #include "anonymity/partition.h"
 #include "common/table.h"
 #include "common/types.h"
@@ -60,16 +59,6 @@ HilbertResult HilbertAnonymize(const Table& table, std::uint32_t l,
 /// order HilbertAnonymize derives internally (including the external-sort
 /// path under a memory budget).
 void HilbertComputeOrder(const Table& table, Workspace* workspace, std::vector<RowId>* order);
-
-/// Generic-predicate variant for the alternative l-diversity
-/// instantiations of [31] (entropy, recursive (c,l)): same Hilbert sort and
-/// greedy consecutive grouping, closing a group as soon as it satisfies
-/// `spec` and merging an unsatisfiable tail backwards. Sound because all
-/// three diversity variants are monotone under union. Returns infeasible
-/// when the whole table violates `spec`. Scratch and the run context come
-/// from `workspace` when one is supplied.
-HilbertResult HilbertAnonymizeWithSpec(const Table& table, const DiversitySpec& spec,
-                                       Workspace* workspace = nullptr);
 
 }  // namespace ldv
 

@@ -113,54 +113,6 @@ std::vector<PointCount> DistinctPoints(const Table& table, const PointPacker& pa
 constexpr std::size_t kKlSuppressionPointGrain = 4096;
 constexpr std::size_t kKlMultiDimPointGrain = 1024;
 
-// Rows per staged KL-accumulation block: (count, n*f*) pairs are staged in
-// blocks of this many terms, then folded through simd::KlAccumulate. A
-// multiple of 4, so the kernel's virtual-lane assignment (term i -> lane
-// i mod 4) never depends on where the blocks break. 1024/4096/16384 rows
-// measured within noise of each other (bench_micro, SAL-7 100k); 1024 is
-// the smallest staging footprint (16 KiB) that amortizes the kernel call.
-constexpr std::size_t kKlBlockRows = 1024;
-static_assert(kKlBlockRows % 4 == 0, "KL staging blocks must keep the lane geometry");
-
-// Per-chunk sink for KL terms: stages (count, n*f*) pairs in fixed-size
-// blocks and folds full blocks through the SIMD p*log(p/q) kernel into
-// four virtual-lane accumulators. Every block except the final partial
-// one has kKlBlockRows terms, so term i always lands in lane i mod 4 of
-// this chunk and the folded result is bit-identical at every SIMD level.
-class KlTermSink {
- public:
-  KlTermSink(double n, Workspace& ws)
-      : n_(n), counts_s_(ws.F64()), fstars_s_(ws.F64()), counts_(*counts_s_), fstars_(*fstars_s_) {
-    counts_.resize(kKlBlockRows);
-    fstars_.resize(kKlBlockRows);
-  }
-
-  void Add(double count, double fstar_n) {
-    counts_[fill_] = count;
-    fstars_[fill_] = fstar_n;
-    if (++fill_ == kKlBlockRows) Flush();
-  }
-
-  /// The chunk's partial sum: lanes folded in fixed order.
-  double Finish() {
-    Flush();
-    return ((acc_[0] + acc_[1]) + acc_[2]) + acc_[3];
-  }
-
- private:
-  void Flush() {
-    simd::KlAccumulate(counts_.data(), fstars_.data(), n_, fill_, acc_);
-    fill_ = 0;
-  }
-
-  const double n_;
-  ScratchVec<double> counts_s_, fstars_s_;
-  std::vector<double>& counts_;
-  std::vector<double>& fstars_;
-  std::size_t fill_ = 0;
-  double acc_[4] = {0.0, 0.0, 0.0, 0.0};
-};
-
 // n * f*(p) of every row of a tiling box set, indexed by row. Boxes that
 // tile the space are pairwise disjoint, so the only box containing a row
 // is its own group's, and f* there is the group's mass at the row's SA:
@@ -200,8 +152,8 @@ std::vector<double> TilingFstar(const Table& table, const BoxGeneralization& gen
 // n * f*(p) of every distinct point of an arbitrary (possibly overlapping)
 // box set, indexed by the point's representative row: the sum over every
 // box containing p, in ascending group order. Candidate boxes per point
-// come from an inverted index on attribute 0; the remaining attributes run
-// through the SIMD stabbing kernel.
+// come from an inverted index on attribute 0; the containment loop tests
+// the remaining attributes.
 std::vector<double> StabbingFstar(const Table& table, const BoxGeneralization& gen,
                                   const std::vector<PointCount>& points, Workspace& ws) {
   const std::size_t m = table.schema().sa_domain_size();
@@ -223,9 +175,7 @@ std::vector<double> StabbingFstar(const Table& table, const BoxGeneralization& g
               });
 
   // Flattened box bounds in struct-of-arrays layout: one lo array and one
-  // hi array per attribute, each indexed by group, so the stabbing kernel
-  // can gather a vector of candidates' bounds per compare. (Domain codes
-  // are far below 2^31, the kernel's signed-compare precondition.)
+  // hi array per attribute, each indexed by group.
   std::vector<Value> bounds(2 * d * group_count);
   std::vector<const std::uint32_t*> lo_ptr(d), hi_ptr(d);
   for (std::size_t a = 0; a < d; ++a) {
@@ -265,21 +215,12 @@ std::vector<double> StabbingFstar(const Table& table, const BoxGeneralization& g
   std::vector<const Value*> cols(d);
   for (std::size_t a = 0; a < d; ++a) cols[a] = table.column(static_cast<AttrId>(a)).data();
 
-  // Widest candidate list, so each chunk sizes its hit buffer once.
-  std::uint32_t max_candidates = 0;
-  for (std::size_t v = 0; v < attr0_domain; ++v) {
-    max_candidates = std::max(max_candidates, offsets[v + 1] - offsets[v]);
-  }
-
   // The stabbing loop reads only the index structures built above, so the
   // distinct points fan out in fixed chunks, each point writing its own
   // representative's slot.
   std::vector<double> fstar(table.size(), 0.0);
   ParallelFor(points.size(), kKlMultiDimPointGrain, ws,
               [&](std::size_t begin, std::size_t end, Workspace& cws) {
-                auto hits_s = cws.U32();
-                std::vector<std::uint32_t>& hits = *hits_s;
-                hits.resize(max_candidates);
                 auto point_s = cws.U32();
                 std::vector<std::uint32_t>& point = *point_s;
                 point.resize(d);
@@ -288,11 +229,18 @@ std::vector<double> StabbingFstar(const Table& table, const BoxGeneralization& g
                   const Value qi0 = cols[0][rep];
                   const SaValue sa = table.sa(rep);
                   for (std::size_t a = 1; a < d; ++a) point[a] = cols[a][rep];
-                  const std::size_t hit_count = simd::StabCandidates(
-                      candidates.data() + offsets[qi0], offsets[qi0 + 1] - offsets[qi0],
-                      point.data(), lo_ptr.data(), hi_ptr.data(), d, hits.data());
                   double fstar_n = 0.0;
-                  for (std::size_t k = 0; k < hit_count; ++k) fstar_n += mass[hits[k] * m + sa];
+                  for (std::uint32_t c = offsets[qi0]; c < offsets[qi0 + 1]; ++c) {
+                    const std::uint32_t g = candidates[c];
+                    bool inside = true;
+                    for (std::size_t a = 1; a < d; ++a) {
+                      if (point[a] < lo_ptr[a][g] || point[a] >= hi_ptr[a][g]) {
+                        inside = false;
+                        break;
+                      }
+                    }
+                    if (inside) fstar_n += mass[g * m + sa];
+                  }
                   fstar[rep] = fstar_n;
                 }
               });
@@ -400,10 +348,7 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
   // hits, or +0.0 on a miss, which leaves the sum's bits unchanged -- so
   // f* is the point-major loop's sum of hits, bit for bit. The no-star
   // bucket packs exactly like the point ids, so it probes by id, and only
-  // the columns some starred bucket projects are gathered. The p*log(p/q)
-  // fold stays inline instead of staging through KlTermSink: bench_micro
-  // measured the sink's staging pass at ~9 ns/point here, a 21% loss on
-  // kl_suppression/10k.
+  // the columns some starred bucket projects are gathered.
   std::vector<AttrId> projected;
   for (AttrId a = 0; a < d; ++a) {
     for (const MaskBucket& bucket : buckets) {
@@ -429,10 +374,11 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
         auto columns_s = cws.U32();
         std::vector<std::uint32_t>& columns = *columns_s;
         columns.resize((d + 1) * len);
-        for (AttrId a : projected) {
-          simd::GatherU32(table.column(a).data(), reps.data(), len, columns.data() + a * len);
-        }
-        simd::GatherU32(table.sa_column().data(), reps.data(), len, columns.data() + d * len);
+        const auto gather = [&](const std::uint32_t* values, std::uint32_t* out) {
+          for (std::size_t i = 0; i < len; ++i) out[i] = values[reps[i]];
+        };
+        for (AttrId a : projected) gather(table.column(a).data(), columns.data() + a * len);
+        gather(table.sa_column().data(), columns.data() + d * len);
         auto probes_s = cws.U64();
         std::vector<std::uint64_t>& probes = *probes_s;
         probes.resize(len);
@@ -475,16 +421,22 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
   const std::vector<PointCount> points = DistinctPoints(table, packer, ws);
   const std::vector<double> fstar =
       gen.tiling() ? TilingFstar(table, gen, ws) : StabbingFstar(table, gen, points, ws);
+  // Term i of a chunk adds into lane i mod 4 and the lanes fold as
+  // ((a0 + a1) + a2) + a3. The four lanes exist only to keep the
+  // estimate's bits: this is the summation order the pinned KL values
+  // (kl_divergence_test's KlGolden) were computed in, and one running sum
+  // would round differently.
   return ParallelReduce(
       points.size(), kKlMultiDimPointGrain, ws, 0.0,
-      [&](std::size_t begin, std::size_t end, Workspace& cws) {
-        KlTermSink sink(n, cws);
+      [&](std::size_t begin, std::size_t end, Workspace&) {
+        double acc[4] = {0.0, 0.0, 0.0, 0.0};
         for (std::size_t p = begin; p < end; ++p) {
           const double fstar_n = fstar[points[p].representative];
           LDIV_CHECK_GT(fstar_n, 0.0) << "f* must cover every data point";
-          sink.Add(static_cast<double>(points[p].count), fstar_n);
+          const double count = points[p].count;
+          acc[(p - begin) & 3] += (count / n) * std::log(count / fstar_n);
         }
-        return sink.Finish();
+        return ((acc[0] + acc[1]) + acc[2]) + acc[3];
       },
       std::plus<double>());
 }

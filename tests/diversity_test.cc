@@ -1,5 +1,5 @@
 // Tests for the alternative l-diversity instantiations (entropy, recursive
-// (c,l)) and the generic-predicate Hilbert partitioner.
+// (c,l)).
 
 #include "anonymity/diversity.h"
 
@@ -7,9 +7,7 @@
 
 #include <cmath>
 
-#include "anonymity/eligibility.h"
-#include "hilbert/hilbert_partitioner.h"
-#include "test_util.h"
+#include "common/rng.h"
 
 namespace ldv {
 namespace {
@@ -92,53 +90,6 @@ TEST(Diversity, AllVariantsAreMonotoneUnderUnion) {
     }
     EXPECT_GT(satisfied_pairs, 10) << "sweep too weak for kind " << static_cast<int>(kind);
   }
-}
-
-class HilbertSpecTest : public ::testing::TestWithParam<DiversityKind> {};
-
-TEST_P(HilbertSpecTest, PartitionSatisfiesSpecEverywhere) {
-  Rng rng(73);
-  Table table = testutil::RandomEligibleTable(rng, 400, {8, 6}, 6, 3);
-  DiversitySpec spec{GetParam(), 3, 2.0};
-  SaHistogram whole(std::vector<std::uint32_t>(table.SaHistogramCounts()));
-  if (!SatisfiesDiversity(whole, spec)) GTEST_SKIP();
-  HilbertResult result = HilbertAnonymizeWithSpec(table, spec);
-  ASSERT_TRUE(result.feasible);
-  EXPECT_TRUE(result.partition.CoversExactly(table));
-  for (const auto& group : result.partition.groups()) {
-    EXPECT_TRUE(SatisfiesDiversity(RowsHistogram(table, group), spec));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, HilbertSpecTest,
-                         ::testing::Values(DiversityKind::kFrequency, DiversityKind::kEntropy,
-                                           DiversityKind::kRecursive),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case DiversityKind::kFrequency: return "frequency";
-                             case DiversityKind::kEntropy: return "entropy";
-                             case DiversityKind::kRecursive: return "recursive";
-                           }
-                           return "unknown";
-                         });
-
-TEST(HilbertSpec, FrequencySpecMatchesPlainHilbertSemantics) {
-  Rng rng(79);
-  Table table = testutil::RandomEligibleTable(rng, 300, {8, 4}, 5, 3);
-  DiversitySpec spec{DiversityKind::kFrequency, 3, 1.0};
-  HilbertResult generic = HilbertAnonymizeWithSpec(table, spec);
-  ASSERT_TRUE(generic.feasible);
-  EXPECT_TRUE(IsLDiverse(table, generic.partition, 3));
-}
-
-TEST(HilbertSpec, InfeasibleSpecReported) {
-  Schema schema = testutil::MakeSchema({4}, 3);
-  Table table(schema);
-  std::vector<Value> qi{0};
-  for (int i = 0; i < 9; ++i) table.AppendRow(qi, 0);
-  table.AppendRow(qi, 1);
-  DiversitySpec spec{DiversityKind::kEntropy, 3, 1.0};
-  EXPECT_FALSE(HilbertAnonymizeWithSpec(table, spec).feasible);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // KL-divergence (Equation 2) tests for suppression and single-dimensional
-// generalizations.
+// generalizations, and a golden pin of every estimator's bits.
 
 #include "metrics/kl_divergence.h"
 
@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ios>
 #include <map>
 #include <vector>
 
 #include "anonymity/generalization.h"
 #include "common/rng.h"
 #include "core/anonymizer.h"
+#include "data/acs_generator.h"
 #include "tds/tds.h"
 #include "test_util.h"
 
@@ -226,6 +228,43 @@ TEST(KlDivergence, NonNegativity) {
       GeneralizedTable gen(table, outcome.partition);
       EXPECT_GE(KlDivergenceSuppression(table, gen), -1e-9);
     }
+  }
+}
+
+TEST(KlGolden, SalSevenMatchesPinnedBits) {
+  // Every algorithm's Equation 2 estimate on SAL-7 20k, pinned to the last
+  // bit. Reports print KL with %.9g, so a drift in the low bits -- a
+  // multiply-add the compiler fused, a reordered sum, a changed chunk
+  // grain -- passes every report comparison and shows only here. The
+  // literals are glibc's log (one implementation since 2.28) under every
+  // SIMD tier and in a -march=native build. A failure means an estimate's
+  // arithmetic changed: find out why, never edit a literal to match.
+  struct Golden {
+    Algorithm algo;
+    std::uint32_t l;
+    double kl;
+  };
+  const Golden golden[] = {
+      {Algorithm::kTp, 2, 0x1.676caf9e26342p+3},
+      {Algorithm::kTp, 4, 0x1.70b19ed55af31p+3},
+      {Algorithm::kTpPlus, 2, 0x1.1b84bf78f1b5fp+3},
+      {Algorithm::kTpPlus, 4, 0x1.58fda07805f61p+3},
+      {Algorithm::kHilbert, 2, 0x1.1e108755b5af1p+3},
+      {Algorithm::kHilbert, 4, 0x1.58e1d45c1a4c3p+3},
+      {Algorithm::kMondrian, 2, 0x1.c84288e8117cep+2},
+      {Algorithm::kMondrian, 4, 0x1.0f5d7de1af97fp+3},
+      {Algorithm::kAnatomy, 2, 0x1.62201548fb561p-1},
+      {Algorithm::kAnatomy, 4, 0x1.61f7331cf5073p+0},
+      {Algorithm::kTds, 2, 0x1.4b74ec3323e84p+3},
+      {Algorithm::kTds, 4, 0x1.573742c1d0a5dp+3},
+  };
+  const Table sal = GenerateSal(20000, 1);
+  for (const Golden& g : golden) {
+    const AnonymizationOutcome outcome = Anonymize(sal, g.l, g.algo);
+    ASSERT_TRUE(outcome.feasible) << AlgorithmName(g.algo) << " l=" << g.l;
+    EXPECT_EQ(outcome.kl_divergence, g.kl)
+        << AlgorithmName(g.algo) << " l=" << g.l << std::hexfloat << ": got "
+        << outcome.kl_divergence << ", pinned " << g.kl;
   }
 }
 

@@ -542,6 +542,38 @@ TEST(KlEquivalence, TilingMatchesStabbingBitForBit) {
   }
 }
 
+TEST(KlEquivalence, MultiDimMatchesReferenceOnOverlappingBoxes) {
+  // The Section 6.2 relaxation T*' widens each suppression group to the
+  // min..max box of its values, and those boxes overlap, so the stabbing
+  // path must sum f* over every box containing a point -- the case the
+  // disjoint Mondrian boxes above never reach. The 3-QI projection keeps
+  // the domains small enough that many rows sit in two or more boxes.
+  const Table t = GenerateSal(2000, 1).ProjectQi({kAge, kGender, kRace});
+  for (Algorithm algo : {Algorithm::kTpPlus, Algorithm::kHilbert}) {
+    for (std::uint32_t l : {2u, 4u}) {
+      SCOPED_TRACE(std::string(AlgorithmName(algo)) + " l=" + std::to_string(l));
+      AnonymizationOutcome outcome = Anonymize(t, l, algo);
+      ASSERT_TRUE(outcome.feasible);
+      const BoxGeneralization relaxed = RelaxSuppressionToMultiDim(t, *outcome.generalized);
+      ASSERT_FALSE(relaxed.tiling());
+      std::size_t overlapped_rows = 0;
+      for (RowId r = 0; r < t.size(); ++r) {
+        const auto qi = t.qi_row(r);
+        std::size_t covering = 0;
+        for (std::size_t g = 0; g < relaxed.group_count() && covering < 2; ++g) {
+          if (relaxed.box(g).Contains(qi)) ++covering;
+        }
+        if (covering >= 2) ++overlapped_rows;
+      }
+      ASSERT_GT(overlapped_rows, 0u) << "no row lies in two boxes";
+      const double estimate = KlDivergenceMultiDim(t, relaxed);
+      EXPECT_NEAR(estimate, ReferenceKlMultiDim(t, relaxed), 1e-12);
+      Workspace four_threads(4, nullptr);
+      EXPECT_EQ(KlDivergenceMultiDim(t, relaxed, &four_threads), estimate);
+    }
+  }
+}
+
 TEST(WorkspaceEquivalence, ReusedWorkspaceGivesIdenticalOutcomes) {
   // Run every algorithm three ways -- fresh workspace, first reuse, second
   // reuse -- and require bit-identical outcomes: a workspace must never

@@ -2,17 +2,15 @@
 // every compiled-in tier the host can run, cross-checked against the
 // scalar reference on randomized inputs -- including unaligned tails
 // (lengths that are not lane multiples and pointers offset off alignment),
-// n smaller than one lane, and n == 0. The KL kernel is additionally
-// checked for BIT-identical output across tiers, which is the determinism
-// guarantee the estimators rely on.
+// n smaller than one lane, and n == 0. The window probe, the layer's one
+// floating-point kernel, is checked for BIT-identical sums across tiers,
+// which is the determinism guarantee the suppression estimator relies on.
 
 #include "common/simd.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -102,142 +100,6 @@ TEST(SimdKernels, StrideAccumulateMatchesScalar) {
         simd::ForceLevel(level);
         simd::StrideAccumulate(got.data(), col.data() + 1, stride, n);
         EXPECT_EQ(got, want) << simd::LevelName(level) << " n=" << n << " stride=" << stride;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, MinMaxGatherMatchesScalar) {
-  LevelGuard guard;
-  Rng rng(13);
-  std::vector<std::uint32_t> values(4096);
-  for (auto& v : values) v = rng.Next32();
-  for (std::size_t n : kLengths) {
-    if (n == 0) continue;  // the kernel requires n >= 1
-    std::vector<std::uint32_t> idx(n + 1);
-    for (auto& i : idx) i = rng.Below(static_cast<std::uint32_t>(values.size()));
-    std::uint32_t want_mn = 0, want_mx = 0;
-    simd::ForceLevel(Level::kScalar);
-    simd::MinMaxGatherU32(values.data(), idx.data() + 1, n, &want_mn, &want_mx);
-    for (Level level : RunnableLevels()) {
-      std::uint32_t mn = 0, mx = 0;
-      simd::ForceLevel(level);
-      simd::MinMaxGatherU32(values.data(), idx.data() + 1, n, &mn, &mx);
-      EXPECT_EQ(mn, want_mn) << simd::LevelName(level) << " n=" << n;
-      EXPECT_EQ(mx, want_mx) << simd::LevelName(level) << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdKernels, GatherMatchesScalar) {
-  LevelGuard guard;
-  Rng rng(14);
-  std::vector<std::uint32_t> values(4096);
-  for (auto& v : values) v = rng.Next32();
-  for (std::size_t n : kLengths) {
-    std::vector<std::uint32_t> idx(n + 1);
-    for (auto& i : idx) i = rng.Below(static_cast<std::uint32_t>(values.size()));
-    std::vector<std::uint32_t> want(n);
-    simd::ForceLevel(Level::kScalar);
-    simd::GatherU32(values.data(), idx.data() + 1, n, want.data());
-    for (Level level : RunnableLevels()) {
-      std::vector<std::uint32_t> got(n);
-      simd::ForceLevel(level);
-      simd::GatherU32(values.data(), idx.data() + 1, n, got.data());
-      EXPECT_EQ(got, want) << simd::LevelName(level) << " n=" << n;
-    }
-  }
-}
-
-TEST(SimdKernels, StabCandidatesMatchesScalar) {
-  LevelGuard guard;
-  Rng rng(15);
-  constexpr std::size_t kGroups = 512;
-  constexpr std::size_t kDims = 5;
-  constexpr std::uint32_t kDomain = 32;
-  // SoA per-attribute bounds with lo <= hi, tight enough that hits are
-  // neither universal nor vanishing.
-  std::vector<std::uint32_t> lo_store(kDims * kGroups), hi_store(kDims * kGroups);
-  const std::uint32_t* lo[kDims];
-  const std::uint32_t* hi[kDims];
-  for (std::size_t a = 0; a < kDims; ++a) {
-    lo[a] = lo_store.data() + a * kGroups;
-    hi[a] = hi_store.data() + a * kGroups;
-    for (std::size_t g = 0; g < kGroups; ++g) {
-      std::uint32_t x = rng.Below(kDomain), y = rng.Below(kDomain + 1);
-      lo_store[a * kGroups + g] = x < y ? x : y;
-      hi_store[a * kGroups + g] = (x < y ? y : x) + 1;
-    }
-  }
-  for (std::size_t n : kLengths) {
-    std::vector<std::uint32_t> candidates(n + 1);
-    for (auto& c : candidates) c = rng.Below(kGroups);
-    std::uint32_t point[kDims];
-    for (auto& p : point) p = rng.Below(kDomain);
-    std::vector<std::uint32_t> want(n + 1, 0xdeadbeefu), got(n + 1, 0xdeadbeefu);
-    simd::ForceLevel(Level::kScalar);
-    std::size_t want_n =
-        simd::StabCandidates(candidates.data() + 1, n, point, lo, hi, kDims, want.data());
-    for (Level level : RunnableLevels()) {
-      simd::ForceLevel(level);
-      std::size_t got_n =
-          simd::StabCandidates(candidates.data() + 1, n, point, lo, hi, kDims, got.data());
-      ASSERT_EQ(got_n, want_n) << simd::LevelName(level) << " n=" << n;
-      for (std::size_t k = 0; k < want_n; ++k) {
-        EXPECT_EQ(got[k], want[k]) << simd::LevelName(level) << " hit " << k;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, KlAccumulateBitIdenticalAcrossTiers) {
-  LevelGuard guard;
-  Rng rng(16);
-  const double n_rows = 100000.0;
-  for (std::size_t n : kLengths) {
-    std::vector<double> count(n + 1), fstar(n + 1);
-    for (auto& c : count) c = 1.0 + rng.Below(1000);
-    for (auto& f : fstar) f = (1.0 + rng.Below(100000)) / 256.0;
-    double want[4] = {0.125, -3.5, 7.25, 0.0};  // nonzero seeds must carry through
-    simd::ForceLevel(Level::kScalar);
-    simd::KlAccumulate(count.data() + 1, fstar.data() + 1, n_rows, n, want);
-    for (Level level : RunnableLevels()) {
-      double acc[4] = {0.125, -3.5, 7.25, 0.0};
-      simd::ForceLevel(level);
-      simd::KlAccumulate(count.data() + 1, fstar.data() + 1, n_rows, n, acc);
-      for (int j = 0; j < 4; ++j) {
-        // Bit equality, not approximate equality: the determinism contract.
-        EXPECT_EQ(std::memcmp(&acc[j], &want[j], sizeof(double)), 0)
-            << simd::LevelName(level) << " n=" << n << " lane " << j << " got " << acc[j]
-            << " want " << want[j];
-      }
-    }
-  }
-}
-
-// Split accumulation (consecutive blocks with multiple-of-4 lengths) must
-// equal one whole-range call: the estimators feed the kernel in cache
-// blocks, and the block size must not leak into the result.
-TEST(SimdKernels, KlAccumulateBlockSizeInvariant) {
-  LevelGuard guard;
-  Rng rng(17);
-  const std::size_t n = 1000;
-  std::vector<double> count(n), fstar(n);
-  for (auto& c : count) c = 1.0 + rng.Below(1000);
-  for (auto& f : fstar) f = (1.0 + rng.Below(100000)) / 256.0;
-  for (Level level : RunnableLevels()) {
-    simd::ForceLevel(level);
-    double whole[4] = {0, 0, 0, 0};
-    simd::KlAccumulate(count.data(), fstar.data(), 1000.0, n, whole);
-    for (std::size_t block : {4u, 64u, 256u}) {
-      double split[4] = {0, 0, 0, 0};
-      for (std::size_t b = 0; b < n; b += block) {
-        simd::KlAccumulate(count.data() + b, fstar.data() + b, 1000.0,
-                           b + block < n ? block : n - b, split);
-      }
-      for (int j = 0; j < 4; ++j) {
-        EXPECT_EQ(std::memcmp(&split[j], &whole[j], sizeof(double)), 0)
-            << simd::LevelName(level) << " block=" << block << " lane " << j;
       }
     }
   }
