@@ -18,7 +18,7 @@ void RunFamily(const char* name, const Table& source, const bench::BenchConfig& 
   TextTable table({"l", "Hilbert", "TP", "TP+"});
   for (std::uint32_t l = 2; l <= 10; ++l) {
     std::vector<AnonymizationOutcome> results =
-        AnonymizeBatch(bench::FamilyJobs(family, l, kColumns));
+        bench::RunFamilyCell(family, l, kColumns);
     double sums[3] = {0, 0, 0};
     std::size_t feasible = 0;
     for (std::size_t t = 0; t * 3 < results.size(); ++t) {

@@ -20,7 +20,7 @@ void RunFamily(const char* name, const Table& source, const bench::BenchConfig& 
   for (std::size_t d = 1; d <= 7; ++d) {
     std::vector<Table> family = bench::Family(source, d, config);
     std::vector<AnonymizationOutcome> results =
-        AnonymizeBatch(bench::FamilyJobs(family, l, kColumns));
+        bench::RunFamilyCell(family, l, kColumns);
     double sums[3] = {0, 0, 0};
     std::size_t feasible = 0;
     for (std::size_t t = 0; t * 3 < results.size(); ++t) {

@@ -1,9 +1,8 @@
 // Reproduces Figure 4: computation time vs l (SAL-4 / OCC-4). Timing
 // sweeps run sequentially (no batch parallelism, so solves never contend
-// for cores) through KL-free registry instances.
+// for cores) through the registry, with the KL estimate off.
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench_util.h"
@@ -15,7 +14,7 @@ namespace {
 
 void RunFamily(const char* name, const Table& source, const bench::BenchConfig& config) {
   std::vector<Table> family = bench::Family(source, 4, config);
-  std::vector<std::unique_ptr<Anonymizer>> algos = bench::TimingAlgorithms();
+  std::vector<const Anonymizer*> algos = bench::TimingAlgorithms();
   TextTable table({"l", "Hilbert(s)", "TP(s)", "TP+(s)"});
   for (std::uint32_t l = 2; l <= 10; ++l) {
     std::vector<double> sums(algos.size(), 0.0);
@@ -24,7 +23,7 @@ void RunFamily(const char* name, const Table& source, const bench::BenchConfig& 
       std::vector<double> seconds(algos.size());
       bool all_feasible = true;
       for (std::size_t a = 0; a < algos.size(); ++a) {
-        AnonymizationOutcome outcome = algos[a]->Run(t, l);
+        AnonymizationOutcome outcome = algos[a]->Run(t, l, bench::NoKlOptions());
         all_feasible = all_feasible && outcome.feasible;
         seconds[a] = outcome.seconds;
       }

@@ -1,9 +1,8 @@
 // Reproduces Figure 6: computation time vs dataset cardinality n (l = 6) on
-// samples of SAL-4 / OCC-4. Sequential KL-free registry instances, like
-// Figures 4 and 5.
+// samples of SAL-4 / OCC-4. Sequential registry runs with the KL estimate
+// off, like Figures 4 and 5.
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench_util.h"
@@ -24,7 +23,7 @@ void RunFamily(const char* name, const Table& source, const bench::BenchConfig& 
   std::vector<Table> family = bench::Family(source, 4, config);
   if (family.size() > 3) family.erase(family.begin() + 3, family.end());  // time sweep; a few projections suffice
 
-  std::vector<std::unique_ptr<Anonymizer>> algos = bench::TimingAlgorithms();
+  std::vector<const Anonymizer*> algos = bench::TimingAlgorithms();
 
   Rng rng(17);
   TextTable table({"n", "Hilbert(s)", "TP(s)", "TP+(s)"});
@@ -36,7 +35,7 @@ void RunFamily(const char* name, const Table& source, const bench::BenchConfig& 
       std::vector<double> seconds(algos.size());
       bool all_feasible = true;
       for (std::size_t a = 0; a < algos.size(); ++a) {
-        AnonymizationOutcome outcome = algos[a]->Run(sample, l);
+        AnonymizationOutcome outcome = algos[a]->Run(sample, l, bench::NoKlOptions());
         all_feasible = all_feasible && outcome.feasible;
         seconds[a] = outcome.seconds;
       }

@@ -20,7 +20,7 @@ void RunFamily(const char* name, const Table& source, const bench::BenchConfig& 
   TextTable table({"l", "TDS", "TP+"});
   for (std::uint32_t l = 2; l <= 10; ++l) {
     std::vector<AnonymizationOutcome> results =
-        AnonymizeBatch(bench::FamilyJobs(family, l, kColumns, AnonymizerOptions{}));
+        bench::RunFamilyCell(family, l, kColumns, AnonymizerOptions{});
     double sums[2] = {0, 0};
     std::size_t feasible = 0;
     for (std::size_t t = 0; t * 2 < results.size(); ++t) {

@@ -19,7 +19,7 @@ void RunFamily(const char* name, const Table& source, const bench::BenchConfig& 
     std::vector<Table> family = bench::Family(source, d, config);
     if (family.size() > 3) family.erase(family.begin() + 3, family.end());
     std::vector<AnonymizationOutcome> results =
-        AnonymizeBatch(bench::FamilyJobs(family, l, kColumns, AnonymizerOptions{}));
+        bench::RunFamilyCell(family, l, kColumns, AnonymizerOptions{});
     double sums[2] = {0, 0};
     std::size_t feasible = 0;
     for (std::size_t t = 0; t * 2 < results.size(); ++t) {

@@ -29,7 +29,7 @@ void RunFamily(const char* name, const Table& source, const bench::BenchConfig& 
   TextTable table({"l", "TP+ (suppr.)", "TP+ relaxed", "Mondrian", "TDS", "Anatomy"});
   for (std::uint32_t l : {2u, 4u, 6u, 8u}) {
     std::vector<AnonymizationOutcome> results =
-        AnonymizeBatch(bench::FamilyJobs(family, l, kColumns, AnonymizerOptions{}));
+        bench::RunFamilyCell(family, l, kColumns, AnonymizerOptions{});
     double sums[5] = {0, 0, 0, 0, 0};
     std::size_t feasible = 0;
     for (std::size_t t = 0; t * 4 < results.size(); ++t) {

@@ -15,13 +15,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/table.h"
+#include "common/workspace.h"
 #include "core/batch.h"
+#include "core/run_spec.h"
 #include "data/acs_generator.h"
 #include "data/workload.h"
 
@@ -74,29 +76,29 @@ inline AnonymizerOptions NoKlOptions() {
   return options;
 }
 
-/// KL-free instances of the Section 6.1 timing columns (Hilbert, TP, TP+),
-/// in column order. The timing benches (Figures 4-6) run these
-/// sequentially so solves never contend for cores.
-inline std::vector<std::unique_ptr<Anonymizer>> TimingAlgorithms() {
-  std::vector<std::unique_ptr<Anonymizer>> algos;
+/// The Section 6.1 timing columns (Hilbert, TP, TP+), in column order.
+/// The timing benches (Figures 4-6) run them sequentially with
+/// NoKlOptions(), so solves never contend for cores.
+inline std::vector<const Anonymizer*> TimingAlgorithms() {
+  std::vector<const Anonymizer*> algos;
   for (Algorithm a : {Algorithm::kHilbert, Algorithm::kTp, Algorithm::kTpPlus}) {
-    algos.push_back(AlgorithmRegistry::Global().Create(a, NoKlOptions()));
+    algos.push_back(&AlgorithmRegistry::Global().Get(a));
   }
   return algos;
 }
 
-/// Jobs for one figure cell: every table of the family crossed with every
-/// algorithm column (tables outer, algorithms inner), so the batch result
-/// at index t * algorithms.size() + a is (family[t], algorithms[a]).
-inline std::vector<BatchJob> FamilyJobs(const std::vector<Table>& family, std::uint32_t l,
-                                        std::span<const Algorithm> algorithms,
-                                        const AnonymizerOptions& options = NoKlOptions()) {
-  std::vector<BatchJob> jobs;
-  jobs.reserve(family.size() * algorithms.size());
-  for (const Table& t : family) {
-    for (Algorithm a : algorithms) jobs.push_back(BatchJob{&t, l, a, options});
-  }
-  return jobs;
+/// Runs one figure cell through AnonymizeBatch on every hardware thread:
+/// every table of the family crossed with every algorithm column (tables
+/// outer, algorithms inner), so result t * algorithms.size() + a is
+/// (family[t], algorithms[a]).
+inline std::vector<AnonymizationOutcome> RunFamilyCell(
+    const std::vector<Table>& family, std::uint32_t l, std::span<const Algorithm> algorithms,
+    const AnonymizerOptions& options = NoKlOptions()) {
+  std::vector<const Table*> tables;
+  for (const Table& t : family) tables.push_back(&t);
+  const std::uint32_t ls[] = {l};
+  const std::vector<RunSpec> specs = ExpandRunGrid(algorithms, ls, tables.size(), options);
+  return AnonymizeBatch(specs, tables, {}, Workspace(HardwareThreads(), nullptr));
 }
 
 inline void PrintHeader(const std::string& title, const BenchConfig& config) {

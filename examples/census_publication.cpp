@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/parallel.h"
 #include "common/text_table.h"
+#include "common/workspace.h"
 #include "core/batch.h"
 #include "data/acs_generator.h"
 #include "data/acs_schema.h"
@@ -27,11 +29,12 @@ int main(int argc, char** argv) {
   Table released = sal.ProjectQi({kAge, kGender, kEducation, kWorkClass});
   std::printf("Projection: %s\n\n", released.schema().ToString().c_str());
 
-  std::vector<BatchJob> jobs;
-  for (std::uint32_t l = 2; l <= 10; l += 2) {
-    jobs.push_back(BatchJob{&released, l, Algorithm::kTpPlus, AnonymizerOptions{}});
-  }
-  std::vector<AnonymizationOutcome> outcomes = AnonymizeBatch(jobs);
+  const Algorithm algorithms[] = {Algorithm::kTpPlus};
+  const std::uint32_t ls[] = {2, 4, 6, 8, 10};
+  const Table* tables[] = {&released};
+  const std::vector<RunSpec> jobs = ExpandRunGrid(algorithms, ls, 1, AnonymizerOptions{});
+  std::vector<AnonymizationOutcome> outcomes =
+      AnonymizeBatch(jobs, tables, {}, Workspace(HardwareThreads(), nullptr));
 
   TextTable report({"l", "stars", "suppressed", "groups", "avg group", "KL", "seconds"});
   for (std::size_t i = 0; i < jobs.size(); ++i) {

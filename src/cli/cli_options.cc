@@ -11,7 +11,7 @@ namespace ldv {
 namespace {
 
 // The one-shot flags, and the ones `submit` takes on top of them.
-constexpr std::array<std::string_view, 18> kRunFlags = {
+constexpr std::array<std::string_view, 17> kRunFlags = {
     "algo",
     "l",
     "input",
@@ -22,7 +22,6 @@ constexpr std::array<std::string_view, 18> kRunFlags = {
     "d",
     "seed",
     "out",
-    "sweep",
     "config",
     "write-releases",
     "kl",
@@ -81,7 +80,7 @@ std::string CliUsage(std::string_view program) {
   usage += "       " + std::string(program) + " serve|submit|ctl [flags]\n";
   usage += "\n";
   usage += "End-to-end l-diversity pipeline: load or generate a microdata table, run\n";
-  usage += "one registered algorithm (or a sweep grid through the batch driver), and\n";
+  usage += "one registered algorithm or an algorithms x (l, n, d) grid, and\n";
   usage += "write the anonymized release plus a JSON/CSV metrics report.\n";
   usage += "\n";
   usage += "  --algo=LIST        algorithms to run: comma-separated registry names, or\n";
@@ -102,9 +101,7 @@ std::string CliUsage(std::string_view program) {
   usage += "  --out=STEM         output stem: STEM.csv release, STEM.json report,\n";
   usage += "                     STEM_metrics.csv; raw inputs add STEM_dict.csv\n";
   usage += "                     (attribute,code,label). default: ldiv_out\n";
-  usage += "  --sweep            run through the batch driver even for one job\n";
-  usage += "                     (grids with >1 job sweep automatically)\n";
-  usage += "  --write-releases   sweep mode: write one release per job (STEM.jobK.csv)\n";
+  usage += "  --write-releases   multi-job runs: write one release per job (STEM.jobK.csv)\n";
   usage += "  --threads=T        thread budget of the whole run: sweeps spend it on batch\n";
   usage += "                     workers, single jobs on in-kernel parallelism. T = count\n";
   usage += "                     or 'auto' (hardware). Outputs are byte-identical at any\n";

@@ -1,5 +1,6 @@
 #include "common/schema_spec.h"
 
+#include <limits>
 #include <vector>
 
 #include "common/flags.h"
@@ -27,6 +28,12 @@ bool ParseAttribute(std::string_view item, std::string_view fallback_name, Attri
   if (!ParseUint64(size_text, &size) || size == 0) {
     *error = "schema spec: attribute '" + std::string(name) +
              "' needs a positive domain size, got '" + std::string(size_text) + "'";
+    return false;
+  }
+  // Codes are 32-bit, and a box bound of the domain size must be one too.
+  if (size > std::numeric_limits<Value>::max()) {
+    *error = "schema spec: attribute '" + std::string(name) + "' has domain size " +
+             std::to_string(size) + ", above the 4294967295 that 32-bit codes allow";
     return false;
   }
   out->name = std::string(name);

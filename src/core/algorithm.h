@@ -62,9 +62,8 @@ enum class Methodology {
 
 const char* MethodologyName(Methodology methodology);
 
-/// Per-instance knobs of an Anonymizer. Registry default instances use the
-/// defaults below; callers needing different knobs create their own
-/// instance through AlgorithmRegistry::Create.
+/// Per-run knobs of an Anonymizer::Run. Every algorithm reads the ones
+/// that apply to it and ignores the rest.
 struct AnonymizerOptions {
   /// Splitting strategy for the Hilbert-based algorithms (kHilbert and the
   /// refinement stage of kTpPlus); ignored by the others.
@@ -97,7 +96,7 @@ struct AnonymizationOutcome {
   /// QI-group size summary of the partition.
   GroupSizeStats group_stats;
   /// KL(f, f*) of Equation 2, estimated with the methodology's estimator.
-  /// 0 when the anonymizer was created with compute_kl = false.
+  /// 0 when the run's options set compute_kl = false.
   double kl_divergence = 0.0;
 
   /// The Definition-1 suppression view of the partition (set for every
@@ -111,26 +110,23 @@ struct AnonymizationOutcome {
   std::uint32_t specializations = 0;
 };
 
-/// Abstract algorithm interface: every anonymizer maps (table, l) to an
-/// AnonymizationOutcome. Concrete classes implement RunRaw (the solve);
-/// the base class owns the shared post-processing -- validation, star
-/// counting, group statistics and KL-divergence -- so the utility metrics
-/// are computed once here instead of per-bench.
+/// One of the six algorithms: maps (table, l) to an AnonymizationOutcome.
+/// Run dispatches the solve on the id, then runs the shared
+/// post-processing -- validation, star counting, group statistics and
+/// KL-divergence -- so the utility metrics are computed once here instead
+/// of per-bench.
 class Anonymizer {
  public:
-  virtual ~Anonymizer() = default;
-
-  Anonymizer(const Anonymizer&) = delete;
-  Anonymizer& operator=(const Anonymizer&) = delete;
+  constexpr Anonymizer(Algorithm id, Methodology methodology)
+      : id_(id), methodology_(methodology) {}
 
   Algorithm id() const { return id_; }
   const char* name() const { return AlgorithmName(id_); }
   Methodology methodology() const { return methodology_; }
-  const AnonymizerOptions& options() const { return options_; }
 
   /// Runs the algorithm on `table` with privacy parameter `l` and fills in
   /// the shared utility metrics. Returns feasible = false iff the table is
-  /// not l-eligible. Thread-safe: anonymizers are stateless.
+  /// not l-eligible. Thread-safe: an Anonymizer holds no state.
   ///
   /// Every solver draws its scratch memory and run context from
   /// `workspace` (null = a local default-constructed one), so repeated
@@ -141,59 +137,44 @@ class Anonymizer {
   /// may be null, in which case the algorithm derives the input itself.
   /// Artifacts MUST have been built from exactly this table. Outcomes are
   /// identical with or without a workspace or artifacts.
-  AnonymizationOutcome Run(const Table& table, std::uint32_t l, Workspace* workspace = nullptr,
+  AnonymizationOutcome Run(const Table& table, std::uint32_t l,
+                           const AnonymizerOptions& options = {}, Workspace* workspace = nullptr,
                            const TableArtifacts* artifacts = nullptr) const;
-
- protected:
-  Anonymizer(Algorithm id, Methodology methodology, AnonymizerOptions options)
-      : id_(id), methodology_(methodology), options_(options) {}
-
-  /// The algorithm-specific solve. Fills partition, seconds and the
-  /// methodology artifacts; returns false iff infeasible. `workspace` is
-  /// never null; `artifacts` may be (no pre-resolved inputs).
-  virtual bool RunRaw(const Table& table, std::uint32_t l, Workspace* workspace,
-                      const TableArtifacts* artifacts, AnonymizationOutcome* out) const = 0;
 
  private:
   Algorithm id_;
   Methodology methodology_;
-  AnonymizerOptions options_;
 };
 
-/// Static registry of the available algorithms: lookup by enum for typed
-/// callers and by (case-insensitive) name for CLI / bench front-ends. The
-/// six built-in algorithms are registered on first access; additional
-/// engines can be registered at startup (registration is not thread-safe,
-/// lookup is).
+/// The fixed table of the six algorithms, in enum order: lookup by enum
+/// for typed callers and by (case-insensitive) name for CLI / bench
+/// front-ends. Immutable, so any thread may read it.
 class AlgorithmRegistry {
  public:
-  using Factory = std::unique_ptr<Anonymizer> (*)(const AnonymizerOptions& options);
+  /// The process-wide registry.
+  static const AlgorithmRegistry& Global();
 
-  /// The process-wide registry, with the built-ins pre-registered.
-  static AlgorithmRegistry& Global();
-
-  /// Registers a factory for `id`. Aborts on a duplicate registration.
-  void Register(Algorithm id, Factory factory);
-
-  /// The shared default-options instance for `id` (aborts if unregistered).
+  /// The entry for `id`.
   const Anonymizer& Get(Algorithm id) const;
 
   /// Case-insensitive lookup by canonical name ("tp", "TP+", "mondrian",
   /// ...). Returns nullptr for an unknown name.
   const Anonymizer* Find(std::string_view name) const;
 
-  /// A fresh instance of `id` with the given options.
-  std::unique_ptr<Anonymizer> Create(Algorithm id, const AnonymizerOptions& options) const;
-
-  /// All registered algorithms, in enum order.
+  /// All six algorithms, in enum order.
   std::vector<const Anonymizer*> All() const;
 
  private:
-  struct Entry {
-    Factory factory = nullptr;
-    std::unique_ptr<Anonymizer> default_instance;
-  };
-  std::array<Entry, kAlgorithmCount> entries_;
+  AlgorithmRegistry() = default;
+
+  std::array<Anonymizer, kAlgorithmCount> entries_ = {{
+      {Algorithm::kTp, Methodology::kSuppression},
+      {Algorithm::kTpPlus, Methodology::kSuppression},
+      {Algorithm::kHilbert, Methodology::kSuppression},
+      {Algorithm::kMondrian, Methodology::kMultiDimensional},
+      {Algorithm::kAnatomy, Methodology::kBucketization},
+      {Algorithm::kTds, Methodology::kSingleDimensional},
+  }};
 };
 
 }  // namespace ldv

@@ -4,7 +4,7 @@ namespace ldv {
 
 AnonymizationOutcome Anonymize(const Table& table, std::uint32_t l, Algorithm algorithm,
                                const AnonymizerOptions& options, Workspace* workspace) {
-  return AlgorithmRegistry::Global().Create(algorithm, options)->Run(table, l, workspace);
+  return AlgorithmRegistry::Global().Get(algorithm).Run(table, l, options, workspace);
 }
 
 }  // namespace ldv

@@ -10,7 +10,7 @@ namespace ldv {
 /// Convenience facade over the AlgorithmRegistry: runs `algorithm` on
 /// `table` with privacy parameter `l` and returns the uniform outcome with
 /// the shared utility metrics filled in. Equivalent to
-/// `AlgorithmRegistry::Global().Create(algorithm, options)->Run(table, l,
+/// `AlgorithmRegistry::Global().Get(algorithm).Run(table, l, options,
 /// workspace)`. Pass a Workspace to reuse solver scratch across repeated
 /// calls.
 AnonymizationOutcome Anonymize(const Table& table, std::uint32_t l, Algorithm algorithm,

@@ -3,49 +3,43 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "common/check.h"
-#include "common/workspace.h"
 
 namespace ldv {
 
-namespace {
+std::vector<AnonymizationOutcome> AnonymizeBatch(std::span<const RunSpec> specs,
+                                                 std::span<const Table* const> tables,
+                                                 std::span<const TableArtifacts> artifacts,
+                                                 const Workspace& run) {
+  LDIV_CHECK(artifacts.empty() || artifacts.size() == tables.size())
+      << "artifacts must parallel tables";
+  for (const RunSpec& spec : specs) {
+    LDIV_CHECK_LT(spec.table_index, tables.size()) << "RunSpec table_index out of range";
+  }
+  const auto run_job = [&](std::size_t i, Workspace* workspace) {
+    const RunSpec& spec = specs[i];
+    return AlgorithmRegistry::Global()
+        .Get(spec.algorithm)
+        .Run(*tables[spec.table_index], spec.l, spec.options, workspace,
+             artifacts.empty() ? nullptr : &artifacts[spec.table_index]);
+  };
 
-AnonymizationOutcome RunJob(const BatchJob& job, Workspace* workspace) {
-  LDIV_CHECK(job.table != nullptr) << "BatchJob with null table";
-  return AlgorithmRegistry::Global()
-      .Create(job.algorithm, job.options)
-      ->Run(*job.table, job.l, workspace, job.artifacts);
-}
-
-}  // namespace
-
-std::vector<AnonymizationOutcome> AnonymizeBatch(const std::vector<BatchJob>& jobs,
-                                                 const BatchOptions& options,
-                                                 const Workspace* context) {
-  std::vector<AnonymizationOutcome> results(jobs.size());
-  if (jobs.empty()) return results;
-
-  // One budget governs both layers: an explicit BatchOptions::threads
-  // overrides the run context's thread count. Job-level workers claim the
-  // budget first; only a single-worker batch leaves it to the kernels.
-  const Workspace defaults;
-  const Workspace& run = context != nullptr ? *context : defaults;
+  // One budget governs both layers: job-level workers claim it first, and
+  // only a single-worker batch leaves it to the kernels.
+  std::vector<AnonymizationOutcome> results(specs.size());
   const std::shared_ptr<MemoryBudget> memory = run.budget();
-  const unsigned budget = options.threads != 0 ? options.threads : run.threads();
-  const std::size_t workers = std::min<std::size_t>(budget, jobs.size());
+  const std::size_t workers = std::min<std::size_t>(run.threads(), specs.size());
   if (workers <= 1) {
     // One worker: jobs run inline, and the kernels inherit the whole
     // budget for their intra-run fan-out.
-    Workspace workspace(budget, memory);
-    for (std::size_t i = 0; i < jobs.size(); ++i) results[i] = RunJob(jobs[i], &workspace);
+    Workspace workspace(run.threads(), memory);
+    for (std::size_t i = 0; i < specs.size(); ++i) results[i] = run_job(i, &workspace);
     return results;
   }
-
-  // Touch the registry before spawning workers so no worker races the
-  // one-time built-in registration.
-  AlgorithmRegistry::Global();
 
   // Multiple workers already saturate the budget, so each solves on a
   // one-thread workspace and its kernels stay sequential -- inner fan-out
@@ -57,18 +51,32 @@ std::vector<AnonymizationOutcome> AnonymizeBatch(const std::vector<BatchJob>& jo
   // run allocation-free. Workspaces never cross threads, and outcomes do
   // not depend on workspace state, so determinism is preserved.
   std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;  // the first job exception of the batch
   auto worker = [&] {
     Workspace workspace(1, memory);
     for (;;) {
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      results[i] = RunJob(jobs[i], &workspace);
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= specs.size()) return;
+      try {
+        results[i] = run_job(i, &workspace);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (!error) error = std::current_exception();
+        }
+        // Hand out no further jobs, so every worker leaves promptly.
+        next.store(specs.size(), std::memory_order_relaxed);
+      }
     }
   };
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
+  // Rethrown on the calling thread, where the engine's I/O unwind boundary
+  // turns an IoFailure into a typed error instead of std::terminate.
+  if (error) std::rethrow_exception(error);
   return results;
 }
 

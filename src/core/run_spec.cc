@@ -1,7 +1,5 @@
 #include "core/run_spec.h"
 
-#include "common/check.h"
-
 namespace ldv {
 
 std::string RunSpecLabel(const RunSpec& spec) {
@@ -27,28 +25,6 @@ std::vector<RunSpec> ExpandRunGrid(std::span<const Algorithm> algorithms,
     }
   }
   return specs;
-}
-
-std::vector<BatchJob> ToBatchJobs(std::span<const RunSpec> specs,
-                                  std::span<const Table* const> tables,
-                                  std::span<const TableArtifacts> artifacts) {
-  LDIV_CHECK(artifacts.empty() || artifacts.size() == tables.size())
-      << "artifacts must parallel tables";
-  std::vector<BatchJob> jobs;
-  jobs.reserve(specs.size());
-  for (const RunSpec& spec : specs) {
-    LDIV_CHECK_LT(spec.table_index, tables.size()) << "RunSpec table_index out of range";
-    BatchJob job;
-    job.table = tables[spec.table_index];
-    job.l = spec.l;
-    job.algorithm = spec.algorithm;
-    job.options = spec.options;
-    if (!artifacts.empty() && !artifacts[spec.table_index].empty()) {
-      job.artifacts = &artifacts[spec.table_index];
-    }
-    jobs.push_back(job);
-  }
-  return jobs;
 }
 
 bool ParseAlgorithmList(std::string_view list, std::vector<Algorithm>* out, std::string* error) {

@@ -8,13 +8,12 @@
 #include <vector>
 
 #include "core/algorithm.h"
-#include "core/batch.h"
 
 namespace ldv {
 
 /// One pipeline invocation: run `algorithm` with privacy parameter `l` on
 /// the `table_index`-th input table. RunSpecs are the unit the CLI sweeps
-/// over; a vector of them converts 1:1 into AnonymizeBatch jobs.
+/// over, and AnonymizeBatch runs a list of them.
 struct RunSpec {
   Algorithm algorithm = Algorithm::kTp;
   std::uint32_t l = 2;
@@ -31,16 +30,6 @@ std::string RunSpecLabel(const RunSpec& spec);
 std::vector<RunSpec> ExpandRunGrid(std::span<const Algorithm> algorithms,
                                    std::span<const std::uint32_t> ls, std::size_t table_count,
                                    const AnonymizerOptions& options);
-
-/// Converts specs to AnonymizeBatch jobs against `tables`. Each spec's
-/// table_index must be < tables.size(); the tables are borrowed and must
-/// outlive the batch run. When `artifacts` is non-empty it must parallel
-/// `tables` (artifacts[i] pre-resolved from *tables[i]); each job then
-/// borrows its table's artifacts so TP / TP+ / Hilbert skip rebuilding the
-/// grouping or order per job.
-std::vector<BatchJob> ToBatchJobs(std::span<const RunSpec> specs,
-                                  std::span<const Table* const> tables,
-                                  std::span<const TableArtifacts> artifacts = {});
 
 /// Parses a comma-separated list of registry names ("tp,mondrian"), or
 /// "all" for every registered algorithm in enum order. Returns false with

@@ -91,6 +91,11 @@ std::optional<PipelineError> CheckSchemaLimits(const JobSpec& spec, const Engine
     return UsageError(field, input.source + ": " + limit +
                                  "; --kl=false skips it and lifts this limit");
   }
+  if (spec.compute_kl && runs(Algorithm::kTds) && !KlSingleDimKeysFit(schema)) {
+    return UsageError(field, input.source +
+                                 ": the QI and SA domains exceed the 64-bit cell keys of TDS's "
+                                 "KL estimate; --kl=false skips it and lifts this limit");
+  }
   return std::nullopt;
 }
 
@@ -283,29 +288,16 @@ Expected<JobResult, PipelineError> Engine::Solve(const ResolvedJobSpec& resolved
   const std::uint64_t artifact_bytes = ResolveArtifacts(specs, run, &result);
   MemoryReservation artifacts_reservation(run.budget(), artifact_bytes);
 
-  if (specs.size() == 1 && !spec.sweep) {
-    // Single invocation: run inline so errors and timings stay on the
-    // calling thread.
-    const RunSpec& job = specs.front();
-    const TableArtifacts& artifacts = result.artifacts[job.table_index];
-    AnonymizationOutcome outcome =
-        AlgorithmRegistry::Global()
-            .Create(job.algorithm, job.options)
-            ->Run(result.tables[job.table_index]->table, job.l, &run,
-                  artifacts.empty() ? nullptr : &artifacts);
-    result.jobs.push_back({job, std::move(outcome)});
-    return result;
-  }
-
   std::vector<const Table*> tables;
   tables.reserve(result.tables.size());
   for (const std::shared_ptr<const EngineTable>& input : result.tables) {
     tables.push_back(&input->table);
   }
-  // BatchOptions::threads stays 0: AnonymizeBatch follows the run's
-  // thread count, splitting it between job-level workers and inner kernels.
+  // Every spec list, one job included, runs through AnonymizeBatch, which
+  // splits the run's thread count between job-level workers and the
+  // kernels.
   std::vector<AnonymizationOutcome> outcomes =
-      AnonymizeBatch(ToBatchJobs(specs, tables, result.artifacts), BatchOptions{}, &run);
+      AnonymizeBatch(specs, tables, result.artifacts, run);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     result.jobs.push_back({specs[i], std::move(outcomes[i])});
   }

@@ -100,9 +100,8 @@ struct EngineOptions {
 /// The reusable anonymization engine behind every front-end: one object
 /// that validates JobSpecs (ResolveJobSpec), materializes inputs and
 /// their solver artifacts through one cross-job ContentCache, and runs
-/// the algorithms x (l, n, d) grid through the existing
-/// inline/AnonymizeBatch machinery. The one-shot CLI calls Run; the
-/// daemon's workers call Execute.
+/// the algorithms x (l, n, d) grid through AnonymizeBatch. The one-shot
+/// CLI calls Run; the daemon's workers call Execute.
 ///
 /// Runs are independent and may execute concurrently: each builds its own
 /// context -- a Workspace carrying the spec's thread count and a

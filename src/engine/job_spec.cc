@@ -13,11 +13,11 @@ namespace ldv {
 
 namespace {
 
-constexpr std::array<std::string_view, 20> kJobSpecKeys = {
-    "version", "algo",    "l",       "input",          "format",
-    "schema",  "dataset", "seed",    "n",              "d",
-    "out",     "sweep",   "write-releases", "kl",      "timings",
-    "threads", "memory-budget",      "emit-input",     "priority",
+constexpr std::array<std::string_view, 19> kJobSpecKeys = {
+    "version", "algo",           "l",       "input",   "format",
+    "schema",  "dataset",        "seed",    "n",       "d",
+    "out",     "write-releases", "kl",      "timings", "threads",
+    "memory-budget",             "emit-input",         "priority",
     "deadline-ms",
 };
 
@@ -125,7 +125,6 @@ std::string SerializeJobSpec(const JobSpec& spec) {
   }
 
   AppendKey("out", spec.out, &text);
-  put_bool("sweep", spec.sweep, defaults.sweep);
   put_bool("write-releases", spec.write_releases, defaults.write_releases);
   put_bool("kl", spec.compute_kl, defaults.compute_kl);
   put_bool("timings", spec.timings, defaults.timings);
@@ -180,7 +179,6 @@ Expected<JobSpec, PipelineError> ReadJobSpec(const FlagSet& keys) {
   }
 
   keys.GetString("out", defaults.out, &spec.out, &error);
-  if (!keys.GetBool("sweep", defaults.sweep, &spec.sweep, &error)) return fail("sweep");
   if (!keys.GetBool("write-releases", defaults.write_releases, &spec.write_releases, &error)) {
     return fail("write-releases");
   }

@@ -51,7 +51,6 @@ struct JobSpec {
   /// Output stem: releases at <out>.csv (+ <out>_sa.csv), reports at
   /// <out>.json and <out>_metrics.csv.
   std::string out = "ldiv_out";
-  bool sweep = false;
   bool write_releases = false;
   bool compute_kl = true;
   bool timings = true;

@@ -255,6 +255,16 @@ bool KlPointIdsFit(const Schema& schema) {
   return PointStrides(schema, &strides);
 }
 
+bool KlSingleDimKeysFit(const Schema& schema) {
+  std::uint64_t keys = schema.sa_domain_size();
+  for (AttrId a = 0; a < schema.qi_count(); ++a) {
+    const std::uint64_t radix = 2 * static_cast<std::uint64_t>(schema.qi(a).domain_size);
+    if (keys > std::numeric_limits<std::uint64_t>::max() / radix) return false;
+    keys *= radix;
+  }
+  return true;
+}
+
 double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized,
                                Workspace* workspace) {
   if (table.empty()) return 0.0;

@@ -16,6 +16,12 @@ namespace ldv {
 /// limit is a usage error (skipping the KL estimate lifts the limit).
 bool KlPointIdsFit(const Schema& schema);
 
+/// Whether KlDivergenceSingleDim's count keys, cell * m + sa, fit in 64
+/// bits for `schema`: the TDS cell ids (a mixed radix of 2 * |dom_a| per
+/// QI) times the SA domain m. The estimator CHECKs it; front-ends test it
+/// first, like KlPointIdsFit.
+bool KlSingleDimKeysFit(const Schema& schema);
+
 /// KL-divergence KL(f, f*) of Section 6.2 (Equation 2) between the pdf f of
 /// the microdata over the (d+1)-dimensional space Omega and the pdf f*
 /// induced by a suppression generalization: a starred attribute value is

@@ -27,11 +27,11 @@ struct MondrianShared {
         m(table.schema().sa_domain_size()) {
     cols.resize(d);
     for (AttrId a = 0; a < d; ++a) cols[a] = table.column(a).data();
+    // 64-bit sums: 32-bit domains may add up past 2^32.
     vhist_offset.resize(d + 1);
     vhist_offset[0] = 0;
     for (AttrId a = 0; a < d; ++a) {
-      vhist_offset[a + 1] =
-          vhist_offset[a] + static_cast<std::uint32_t>(table.schema().qi(a).domain_size);
+      vhist_offset[a + 1] = vhist_offset[a] + table.schema().qi(a).domain_size;
     }
   }
 
@@ -51,7 +51,7 @@ struct MondrianShared {
   const std::size_t d;
   const std::size_t m;
   std::vector<const Value*> cols;
-  std::vector<std::uint32_t> vhist_offset;
+  std::vector<std::uint64_t> vhist_offset;
 };
 
 // In-place Mondrian recursion over a single shared RowId buffer. Each call
@@ -104,7 +104,9 @@ class MondrianWalker {
     mins_.resize(s_.d);
     maxs_.resize(s_.d);
     medians_.resize(s_.d);
-    vhist_.resize(s_.vhist_offset[s_.d]);
+    // A range takes the histogram path only when the combined domains
+    // fit it, so larger domains never need the histograms.
+    if (s_.vhist_offset[s_.d] <= s_.n) vhist_.resize(s_.vhist_offset[s_.d]);
     box_ = shared.RootBox();
   }
 
@@ -160,7 +162,7 @@ class MondrianWalker {
       const std::size_t k = (end - begin) / 2;  // median = (k+1)-th smallest
       for (AttrId a = 0; a < d; ++a) {
         const std::uint32_t* hist = vhist_.data() + s_.vhist_offset[a];
-        const std::uint32_t domain = s_.vhist_offset[a + 1] - s_.vhist_offset[a];
+        const auto domain = static_cast<std::uint32_t>(s_.vhist_offset[a + 1] - s_.vhist_offset[a]);
         std::uint32_t mn = 0, mx = 0, median = 0;
         std::uint64_t cum = 0;
         bool first = true, median_found = false;

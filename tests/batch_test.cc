@@ -1,14 +1,18 @@
-// AnonymizeBatch tests: result ordering is the job ordering, and outcomes
-// are identical to a sequential run regardless of the thread count.
+// AnonymizeBatch tests: result ordering is the spec ordering, and outcomes
+// are identical to a sequential run regardless of the thread count or of
+// pre-resolved artifacts.
 
 #include "core/batch.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
+#include "core/anonymizer.h"
 #include "data/acs_generator.h"
 #include "data/acs_schema.h"
+#include "hilbert/hilbert_partitioner.h"
 #include "test_util.h"
 
 namespace ldv {
@@ -34,71 +38,111 @@ void ExpectSameOutcome(const AnonymizationOutcome& a, const AnonymizationOutcome
   EXPECT_EQ(a.partition.groups(), b.partition.groups());
 }
 
-std::vector<BatchJob> MakeJobs(const std::vector<const Table*>& tables) {
-  std::vector<BatchJob> jobs;
-  for (const Table* table : tables) {
-    for (std::uint32_t l : {2u, 4u}) {
-      for (Algorithm algorithm : kAllAlgorithms) {
-        jobs.push_back(BatchJob{table, l, algorithm, AnonymizerOptions{}});
-      }
-    }
-  }
-  return jobs;
+// Every algorithm at l in {2, 4} on each of `table_count` tables: the
+// ExpandRunGrid order the engine runs, table-major.
+std::vector<RunSpec> MakeSpecs(std::size_t table_count) {
+  const std::uint32_t ls[] = {2, 4};
+  return ExpandRunGrid(kAllAlgorithms, ls, table_count, AnonymizerOptions{});
 }
 
-TEST(Batch, EmptyJobListYieldsEmptyResults) {
-  EXPECT_TRUE(AnonymizeBatch({}).empty());
+std::vector<AnonymizationOutcome> RunBatch(std::span<const RunSpec> specs,
+                                           std::span<const Table* const> tables,
+                                           unsigned threads) {
+  return AnonymizeBatch(specs, tables, {}, Workspace(threads, nullptr));
 }
 
-TEST(Batch, ResultsFollowJobOrder) {
+TEST(Batch, EmptySpecListYieldsEmptyResults) {
+  EXPECT_TRUE(RunBatch({}, {}, 4).empty());
+}
+
+TEST(Batch, ResultsFollowSpecOrder) {
   Table table = GenerateSal(2000, 1).ProjectQi({kAge, kGender});
-  std::vector<BatchJob> jobs = MakeJobs({&table});
-  std::vector<AnonymizationOutcome> results = AnonymizeBatch(jobs, BatchOptions{4});
-  ASSERT_EQ(results.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(results[i].algorithm, jobs[i].algorithm) << "job " << i;
+  const Table* tables[] = {&table};
+  std::vector<RunSpec> specs = MakeSpecs(1);
+  std::vector<AnonymizationOutcome> results = RunBatch(specs, tables, 4);
+  ASSERT_EQ(results.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(results[i].algorithm, specs[i].algorithm) << "job " << i;
+  }
+}
+
+TEST(Batch, EachSpecRunsOnItsOwnTable) {
+  Table a = testutil::PaperTable1();
+  Table b = GenerateSal(1000, 3).ProjectQi({kAge, kGender});
+  const Table* tables[] = {&a, &b};
+  std::vector<RunSpec> specs = MakeSpecs(2);
+  std::vector<AnonymizationOutcome> results = RunBatch(specs, tables, 3);
+  ASSERT_EQ(results.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    const Table& table = *tables[specs[i].table_index];
+    // Table 1 admits l = 2 but not 4; the SAL projection admits both.
+    EXPECT_EQ(results[i].feasible, &table == &b || specs[i].l == 2);
+    if (results[i].feasible) {
+      EXPECT_TRUE(results[i].partition.CoversExactly(table));
+    }
   }
 }
 
 TEST(Batch, IdenticalAcrossThreadCounts) {
   Table sal = GenerateSal(3000, 1).ProjectQi({kAge, kGender, kEducation});
   Table occ = GenerateOcc(3000, 2).ProjectQi({kAge, kRace});
-  std::vector<BatchJob> jobs = MakeJobs({&sal, &occ});
+  const Table* tables[] = {&sal, &occ};
+  std::vector<RunSpec> specs = MakeSpecs(2);
 
-  std::vector<AnonymizationOutcome> sequential = AnonymizeBatch(jobs, BatchOptions{1});
-  ASSERT_EQ(sequential.size(), jobs.size());
+  std::vector<AnonymizationOutcome> sequential = RunBatch(specs, tables, 1);
+  ASSERT_EQ(sequential.size(), specs.size());
   for (unsigned threads : {2u, 4u, 7u}) {
-    std::vector<AnonymizationOutcome> parallel = AnonymizeBatch(jobs, BatchOptions{threads});
-    ASSERT_EQ(parallel.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    std::vector<AnonymizationOutcome> parallel = RunBatch(specs, tables, threads);
+    ASSERT_EQ(parallel.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
       ExpectSameOutcome(sequential[i], parallel[i],
                         "threads=" + std::to_string(threads) + " job=" + std::to_string(i) +
-                            " algo=" + AlgorithmName(jobs[i].algorithm));
+                            " algo=" + AlgorithmName(specs[i].algorithm));
     }
+  }
+}
+
+TEST(Batch, ArtifactsLeaveOutcomesUnchanged) {
+  Table table = GenerateSal(3000, 4).ProjectQi({kAge, kGender, kEducation});
+  const Table* tables[] = {&table};
+  std::vector<RunSpec> specs = MakeSpecs(1);
+  Workspace build(1, nullptr);
+  TableArtifacts artifacts[1];
+  artifacts[0].grouped = std::make_shared<GroupedTable>(table, &build);
+  auto order = std::make_shared<std::vector<RowId>>();
+  HilbertComputeOrder(table, &build, order.get());
+  artifacts[0].hilbert_order = std::move(order);
+
+  std::vector<AnonymizationOutcome> derived = RunBatch(specs, tables, 2);
+  std::vector<AnonymizationOutcome> shared =
+      AnonymizeBatch(specs, tables, artifacts, Workspace(2, nullptr));
+  ASSERT_EQ(shared.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ExpectSameOutcome(derived[i], shared[i], "job=" + std::to_string(i));
   }
 }
 
 TEST(Batch, InfeasibleJobsReportInfeasible) {
   Table table = testutil::PaperTable1();  // max feasible l is 2
-  std::vector<BatchJob> jobs;
-  for (Algorithm algorithm : kAllAlgorithms) {
-    jobs.push_back(BatchJob{&table, 3, algorithm, AnonymizerOptions{}});
-  }
-  for (const AnonymizationOutcome& outcome : AnonymizeBatch(jobs, BatchOptions{3})) {
+  const Table* tables[] = {&table};
+  const std::uint32_t ls[] = {3};
+  std::vector<RunSpec> specs = ExpandRunGrid(kAllAlgorithms, ls, 1, AnonymizerOptions{});
+  for (const AnonymizationOutcome& outcome : RunBatch(specs, tables, 3)) {
     EXPECT_FALSE(outcome.feasible);
   }
 }
 
-TEST(Batch, DefaultThreadCountRuns) {
+TEST(Batch, OneJobMatchesADirectRun) {
   Table table = GenerateSal(1000, 9).ProjectQi({kAge});
-  std::vector<BatchJob> jobs = {
-      BatchJob{&table, 2, Algorithm::kTp, AnonymizerOptions{}},
-      BatchJob{&table, 2, Algorithm::kAnatomy, AnonymizerOptions{}},
-  };
-  std::vector<AnonymizationOutcome> results = AnonymizeBatch(jobs);
-  ASSERT_EQ(results.size(), 2u);
+  const Table* tables[] = {&table};
+  const Algorithm algorithms[] = {Algorithm::kTp};
+  const std::uint32_t ls[] = {2};
+  std::vector<RunSpec> specs = ExpandRunGrid(algorithms, ls, 1, AnonymizerOptions{});
+  std::vector<AnonymizationOutcome> results = RunBatch(specs, tables, 4);
+  ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].feasible);
-  EXPECT_TRUE(results[1].feasible);
+  ExpectSameOutcome(results[0], Anonymize(table, 2, Algorithm::kTp), "one job");
 }
 
 }  // namespace

@@ -116,7 +116,6 @@ TEST(CliPipeline, SweepGridIsJobOrderedAndThreadCountInvariant) {
   spec.algorithms = {Algorithm::kMondrian, Algorithm::kAnatomy};
   spec.ls = {2, 4};
   spec.ns = {600, 900};
-  spec.sweep = true;
 
   ReportOptions report_options;
   report_options.include_seconds = false;

@@ -48,16 +48,16 @@ std::string WriteTempFile(const std::string& name, const std::string& content) {
 TEST(FlagSet, ParsesEqualsSpaceAndBareForms) {
   FlagSet flags;
   std::string error;
-  ASSERT_TRUE(ParseFlags({"--l=4", "--algo", "tp", "--sweep"}, &flags, &error)) << error;
+  ASSERT_TRUE(ParseFlags({"--l=4", "--algo", "tp", "--write-releases"}, &flags, &error)) << error;
   std::uint32_t l = 0;
   EXPECT_TRUE(flags.GetUint32("l", 0, &l, &error));
   EXPECT_EQ(l, 4u);
   std::string algo;
   EXPECT_TRUE(flags.GetString("algo", "", &algo, &error));
   EXPECT_EQ(algo, "tp");
-  bool sweep = false;
-  EXPECT_TRUE(flags.GetBool("sweep", false, &sweep, &error));
-  EXPECT_TRUE(sweep);
+  bool write_releases = false;
+  EXPECT_TRUE(flags.GetBool("write-releases", false, &write_releases, &error));
+  EXPECT_TRUE(write_releases);
 }
 
 TEST(FlagSet, AbsentFlagsKeepDefaults) {
@@ -86,12 +86,12 @@ TEST(FlagSet, RejectsNonFlagTokensAndBadValues) {
   EXPECT_NE(error.find("stray"), std::string::npos);
 
   FlagSet bad;
-  ASSERT_TRUE(ParseFlags({"--l=abc", "--sweep=maybe"}, &bad, &error));
+  ASSERT_TRUE(ParseFlags({"--l=abc", "--write-releases=maybe"}, &bad, &error));
   std::uint32_t l = 0;
   EXPECT_FALSE(bad.GetUint32("l", 0, &l, &error));
   EXPECT_NE(error.find("--l"), std::string::npos);
-  bool sweep = false;
-  EXPECT_FALSE(bad.GetBool("sweep", false, &sweep, &error));
+  bool write_releases = false;
+  EXPECT_FALSE(bad.GetBool("write-releases", false, &write_releases, &error));
 }
 
 TEST(FlagSet, ParsesLists) {
@@ -188,6 +188,27 @@ TEST(SchemaSpec, RejectsMalformedSpecsWithMessages) {
   EXPECT_FALSE(ParseSchemaSpec(",79|50", &error).has_value());
 }
 
+// Codes are 32-bit: the largest domain whose codes fit is 2^32 - 1, and a
+// larger one is refused up front instead of wrapping a box bound to 0.
+TEST(SchemaSpec, DomainsStayWithinThirtyTwoBitCodes) {
+  std::string error;
+  std::optional<Schema> widest = ParseSchemaSpec("A:4294967295,B:3|S:4294967295", &error);
+  ASSERT_TRUE(widest.has_value()) << error;
+  EXPECT_EQ(widest->qi(0).domain_size, 4294967295u);
+  EXPECT_EQ(widest->sa_domain_size(), 4294967295u);
+
+  EXPECT_FALSE(ParseSchemaSpec("A:4294967296,B:3|S:2", &error).has_value());
+  EXPECT_NE(error.find("'A'"), std::string::npos) << error;
+  EXPECT_NE(error.find("4294967296"), std::string::npos) << error;
+  EXPECT_FALSE(ParseSchemaSpec("A:3|S:4294967296", &error).has_value());
+  EXPECT_NE(error.find("'S'"), std::string::npos) << error;
+
+  JobSpec spec;
+  EXPECT_FALSE(ParseCli({"--algo=mondrian", "--input=x.csv", "--schema=A:4294967296,B:3|S:2"},
+                        &spec, &error));
+  EXPECT_NE(error.find("32-bit codes"), std::string::npos) << error;
+}
+
 TEST(CliJob, DefaultsAndSingleRun) {
   JobSpec spec;
   std::string error;
@@ -197,7 +218,6 @@ TEST(CliJob, DefaultsAndSingleRun) {
   EXPECT_EQ(spec.ns, std::vector<std::uint64_t>{500});
   EXPECT_EQ(spec.ds, std::vector<std::uint64_t>{3});
   EXPECT_EQ(spec.dataset.name, "sal");
-  EXPECT_FALSE(spec.sweep);
   EXPECT_TRUE(spec.compute_kl);
 }
 
@@ -296,8 +316,14 @@ TEST(CliJob, RejectsConflictingAndUnknownFlags) {
   EXPECT_NE(error.find("--n"), std::string::npos);
   EXPECT_FALSE(ParseCli({"--algos=tp"}, &spec, &error));
   EXPECT_NE(error.find("--algos"), std::string::npos);
-  EXPECT_FALSE(ParseCli({"--artifact-cache=1M"}, &spec, &error));
-  EXPECT_NE(error.find("--artifact-cache"), std::string::npos) << "a retired flag is unknown";
+  // Retired flags are unknown, not silently ignored: the artifact cache's
+  // own size, and the switch that sent one job through the batch driver
+  // (every run takes it now).
+  for (const std::string retired : {"artifact-cache", "sweep"}) {
+    const std::string flag = "--" + retired;
+    EXPECT_FALSE(ParseCli({"--algo=tp", flag.c_str()}, &spec, &error)) << flag;
+    EXPECT_NE(error.find("unknown flag " + flag), std::string::npos) << error;
+  }
   EXPECT_FALSE(ParseCli({"--l=0"}, &spec, &error));
   EXPECT_FALSE(ParseCli({"--out="}, &spec, &error));
 }
@@ -390,10 +416,10 @@ TEST(OneJobReader, ArgvConfigFileAndWireReadTheSameJob) {
       // Coded CSV: algorithm and l lists, the schema as written, no KL.
       "algo=tp,mondrian l=2,4 input=" + coded + " schema=Age:79,Gender:2|Income:50 kl=false",
       // Raw CSV with a sniffed format, swept with per-job releases.
-      "algo=all l=3 input=" + raw + " sweep write-releases out=raw_out",
+      "algo=all l=3 input=" + raw + " write-releases out=raw_out",
       // Synthetic grids: the CLI's `auto` threads, then a byte size.
       "dataset=occ seed=5 n=600,900 d=2,3 algo=tp+,hilbert l=2,4,6 threads=auto no-timings",
-      "dataset=sal d=4 memory-budget=64M sweep",
+      "dataset=sal d=4 memory-budget=64M",
       // One raw table: an explicit format, a thread count, an input copy.
       "input=" + raw + " format=raw threads=3 memory-budget=8388608 emit-input=copy.csv",
   };

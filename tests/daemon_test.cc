@@ -224,7 +224,6 @@ TEST_F(DaemonTest, WorkersRunJobsConcurrently) {
       JobSpec spec = SmallSpec(testing::TempDir() + "ldivd_concurrent_" + std::to_string(i));
       spec.ns = {100000};
       spec.algorithms.assign(kAllAlgorithms.begin(), kAllAlgorithms.end());
-      spec.sweep = true;
       spec.threads = 1;
       replies[i] = Submit(options.socket_path, spec);
     });
@@ -300,7 +299,6 @@ TEST_F(DaemonTest, PriorityWinsTheQueueAndExpiredDeadlinesAreRefused) {
   blocker.ns = {500000};
   blocker.ls = {2, 3, 4};
   blocker.algorithms.assign(kAllAlgorithms.begin(), kAllAlgorithms.end());
-  blocker.sweep = true;
   std::thread blocker_client([&] { Submit(options.socket_path, blocker); });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 

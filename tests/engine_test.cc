@@ -79,7 +79,6 @@ TEST(JobSpecWire, RoundTripsEveryNonDefaultField) {
   spec.ns = {600, 900};
   spec.ds = {2, 3};
   spec.out = "spec_out";
-  spec.sweep = true;
   spec.write_releases = true;
   spec.compute_kl = false;
   spec.timings = false;
@@ -97,7 +96,6 @@ TEST(JobSpecWire, RoundTripsEveryNonDefaultField) {
   EXPECT_EQ(parsed->ns, spec.ns);
   EXPECT_EQ(parsed->ds, spec.ds);
   EXPECT_EQ(parsed->out, "spec_out");
-  EXPECT_TRUE(parsed->sweep);
   EXPECT_TRUE(parsed->write_releases);
   EXPECT_FALSE(parsed->compute_kl);
   EXPECT_FALSE(parsed->timings);
@@ -116,6 +114,15 @@ TEST(JobSpecWire, RejectsUnknownKeysAndBadVersions) {
       ParseJobSpec("version = 1\nartifact-cache = 1048576\n");
   ASSERT_FALSE(retired.ok());
   EXPECT_EQ(retired.error().field, "artifact-cache");
+  // So is `sweep`, which never changed an output: every spec list runs
+  // through the batch driver. The version stays 1, since every v1 spec
+  // without it still parses.
+  Expected<JobSpec, PipelineError> sweep = ParseJobSpec("version = 1\nsweep = true\n");
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_EQ(sweep.error().code, PipelineErrorCode::kUsage);
+  EXPECT_EQ(sweep.error().field, "sweep");
+  EXPECT_NE(sweep.error().message.find("sweep"), std::string::npos) << sweep.error().message;
+  EXPECT_EQ(kJobSpecVersion, 1u);
 
   Expected<JobSpec, PipelineError> unversioned = ParseJobSpec("algo = tp\n");
   ASSERT_FALSE(unversioned.ok());
@@ -522,6 +529,29 @@ TEST(EngineSchemaLimits, SixtyFiveQisOfDomainOneAreAKlUsageError) {
   std::remove(path.c_str());
 }
 
+TEST(EngineSchemaLimits, TdsKlCellKeysPastSixtyFourBitsAreAUsageError) {
+  // 12 QIs of domain 16 and 4096 SA values: the points (16^12 * 4096) and
+  // TDS's cell ids (32^12) fit in 64 bits, but the single-dim KL
+  // estimate's cell * m + sa keys (32^12 * 4096) do not. Its CHECK used to
+  // abort the process.
+  const std::vector<std::size_t> domains(12, 16);
+  const std::string path = WriteWideCodedCsv("engine_tds_kl_keys.csv", domains, 4096, 40);
+  Engine engine;
+  ExpectSchemaLimitError(engine.Run(CodedCsvSpec(path, domains, 4096, Algorithm::kTds)),
+                         "64-bit cell keys of TDS's KL estimate; --kl=false");
+  // The limit is the KL estimate's alone: without it TDS runs, and the
+  // other algorithms keep their KL.
+  JobSpec no_kl = CodedCsvSpec(path, domains, 4096, Algorithm::kTds);
+  no_kl.compute_kl = false;
+  Expected<JobResult, PipelineError> tds = engine.Run(no_kl);
+  ASSERT_TRUE(tds.ok()) << tds.error().message;
+  EXPECT_TRUE(tds->jobs[0].outcome.feasible);
+  Expected<JobResult, PipelineError> tp =
+      engine.Run(CodedCsvSpec(path, domains, 4096, Algorithm::kTp));
+  ASSERT_TRUE(tp.ok()) << tp.error().message;
+  std::remove(path.c_str());
+}
+
 TEST(Engine, ExecuteWritesOutputsAndMapsInfeasibleToExitCode) {
   Engine engine;
   JobSpec spec = SyntheticSpec();
@@ -594,13 +624,11 @@ TEST(Engine, ConcurrentExecutesMatchTheirSoloRunsByteForByte) {
   JobSpec csv_sweep = csv_single;
   csv_sweep.algorithms.assign(kAllAlgorithms.begin(), kAllAlgorithms.end());
   csv_sweep.ls = {2, 3};
-  csv_sweep.sweep = true;
   csv_sweep.write_releases = true;
   add(csv_sweep, 4, 8u << 20);  // budgeted, but small enough to load in RAM
   JobSpec synthetic_sweep = SyntheticSpec();
   synthetic_sweep.algorithms = {Algorithm::kTp, Algorithm::kHilbert, Algorithm::kMondrian};
   synthetic_sweep.ls = {2, 4};
-  synthetic_sweep.sweep = true;
   add(synthetic_sweep, 2, 0);
   JobSpec mondrian = SyntheticSpec();
   mondrian.ns = {20000};  // large enough for Mondrian's parallel subtrees
@@ -612,13 +640,11 @@ TEST(Engine, ConcurrentExecutesMatchTheirSoloRunsByteForByte) {
   paged_sweep.ds = {7};
   paged_sweep.algorithms = {Algorithm::kTp, Algorithm::kHilbert};
   paged_sweep.ls = {2, 3};
-  paged_sweep.sweep = true;
   paged_sweep.write_releases = true;
   add(paged_sweep, 2, 8u << 20);
   JobSpec paged_single = paged_sweep;
   paged_single.algorithms = {Algorithm::kTpPlus};
   paged_single.ls = {3};
-  paged_single.sweep = false;
   paged_single.write_releases = false;
   add(paged_single, 1, 8u << 20);
 

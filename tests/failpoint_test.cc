@@ -21,6 +21,10 @@
 
 #include "common/memory_budget.h"
 #include "common/spill_file.h"
+#include "common/workspace.h"
+#include "core/batch.h"
+#include "data/acs_generator.h"
+#include "data/acs_schema.h"
 #include "daemon/client.h"
 #include "daemon/daemon.h"
 #include "daemon/protocol.h"
@@ -262,6 +266,38 @@ TEST_F(FailpointTest, MatrixEveryEngineSiteSurfacesAsTypedIoError) {
   EXPECT_EQ(clean->exit_code, 0);
   RemoveOutputs(report.out);
   std::remove(csv.input.c_str());
+}
+
+// A job that throws on a batch worker thread must not std::terminate the
+// process: AnonymizeBatch keeps the first exception, stops handing out
+// jobs, joins, and rethrows on the caller -- where the engine's unwind
+// boundary turns it into a typed io error.
+TEST_F(FailpointTest, BatchWorkerFailureRethrowsOnTheCaller) {
+  Table table = GenerateSal(20000, 1).ProjectQi({kAge, kGender, kEducation});
+  const Table* tables[] = {&table};
+  const Algorithm algorithms[] = {Algorithm::kTpPlus, Algorithm::kHilbert};
+  const std::uint32_t ls[] = {2};
+  const std::vector<RunSpec> specs = ExpandRunGrid(algorithms, ls, 1, AnonymizerOptions{});
+  // Nothing of the budget is left, so both jobs sort externally and
+  // create spill files.
+  auto budget = std::make_shared<MemoryBudget>(8u << 20);
+  MemoryReservation hog(budget, budget->total());
+  failpoint::Arm(Site::kSpillCreate, Injection{ENOSPC, false});
+  {
+    const Workspace run(2, budget);
+    EXPECT_THROW(AnonymizeBatch(specs, tables, {}, run), IoFailure);
+  }
+  EXPECT_GE(failpoint::Triggers(Site::kSpillCreate), 1u) << "the armed site never fired";
+  failpoint::DisarmAll();
+  EXPECT_EQ(SpillFile::LiveCount(), 0u);
+  hog.Reset();
+  EXPECT_EQ(budget->used(), 0u) << "a failed job kept its budget charge";
+
+  // Disarmed, the same batch runs clean on the same budget.
+  const Workspace run(2, budget);
+  for (const AnonymizationOutcome& outcome : AnonymizeBatch(specs, tables, {}, run)) {
+    EXPECT_TRUE(outcome.feasible);
+  }
 }
 
 TEST_F(FailpointTest, MatrixDaemonSitesKeepTheDaemonServing) {

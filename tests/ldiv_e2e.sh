@@ -107,6 +107,14 @@ echo "$ERRMSG" | grep -q "bad.csv:2: column 3" ||
 expect_exit 2 "$BIN" --algo=tp --l=100000 --input="$INPUT" --schema="$SCHEMA" --out="$TMP/x"
 expect_exit 3 "$BIN" --input="$TMP/no_such_file.csv" --schema="$SCHEMA" --out="$TMP/x"
 expect_exit 1 "$BIN" --threads=lots --out="$TMP/x"
+# Retired flags are unknown flags: the artifact cache's own size, and the
+# switch that sent one job through the batch driver (every run takes it).
+for retired in artifact-cache sweep; do
+  expect_exit 1 "$BIN" --algo=tp "--$retired" --out="$TMP/x"
+  ERRMSG=$("$BIN" --algo=tp "--$retired" --out="$TMP/x" 2>&1 || true)
+  echo "$ERRMSG" | grep -q "unknown flag --$retired" ||
+    { echo "FAIL: --$retired is not reported as an unknown flag: $ERRMSG"; exit 1; }
+done
 # A schema past the kernels' 64-bit packing is a usage error, not an
 # abort: ten QIs of domain 100 overflow the KL estimate's packed point
 # ids (and TDS's cell ids); TP without KL needs neither and still runs.
@@ -132,17 +140,17 @@ expect_exit 1 "$BIN" --memory-budget=bogus --out="$TMP/x"
 expect_exit 1 "$BIN" --memory-budget=1M --out="$TMP/x"
 # The micro CSV fits its budget, so it stays on the in-RAM readers (and
 # caches normally); the big synthetic run below is what goes paged.
-"$BIN" --algo=all --l=2 --input="$INPUT" --schema="$SCHEMA" --sweep \
+"$BIN" --algo=all --l=2 --input="$INPUT" --schema="$SCHEMA" \
   --write-releases --no-timings --out="$TMP/csvref" 2> /dev/null
 LDIV_PAGE_BYTES=4096 "$BIN" --algo=all --l=2 --input="$INPUT" --schema="$SCHEMA" \
-  --sweep --write-releases --no-timings --memory-budget=8M \
+  --write-releases --no-timings --memory-budget=8M \
   --out="$TMP/csvbud" 2> /dev/null
 # Synthetic table big enough that the 8M budget cannot hold the grouping
 # scratch (32n = 12.8M): the GroupedTable build streams through the
 # external sorter and ingestion goes through paged columns.
-"$BIN" --algo=all --l=4 --n=400000 --d=3 --sweep --write-releases \
+"$BIN" --algo=all --l=4 --n=400000 --d=3 --write-releases \
   --no-timings --out="$TMP/bigref" 2> /dev/null
-LDIV_PAGE_BYTES=4096 "$BIN" --algo=all --l=4 --n=400000 --d=3 --sweep \
+LDIV_PAGE_BYTES=4096 "$BIN" --algo=all --l=4 --n=400000 --d=3 \
   --write-releases --no-timings --memory-budget=8M \
   --out="$TMP/bigbud" 2> /dev/null
 for pair in "csvref csvbud" "bigref bigbud"; do
@@ -195,7 +203,7 @@ echo "== sweep: 12-job grid, deterministic across thread budgets =="
 # feeds both the batch workers and the in-kernel parallelism, and neither
 # may leak into any output.
 for threads in 1 2 4; do
-  "$BIN" --algo=all --l=2,4 --input="$INPUT" --schema="$SCHEMA" --sweep \
+  "$BIN" --algo=all --l=2,4 --input="$INPUT" --schema="$SCHEMA" \
     --write-releases --threads="$threads" --no-timings \
     --out="$TMP/sweep$threads" 2> /dev/null
   check_json "$TMP/sweep$threads.json" 12

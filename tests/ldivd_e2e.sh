@@ -73,7 +73,7 @@ MATRIX=(csv sweep threads budget budget12)
 matrix_job() {
   case $1 in
     csv) JOB=(--algo=tp+ --l=2 --input="$INPUT" --schema="$SCHEMA") ;;
-    sweep) JOB=(--algo=all --l=2,4 --n=2000 --d=3 --sweep --write-releases) ;;
+    sweep) JOB=(--algo=all --l=2,4 --n=2000 --d=3 --write-releases) ;;
     threads) JOB=(--algo=mondrian --l=2 --n=20000 --d=3 --threads=2) ;;
     budget) JOB=(--algo=hilbert --l=2 --n=150000 --d=3 --memory-budget=8M) ;;
     budget12) JOB=(--algo=tp+ --l=3 --n=200000 --d=3 --memory-budget=12M) ;;
@@ -128,11 +128,11 @@ echo "== repeat sweep hits the cached artifacts =="
 # Hilbert order cold; the repeat resolves both from the cache
 # (visible in the reply and in ctl stats) and every output must stay
 # byte-identical to the cold run.
-"$BIN" submit --socket="$SOCK" --algo=tp,tp+,hilbert --l=2,4 --n=5000 --d=3 --sweep \
+"$BIN" submit --socket="$SOCK" --algo=tp,tp+,hilbert --l=2,4 --n=5000 --d=3 \
   --write-releases --no-timings --out="$TMP/art_cold" > "$TMP/art_cold.out"
 grep -q "artifact-misses = 2" "$TMP/art_cold.out" ||
   { echo "FAIL: cold sweep did not build both artifacts"; cat "$TMP/art_cold.out"; exit 1; }
-"$BIN" submit --socket="$SOCK" --algo=tp,tp+,hilbert --l=2,4 --n=5000 --d=3 --sweep \
+"$BIN" submit --socket="$SOCK" --algo=tp,tp+,hilbert --l=2,4 --n=5000 --d=3 \
   --write-releases --no-timings --out="$TMP/art_hot" > "$TMP/art_hot.out"
 grep -q "artifact-hits = 2" "$TMP/art_hot.out" ||
   { echo "FAIL: repeated sweep missed the cached artifacts"; cat "$TMP/art_hot.out"; exit 1; }
@@ -156,7 +156,6 @@ algo = tp,hilbert,anatomy
 l = 2,3
 input = $INPUT
 schema = $SCHEMA
-sweep = true
 write-releases = true
 no-timings = true
 threads = auto

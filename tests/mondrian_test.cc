@@ -72,6 +72,26 @@ TEST(Mondrian, RefinesWhereDataAllows) {
   EXPECT_GE(result.partition.group_count(), 16u);
 }
 
+// Coded domains whose sum passes 2^32 once wrapped the histogram offsets:
+// the histogram path then ran on a 1-slot buffer and wrote out of bounds.
+TEST(Mondrian, DomainsSummingPastThirtyTwoBits) {
+  Table table(testutil::MakeSchema({4294967295u, 2}, 2));
+  for (std::uint32_t r = 0; r < 400; ++r) {
+    const Value a = static_cast<Value>((std::uint64_t{r} * 2654435761u) % 4294967295u);
+    table.AppendRow(std::vector<Value>{a, r % 2}, (r / 2) % 2);
+  }
+  MondrianResult result = MondrianAnonymize(table, 2);
+  ASSERT_TRUE(result.feasible);
+  EXPECT_TRUE(result.partition.CoversExactly(table));
+  EXPECT_TRUE(IsLDiverse(table, result.partition, 2));
+  EXPECT_GT(result.partition.group_count(), 1u);
+  for (std::size_t g = 0; g < result.generalization.group_count(); ++g) {
+    for (RowId r : result.generalization.rows(g)) {
+      EXPECT_TRUE(result.generalization.box(g).Contains(table.qi_row(r)));
+    }
+  }
+}
+
 TEST(Mondrian, InfeasibleTableRejected) {
   Schema schema = testutil::MakeSchema({4}, 2);
   Table table(schema);

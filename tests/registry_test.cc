@@ -16,12 +16,21 @@ namespace {
 
 TEST(Registry, AllSixAlgorithmsRegistered) {
   const AlgorithmRegistry& registry = AlgorithmRegistry::Global();
-  EXPECT_EQ(registry.All().size(), kAlgorithmCount);
-  for (Algorithm id : kAllAlgorithms) {
+  const std::vector<const Anonymizer*> all = registry.All();
+  ASSERT_EQ(all.size(), kAlgorithmCount);
+  for (std::size_t i = 0; i < kAlgorithmCount; ++i) {
+    const Algorithm id = kAllAlgorithms[i];
     const Anonymizer& algo = registry.Get(id);
     EXPECT_EQ(algo.id(), id);
+    EXPECT_EQ(all[i], &algo) << "All() is in enum order";
     EXPECT_STREQ(algo.name(), AlgorithmName(id));
   }
+  EXPECT_EQ(registry.Get(Algorithm::kTp).methodology(), Methodology::kSuppression);
+  EXPECT_EQ(registry.Get(Algorithm::kTpPlus).methodology(), Methodology::kSuppression);
+  EXPECT_EQ(registry.Get(Algorithm::kHilbert).methodology(), Methodology::kSuppression);
+  EXPECT_EQ(registry.Get(Algorithm::kMondrian).methodology(), Methodology::kMultiDimensional);
+  EXPECT_EQ(registry.Get(Algorithm::kAnatomy).methodology(), Methodology::kBucketization);
+  EXPECT_EQ(registry.Get(Algorithm::kTds).methodology(), Methodology::kSingleDimensional);
 }
 
 TEST(Registry, FindByNameIsCaseInsensitive) {
@@ -42,14 +51,21 @@ TEST(Registry, FindUnknownNameReturnsNull) {
   EXPECT_EQ(registry.Find("mondrian2"), nullptr);
 }
 
-TEST(Registry, CreateHonorsOptions) {
+// Options travel with each Run, not with the registry entry.
+TEST(Registry, RunHonorsOptions) {
+  Table table = GenerateSal(3000, 5).ProjectQi({kAge, kGender, kEducation});
+  const Anonymizer& hilbert = AlgorithmRegistry::Global().Get(Algorithm::kHilbert);
   AnonymizerOptions options;
   options.compute_kl = false;
   options.hilbert.splitter = HilbertOptions::Splitter::kWindowDp;
-  std::unique_ptr<Anonymizer> algo =
-      AlgorithmRegistry::Global().Create(Algorithm::kHilbert, options);
-  EXPECT_FALSE(algo->options().compute_kl);
-  EXPECT_EQ(algo->options().hilbert.splitter, HilbertOptions::Splitter::kWindowDp);
+  AnonymizationOutcome custom = hilbert.Run(table, 4, options);
+  ASSERT_TRUE(custom.feasible);
+  EXPECT_EQ(custom.kl_divergence, 0.0);
+  EXPECT_EQ(custom.partition.groups(),
+            HilbertAnonymize(table, 4, options.hilbert).partition.groups());
+  AnonymizationOutcome defaults = hilbert.Run(table, 4);
+  ASSERT_TRUE(defaults.feasible);
+  EXPECT_GT(defaults.kl_divergence, 0.0);
 }
 
 // The acceptance-criteria parity test: every registered algorithm, run on

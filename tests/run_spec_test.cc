@@ -1,16 +1,13 @@
-// RunSpec tests: deterministic grid expansion, BatchJob conversion, and
-// the algorithm-list front-end parsing over the registry.
+// RunSpec tests: deterministic grid expansion and the algorithm-list
+// front-end parsing over the registry. Running specs against their tables
+// is batch_test's.
 
 #include "core/run_spec.h"
 
 #include <gtest/gtest.h>
 
-#include "test_util.h"
-
 namespace ldv {
 namespace {
-
-using testutil::PaperTable1;
 
 TEST(RunSpec, LabelNamesAlgorithmLAndTable) {
   RunSpec spec;
@@ -40,21 +37,6 @@ TEST(RunSpec, GridExpandsTableMajorThenAlgorithmThenL) {
   EXPECT_EQ(specs[7].algorithm, Algorithm::kMondrian);
   EXPECT_EQ(specs[7].l, 4u);
   for (const RunSpec& spec : specs) EXPECT_FALSE(spec.options.compute_kl);
-}
-
-TEST(RunSpec, ToBatchJobsBorrowsTheRightTables) {
-  Table a = PaperTable1();
-  Table b = PaperTable1();
-  const Table* tables[] = {&a, &b};
-  const Algorithm algorithms[] = {Algorithm::kTp};
-  const std::uint32_t ls[] = {2};
-  std::vector<RunSpec> specs = ExpandRunGrid(algorithms, ls, 2, AnonymizerOptions{});
-  std::vector<BatchJob> jobs = ToBatchJobs(specs, tables);
-  ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_EQ(jobs[0].table, &a);
-  EXPECT_EQ(jobs[1].table, &b);
-  EXPECT_EQ(jobs[0].algorithm, Algorithm::kTp);
-  EXPECT_EQ(jobs[0].l, 2u);
 }
 
 TEST(RunSpec, ParseAlgorithmListAcceptsNamesAndAll) {

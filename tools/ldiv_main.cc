@@ -1,12 +1,12 @@
 // The `ldiv` command-line front-end: the end-to-end pipeline of the
 // repository behind one binary. Loads a coded CSV (or generates an
-// ACS-style synthetic table), runs any registered algorithm -- or a sweep
-// over algorithms x (l, n, d) grids through the batched driver -- and
-// writes the anonymized release plus a JSON/CSV metrics report.
+// ACS-style synthetic table), runs any registered algorithm -- or an
+// algorithms x (l, n, d) grid -- through the batched driver, and writes
+// the anonymized release plus a JSON/CSV metrics report.
 //
 //   ldiv --algo=tp+ --l=4 --input=micro.csv --out=release
 //        --schema=Age:79,Gender:2,Education:17|Income:50
-//   ldiv --algo=all --l=2,4 --dataset=sal --n=10000 --d=3 --sweep --out=grid
+//   ldiv --algo=all --l=2,4 --dataset=sal --n=10000 --d=3 --out=grid
 //
 // Subcommands turn the same pipeline into a service (see README):
 //
