@@ -10,12 +10,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 
 #include "anonymity/generalization.h"
+#include "anonymity/release.h"
 #include "bench_util.h"
 #include "common/grouped_table.h"
 #include "common/histogram.h"
@@ -23,6 +26,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/workspace.h"
+#include "core/anonymizer.h"
 #include "core/pillar_index.h"
 #include "core/tp.h"
 #include "data/acs_generator.h"
@@ -31,6 +35,7 @@
 #include "engine/content_cache.h"
 #include "engine/engine.h"
 #include "engine/job_spec.h"
+#include "engine/report.h"
 #include "hilbert/hilbert_curve.h"
 #include "hilbert/hilbert_partitioner.h"
 #include "metrics/kl_divergence.h"
@@ -322,6 +327,60 @@ void BM_GroupingPaged(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupingPaged)->Name("grouping_paged")->Arg(10000)->Arg(100000);
 
+// ---- Output writers ----
+//
+// The release writers over the SAL-4 tables: a TP+ outcome's suppression
+// view through WriteReleaseCsv, and an Anatomy outcome's QIT/ST pair
+// through WriteReleaseForOutcome. Each iteration writes the whole release
+// into the temp directory.
+
+std::string BenchTempStem(const char* name) {
+  return (std::filesystem::temp_directory_path() / (std::string("ldiv_bench_") + name)).string();
+}
+
+AnonymizationOutcome WriterOutcome(const Table& t, Algorithm algorithm) {
+  AnonymizerOptions options;
+  options.compute_kl = false;
+  return Anonymize(t, 6, algorithm, options);
+}
+
+void BM_ReleaseWrite(benchmark::State& state) {
+  const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
+  const AnonymizationOutcome outcome = WriterOutcome(t, Algorithm::kTpPlus);
+  const std::string path = BenchTempStem("release_write") + ".csv";
+  for (auto _ : state) {
+    std::string error;
+    const bool ok = WriteReleaseCsv(t, *outcome.generalized, path, &error);
+    benchmark::DoNotOptimize(ok);
+    if (!ok) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_ReleaseWrite)->Name("release_write")->Arg(10000)->Arg(100000);
+
+void BM_AnatomyWrite(benchmark::State& state) {
+  const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
+  const AnonymizationOutcome outcome = WriterOutcome(t, Algorithm::kAnatomy);
+  const std::string stem = BenchTempStem("anatomy_write");
+  for (auto _ : state) {
+    std::string error;
+    const bool ok = WriteReleaseForOutcome(t, outcome, stem, &error);
+    benchmark::DoNotOptimize(ok);
+    if (!ok) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+  }
+  std::remove((stem + ".csv").c_str());
+  std::remove((stem + "_sa.csv").c_str());
+  state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_AnatomyWrite)->Name("anatomy_write")->Arg(10000)->Arg(100000);
+
 // ---- Intra-run parallel series ----
 //
 // The hot kernels again, under explicit thread budgets (1 / 2 / 4): the
@@ -477,6 +536,8 @@ void RegisterBenchFields() {
     fields[series("grouping_paged")] = {n, 7, 1, ActiveSimd()};
     fields[series("sweep_cached")] = {n, 4, 1, ActiveSimd()};
     fields[series("grouping_artifact_hit")] = {n, 4, 1, ActiveSimd()};
+    fields[series("release_write")] = {n, 4, 1, {}};
+    fields[series("anatomy_write")] = {n, 4, 1, {}};
   }
   fields["BM_GroupedTableConstruction"] = {50000, 4, 1, ActiveSimd()};
   for (const char* name : {"BM_TpSolveFromGroups/2", "BM_TpSolveFromGroups/6",

@@ -3,38 +3,49 @@
 #include <fstream>
 
 #include "common/csv.h"
-#include "common/failpoint.h"
 
 namespace ldv {
 
 bool WriteReleaseCsv(const Table& table, const GeneralizedTable& generalized,
-                     const std::string& path) {
-  failpoint::Injection injection;
-  if (failpoint::Check(failpoint::Site::kReleaseWrite, &injection)) return false;
-  std::ofstream out(path);
-  if (!out) return false;
+                     const std::string& path, std::string* error) {
+  std::string buffer;
+  OutputSink out(&buffer);
+  if (!out.Open(path, failpoint::Site::kReleaseWrite)) return out.Close(error);
   const Schema& schema = table.schema();
-  for (std::size_t a = 0; a < schema.qi_count(); ++a) {
-    out << CsvEscapeCell(schema.qi(static_cast<AttrId>(a)).name) << ",";
+  const std::size_t d = schema.qi_count();
+  for (std::size_t a = 0; a < d; ++a) {
+    out.Append(CsvEscapeCell(schema.qi(static_cast<AttrId>(a)).name));
+    out.Append(',');
   }
-  out << CsvEscapeCell(schema.sensitive().name) << "\n";
+  out.Append(CsvEscapeCell(schema.sensitive().name));
+  out.Append('\n');
+
+  std::vector<CsvCellText> qi_text;
+  qi_text.reserve(d);
+  for (std::size_t a = 0; a < d; ++a) qi_text.emplace_back(schema.qi(static_cast<AttrId>(a)));
+  const CsvCellText sa_text(schema.sensitive());
+  CsvCellText::Digits digits{};
+  // Every row of a QI-group shares its generalized signature (Definition
+  // 1), so the QI cells are formatted once per group as a prefix.
+  std::string prefix;
   for (GroupId g = 0; g < generalized.group_count(); ++g) {
     const std::vector<Value>& sig = generalized.signature(g);
-    for (RowId r : generalized.rows(g)) {
-      for (std::size_t a = 0; a < sig.size(); ++a) {
-        if (IsStar(sig[a])) {
-          out << "*,";
-        } else {
-          out << DecodeCsvValue(schema.qi(static_cast<AttrId>(a)), sig[a]) << ",";
-        }
+    prefix.clear();
+    for (std::size_t a = 0; a < d; ++a) {
+      if (IsStar(sig[a])) {
+        prefix += '*';
+      } else {
+        prefix += qi_text[a].Cell(sig[a], &digits);
       }
-      out << DecodeCsvValue(schema.sensitive(), table.sa(r)) << "\n";
+      prefix += ',';
+    }
+    for (RowId r : generalized.rows(g)) {
+      out.Append(prefix);
+      out.Append(sa_text.Cell(table.sa(r), &digits));
+      out.Append('\n');
     }
   }
-  // Close before checking: a full disk behind the buffered stream only
-  // surfaces at flush/close time.
-  out.close();
-  return !out.fail();
+  return out.Close(error);
 }
 
 namespace {

@@ -12,10 +12,11 @@ namespace ldv {
 /// Writes a suppression release as CSV: a header row, then one row per
 /// tuple with starred attributes emitted as '*' (the missing-value
 /// convention off-the-shelf statistics packages understand, Section 2) and
-/// the SA value as its integer code. Rows are grouped by QI-group.
-/// Returns false on I/O failure.
+/// the SA value as its integer code (its label for a dictionary-backed
+/// attribute). Rows are grouped by QI-group. Returns false on I/O
+/// failure, with `*error` (when non-null) set as OutputSink::Close sets it.
 bool WriteReleaseCsv(const Table& table, const GeneralizedTable& generalized,
-                     const std::string& path);
+                     const std::string& path, std::string* error = nullptr);
 
 /// One row of a parsed release.
 struct ReleaseRow {

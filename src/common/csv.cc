@@ -1,11 +1,13 @@
 #include "common/csv.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <limits>
-
-#include "common/failpoint.h"
 
 namespace ldv {
 
@@ -140,24 +142,105 @@ std::string CsvEscapeCell(const std::string& cell) {
   return quoted;
 }
 
-std::string DecodeCsvValue(const Attribute& attr, Value v) {
-  if (attr.has_dictionary()) return CsvEscapeCell(attr.dictionary.label(v));
-  return std::to_string(v);
+OutputSink::OutputSink(std::string* buffer) {
+  buffer->resize(kChunkBytes);
+  begin_ = cursor_ = buffer->data();
+  end_ = begin_ + kChunkBytes;
 }
 
-bool WriteTableCsv(const Table& table, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
+OutputSink::~OutputSink() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+bool OutputSink::Open(const std::string& path, failpoint::Site site) {
+  path_ = path;
+  failpoint::Injection injection;
+  if (failpoint::Check(site, &injection)) {
+    failpoint_error_ = failpoint::Describe(site, injection, "cannot write '" + path + "'");
+    return false;
+  }
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  errno_ = fd_ < 0 ? errno : 0;
+  return fd_ >= 0;
+}
+
+void OutputSink::AppendUint(std::uint64_t value) {
+  char digits[20];
+  const char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  Append(std::string_view(digits, static_cast<std::size_t>(end - digits)));
+}
+
+void OutputSink::AppendAcrossChunks(std::string_view bytes) {
+  while (!bytes.empty()) {
+    if (cursor_ == end_) Flush();
+    const std::size_t n = std::min(static_cast<std::size_t>(end_ - cursor_), bytes.size());
+    std::memcpy(cursor_, bytes.data(), n);
+    cursor_ += n;
+    bytes.remove_prefix(n);
+  }
+}
+
+void OutputSink::Flush() {
+  const char* data = begin_;
+  std::size_t size = static_cast<std::size_t>(cursor_ - begin_);
+  cursor_ = begin_;
+  if (fd_ < 0 || errno_ != 0) return;  // failed already: drop the bytes
+  while (size > 0) {
+    const ssize_t wrote = ::write(fd_, data, size);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) {
+      errno_ = wrote < 0 ? errno : EIO;
+      return;
+    }
+    data += wrote;
+    size -= static_cast<std::size_t>(wrote);
+  }
+}
+
+bool OutputSink::Close(std::string* error) {
+  if (fd_ >= 0) {
+    Flush();
+    // close(2) can be the first to report a deferred write error.
+    if (::close(fd_) != 0 && errno_ == 0) errno_ = errno;
+    fd_ = -1;
+  }
+  if (failpoint_error_.empty() && errno_ == 0) return true;
+  if (error != nullptr) {
+    *error = !failpoint_error_.empty()
+                 ? failpoint_error_
+                 : "cannot write '" + path_ + "': " + std::strerror(errno_);
+  }
+  return false;
+}
+
+CsvCellText::CsvCellText(const Attribute& attr) {
+  if (!attr.has_dictionary()) return;
+  labels_.reserve(attr.dictionary.size());
+  for (Value code = 0; code < attr.dictionary.size(); ++code) {
+    labels_.push_back(CsvEscapeCell(attr.dictionary.label(code)));
+  }
+}
+
+bool WriteTableCsv(const Table& table, const std::string& path, std::string* error) {
+  std::string buffer;
+  OutputSink out(&buffer);
+  if (!out.Open(path, failpoint::Site::kReportWrite)) return out.Close(error);
   const Schema& schema = table.schema();
   for (std::size_t i = 0; i < schema.qi_count(); ++i) {
-    out << CsvEscapeCell(schema.qi(static_cast<AttrId>(i)).name) << ",";
+    out.Append(CsvEscapeCell(schema.qi(static_cast<AttrId>(i)).name));
+    out.Append(',');
   }
-  out << CsvEscapeCell(schema.sensitive().name) << "\n";
+  out.Append(CsvEscapeCell(schema.sensitive().name));
+  out.Append('\n');
   for (RowId r = 0; r < table.size(); ++r) {
-    for (AttrId a = 0; a < table.qi_count(); ++a) out << table.qi(r, a) << ",";
-    out << table.sa(r) << "\n";
+    for (AttrId a = 0; a < table.qi_count(); ++a) {
+      out.AppendUint(table.qi(r, a));
+      out.Append(',');
+    }
+    out.AppendUint(table.sa(r));
+    out.Append('\n');
   }
-  return static_cast<bool>(out);
+  return out.Close(error);
 }
 
 namespace {
@@ -441,21 +524,27 @@ std::unique_ptr<PagedTable> ReadRawTableCsvPaged(const std::string& path,
   return table;
 }
 
-bool WriteDictionaryCsv(const Schema& schema, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << "attribute,code,label\n";
+bool WriteDictionaryCsv(const Schema& schema, const std::string& path, std::string* error) {
+  std::string buffer;
+  OutputSink out(&buffer);
+  if (!out.Open(path, failpoint::Site::kReportWrite)) return out.Close(error);
+  out.Append("attribute,code,label\n");
   auto write_attribute = [&out](const Attribute& attr) {
+    const std::string name = CsvEscapeCell(attr.name);
     for (Value code = 0; code < attr.dictionary.size(); ++code) {
-      out << CsvEscapeCell(attr.name) << "," << code << ","
-          << CsvEscapeCell(attr.dictionary.label(code)) << "\n";
+      out.Append(name);
+      out.Append(',');
+      out.AppendUint(code);
+      out.Append(',');
+      out.Append(CsvEscapeCell(attr.dictionary.label(code)));
+      out.Append('\n');
     }
   };
   for (std::size_t a = 0; a < schema.qi_count(); ++a) {
     write_attribute(schema.qi(static_cast<AttrId>(a)));
   }
   write_attribute(schema.sensitive());
-  return static_cast<bool>(out);
+  return out.Close(error);
 }
 
 }  // namespace ldv

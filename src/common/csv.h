@@ -1,11 +1,17 @@
 #ifndef LDIV_COMMON_CSV_H_
 #define LDIV_COMMON_CSV_H_
 
+#include <array>
+#include <cerrno>
+#include <charconv>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/paged_column.h"
 #include "common/table.h"
 
@@ -53,16 +59,89 @@ bool IsBlankCsvLine(const std::string& line);
 /// leading/trailing whitespace; returns it verbatim otherwise.
 std::string CsvEscapeCell(const std::string& cell);
 
-/// Renders one attribute value for human-readable output: its dictionary
-/// label (CSV-escaped) when the attribute carries one, its integer code
-/// otherwise. Shared by the release writers so the suppression view and
+/// One output file behind a caller-owned buffer, after TokuDB's
+/// caller-owned DBT buffer: the caller lends the memory, the sink appends
+/// into it and writes it out in kChunkBytes chunks. Every file the system
+/// writes (releases, the Anatomy pair, reports, the dictionary sidecar,
+/// the emit-input copy) streams through one of these. The first failure
+/// -- the failpoint at Open, a failed open(2), write(2) or close(2) -- is
+/// latched, later appends are dropped, and Close() reports it.
+class OutputSink {
+ public:
+  static constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
+
+  /// `buffer` must outlive the sink; its contents are overwritten.
+  explicit OutputSink(std::string* buffer);
+  ~OutputSink();
+  OutputSink(const OutputSink&) = delete;
+  OutputSink& operator=(const OutputSink&) = delete;
+
+  /// Evaluates `site`'s failpoint, then creates or truncates `path`. False
+  /// when either fails; a fired failpoint leaves no file behind.
+  bool Open(const std::string& path, failpoint::Site site);
+
+  void Append(std::string_view bytes) {
+    if (bytes.size() <= static_cast<std::size_t>(end_ - cursor_)) {
+      std::memcpy(cursor_, bytes.data(), bytes.size());
+      cursor_ += bytes.size();
+    } else {
+      AppendAcrossChunks(bytes);
+    }
+  }
+  void Append(char c) {
+    if (cursor_ == end_) Flush();
+    *cursor_++ = c;
+  }
+  void AppendUint(std::uint64_t value);
+
+  /// Writes the buffered tail and closes the file. True when every byte
+  /// landed; otherwise `*error` (when non-null) reads "cannot write
+  /// 'PATH': <strerror>", plus " [failpoint SITE]" when an armed failpoint
+  /// caused it.
+  bool Close(std::string* error);
+
+ private:
+  void AppendAcrossChunks(std::string_view bytes);
+  void Flush();
+
+  char* begin_ = nullptr;
+  char* cursor_ = nullptr;
+  char* end_ = nullptr;
+  std::string path_;
+  int fd_ = -1;
+  int errno_ = EBADF;  // until Open succeeds
+  std::string failpoint_error_;
+};
+
+/// How one attribute's values render as CSV cells, resolved once per
+/// write: a dictionary-backed attribute looks up its labels, escaped up
+/// front; a coded attribute prints each value's decimal code. The release
+/// writers decode every cell through this, so the suppression view and
 /// the Anatomy pair decode identically.
-std::string DecodeCsvValue(const Attribute& attr, Value v);
+class CsvCellText {
+ public:
+  /// Scratch for a formatted code; Value codes have at most 10 digits.
+  using Digits = std::array<char, 10>;
+
+  explicit CsvCellText(const Attribute& attr);
+
+  /// The cell of `v`, formatted into `digits` when the attribute is coded.
+  std::string_view Cell(Value v, Digits* digits) const {
+    if (!labels_.empty()) return labels_[v];
+    const char* end = std::to_chars(digits->data(), digits->data() + digits->size(), v).ptr;
+    return {digits->data(), static_cast<std::size_t>(end - digits->data())};
+  }
+
+ private:
+  std::vector<std::string> labels_;  // escaped, by code; empty when coded
+};
 
 /// Writes `table` as CSV with a header row (QI attribute names then the SA
 /// name). Values are written as their integer codes; suppression markers
-/// never appear in raw microdata. Returns false on I/O failure.
-bool WriteTableCsv(const Table& table, const std::string& path);
+/// never appear in raw microdata. The file sits under the report.write
+/// failpoint. Returns false on I/O failure, with `*error` (when non-null)
+/// set as OutputSink::Close sets it.
+bool WriteTableCsv(const Table& table, const std::string& path, std::string* error = nullptr);
 
 /// Reads a coded CSV produced by WriteTableCsv back into a table with the
 /// given schema. The header row is validated against the schema: the
@@ -107,8 +186,11 @@ std::unique_ptr<PagedTable> ReadRawTableCsvPaged(const std::string& path,
 /// (attribute, code, label), QI attributes first, then the sensitive
 /// attribute -- the sidecar the CLI writes next to a decoded release so
 /// codes remain machine-recoverable. Attributes without a dictionary are
-/// skipped. Returns false on I/O failure.
-bool WriteDictionaryCsv(const Schema& schema, const std::string& path);
+/// skipped. The file sits under the report.write failpoint. Returns false
+/// on I/O failure, with `*error` (when non-null) set as OutputSink::Close
+/// sets it.
+bool WriteDictionaryCsv(const Schema& schema, const std::string& path,
+                        std::string* error = nullptr);
 
 }  // namespace ldv
 

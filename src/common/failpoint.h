@@ -39,7 +39,7 @@ enum class Site : int {
   kExtSortSpill,     ///< ExternalSorter sorted-run spill
   kExtSortMerge,     ///< ExternalSorter merge refill read
   kCsvRead,          ///< streaming CSV ingestion row loop
-  kReportWrite,      ///< report/metrics/sidecar/anatomy writers
+  kReportWrite,      ///< report/metrics/sidecar/anatomy/emit-input writers
   kReleaseWrite,     ///< generalized release CSV writer
   kDaemonAccept,     ///< daemon accept loop
   kDaemonRead,       ///< frame read (daemon or client side)

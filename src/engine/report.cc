@@ -1,11 +1,10 @@
 #include "engine/report.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "anonymity/release.h"
 #include "common/csv.h"
-#include "common/failpoint.h"
 
 namespace ldv {
 
@@ -63,22 +62,10 @@ std::string CsvQuote(const std::string& text) {
 }
 
 bool WriteFile(const std::string& content, const std::string& path, std::string* error) {
-  failpoint::Injection injection;
-  if (failpoint::Check(failpoint::Site::kReportWrite, &injection)) {
-    *error = failpoint::Describe(failpoint::Site::kReportWrite, injection,
-                                 "cannot write '" + path + "'");
-    return false;
-  }
-  std::ofstream out(path);
-  if (out) out << content;
-  // Close before checking: some failures (e.g. a full disk behind a
-  // buffered stream) only surface at flush/close time.
-  out.close();
-  if (out.fail()) {
-    *error = "cannot write '" + path + "'";
-    return false;
-  }
-  return true;
+  std::string buffer;
+  OutputSink out(&buffer);
+  if (out.Open(path, failpoint::Site::kReportWrite)) out.Append(content);
+  return out.Close(error);
 }
 
 }  // namespace
@@ -190,45 +177,65 @@ bool WriteMetricsCsv(const JobResult& result, const std::string& path,
 bool WriteReleaseForOutcome(const Table& table, const AnonymizationOutcome& outcome,
                             const std::string& stem, std::string* error) {
   if (!outcome.feasible) return true;
-
   if (outcome.generalized != nullptr) {
-    std::string path = stem + ".csv";
-    if (!WriteReleaseCsv(table, *outcome.generalized, path)) {
-      *error = "cannot write '" + path + "'";
-      return false;
-    }
-    return true;
+    return WriteReleaseCsv(table, *outcome.generalized, stem + ".csv", error);
   }
 
   // Anatomy pair: exact QI values linked to the sensitive table only
-  // through bucket ids (Section 2's bucketization trade-off). Dictionary-
-  // backed attributes decode to their labels through the same
-  // DecodeCsvValue as the suppression-view releases.
-  const Schema& schema = table.schema();
-  std::string qit;
-  for (std::size_t a = 0; a < schema.qi_count(); ++a) {
-    qit += CsvEscapeCell(schema.qi(static_cast<AttrId>(a)).name) + ",";
-  }
-  qit += "Bucket\n";
-  std::string st = "Bucket," + CsvEscapeCell(schema.sensitive().name) + ",Count\n";
-  std::vector<std::uint32_t> sa_counts(schema.sa_domain_size(), 0);
-  const Partition& buckets = outcome.partition;
-  for (GroupId g = 0; g < buckets.group_count(); ++g) {
-    for (RowId row : buckets.group(g)) {
-      for (AttrId a = 0; a < table.qi_count(); ++a) {
-        qit += DecodeCsvValue(schema.qi(a), table.qi(row, a)) + ",";
+  // through bucket ids (Section 2's bucketization trade-off). Cells decode
+  // through the same CsvCellText as the suppression-view releases.
+  std::string qit_buffer;
+  std::string st_buffer;
+  OutputSink qit(&qit_buffer);
+  OutputSink st(&st_buffer);
+  if (qit.Open(stem + ".csv", failpoint::Site::kReportWrite) &&
+      st.Open(stem + "_sa.csv", failpoint::Site::kReportWrite)) {
+    const Schema& schema = table.schema();
+    const std::size_t d = schema.qi_count();
+    std::vector<CsvCellText> qi_text;
+    qi_text.reserve(d);
+    for (AttrId a = 0; a < d; ++a) {
+      qi_text.emplace_back(schema.qi(a));
+      qit.Append(CsvEscapeCell(schema.qi(a).name));
+      qit.Append(',');
+    }
+    qit.Append("Bucket\n");
+    st.Append("Bucket,");
+    st.Append(CsvEscapeCell(schema.sensitive().name));
+    st.Append(",Count\n");
+    const CsvCellText sa_text(schema.sensitive());
+    CsvCellText::Digits digits{};
+    std::vector<SaValue> codes;
+    const Partition& buckets = outcome.partition;
+    for (GroupId g = 0; g < buckets.group_count(); ++g) {
+      const std::string bucket = std::to_string(g);
+      codes.clear();
+      for (RowId row : buckets.group(g)) {
+        for (AttrId a = 0; a < d; ++a) {
+          qit.Append(qi_text[a].Cell(table.qi(row, a), &digits));
+          qit.Append(',');
+        }
+        qit.Append(bucket);
+        qit.Append('\n');
+        codes.push_back(table.sa(row));
       }
-      qit += std::to_string(g) + "\n";
-      ++sa_counts[table.sa(row)];
-    }
-    for (SaValue v = 0; v < sa_counts.size(); ++v) {
-      if (sa_counts[v] == 0) continue;
-      st += std::to_string(g) + "," + DecodeCsvValue(schema.sensitive(), v) + "," +
-            std::to_string(sa_counts[v]) + "\n";
-      sa_counts[v] = 0;
+      // The bucket's ST rows: its own distinct SA codes, ascending.
+      std::sort(codes.begin(), codes.end());
+      for (std::size_t i = 0; i < codes.size();) {
+        std::size_t j = i + 1;
+        while (j < codes.size() && codes[j] == codes[i]) ++j;
+        st.Append(bucket);
+        st.Append(',');
+        st.Append(sa_text.Cell(codes[i], &digits));
+        st.Append(',');
+        st.AppendUint(j - i);
+        st.Append('\n');
+        i = j;
+      }
     }
   }
-  return WriteFile(qit, stem + ".csv", error) && WriteFile(st, stem + "_sa.csv", error);
+  const bool qit_ok = qit.Close(error);
+  return st.Close(qit_ok ? error : nullptr) && qit_ok;
 }
 
 std::optional<PipelineError> WriteJobOutputs(const JobSpec& spec, const JobResult& result,
@@ -237,8 +244,8 @@ std::optional<PipelineError> WriteJobOutputs(const JobSpec& spec, const JobResul
   if (!spec.emit_input.empty()) {
     // ResolveJobSpec guarantees a single-table grid when emit_input is
     // set, so tables.front() is the one input.
-    if (!WriteTableCsv(result.tables.front()->table, spec.emit_input)) {
-      return IoError("cannot write '" + spec.emit_input + "'");
+    if (!WriteTableCsv(result.tables.front()->table, spec.emit_input, &error)) {
+      return IoError(error);
     }
     if (notices != nullptr) *notices += "wrote input table to " + spec.emit_input + "\n";
   }
@@ -247,8 +254,8 @@ std::optional<PipelineError> WriteJobOutputs(const JobSpec& spec, const JobResul
   // the releases so the codes stay machine-recoverable.
   if (!result.tables.empty() && result.tables.front()->table.schema().has_dictionaries()) {
     std::string dict_path = spec.out + "_dict.csv";
-    if (!WriteDictionaryCsv(result.tables.front()->table.schema(), dict_path)) {
-      return IoError("cannot write '" + dict_path + "'");
+    if (!WriteDictionaryCsv(result.tables.front()->table.schema(), dict_path, &error)) {
+      return IoError(error);
     }
     if (notices != nullptr) *notices += "wrote value dictionaries to " + dict_path + "\n";
   }

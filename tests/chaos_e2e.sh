@@ -45,6 +45,8 @@ expect_failpoint() {
 echo "== LDIV_FAILPOINT one-shots: typed exit 3, never an abort =="
 expect_failpoint report.write \
   "$BIN" --algo=tp --l=2 --n=600 --d=3 --no-timings --out="$TMP/fp_report"
+expect_failpoint release.write \
+  "$BIN" --algo=tp --l=2 --n=600 --d=3 --no-timings --out="$TMP/fp_release"
 expect_failpoint csv.read \
   "$BIN" --algo=tp --l=2 --input="$INPUT" --schema="$SCHEMA" --out="$TMP/fp_csv"
 # The paged out-of-core path: small pages + a tight budget force spill

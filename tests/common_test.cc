@@ -2,6 +2,7 @@
 // text tables.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -219,6 +220,15 @@ TEST(Csv, RoundTrip) {
     }
   }
   std::remove(path.c_str());
+}
+
+// A full disk must fail the copy even when the whole table fits in one
+// write buffer, i.e. when only the final flush can see the error.
+TEST(Csv, WriteToFullDiskFails) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no writable /dev/full here";
+  std::string error;
+  EXPECT_FALSE(WriteTableCsv(testutil::PaperTable1(), "/dev/full", &error));
+  EXPECT_NE(error.find("cannot write '/dev/full': "), std::string::npos) << error;
 }
 
 TEST(Csv, RejectsMalformedInput) {

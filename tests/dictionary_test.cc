@@ -4,6 +4,7 @@
 // structured CsvError reporting of the coded reader.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -311,6 +312,20 @@ TEST(DictionaryCsv, SerializesAttributeCodeLabelRows) {
             "Disease,0,flu\n");
   std::remove(path.c_str());
   std::remove(dict_path.c_str());
+}
+
+// A full disk must fail the sidecar even when the whole file fits in one
+// write buffer, i.e. when only the final flush can see the error.
+TEST(DictionaryCsv, FullDiskFailsTheWrite) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no writable /dev/full here";
+  std::string path = WriteTempFile("dict_full_in.csv", "City,Disease\nLisbon,flu\nPorto,flu\n");
+  CsvError csv_error;
+  std::optional<Table> table = ReadRawTableCsv(path, &csv_error);
+  ASSERT_TRUE(table.has_value()) << csv_error.ToString();
+  std::string error;
+  EXPECT_FALSE(WriteDictionaryCsv(table->schema(), "/dev/full", &error));
+  EXPECT_NE(error.find("cannot write '/dev/full': "), std::string::npos) << error;
+  std::remove(path.c_str());
 }
 
 }  // namespace

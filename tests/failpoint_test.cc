@@ -213,6 +213,10 @@ void ExpectInjectedIoError(const JobSpec& spec, Site site, Injection injection) 
     EXPECT_EQ(result.error().code, PipelineErrorCode::kIo) << result.error().message;
     EXPECT_EQ(ExitCodeFor(result.error().code), 3);
     EXPECT_GE(failpoint::Triggers(site), 1u) << "the armed site never fired";
+    EXPECT_NE(result.error().message.find(std::string("[failpoint ") +
+                                          failpoint::SiteName(site) + "]"),
+              std::string::npos)
+        << result.error().message;
   }
   failpoint::DisarmAll();
   // Leak probes: every spill file reclaimed, every budget reservation
@@ -266,6 +270,44 @@ TEST_F(FailpointTest, MatrixEveryEngineSiteSurfacesAsTypedIoError) {
   EXPECT_EQ(clean->exit_code, 0);
   RemoveOutputs(report.out);
   std::remove(csv.input.c_str());
+}
+
+// A raw input's dictionary sidecar is the first file such a run writes,
+// and it sits under report.write with the other side files: with the site
+// armed the run stops at the sidecar, before any release or report exists.
+TEST_F(FailpointTest, ReportWriteStopsARawRunAtItsSidecar) {
+  JobSpec spec;
+  spec.input = testing::TempDir() + "failpoint_raw_input.csv";
+  {
+    std::ofstream out(spec.input);
+    out << "City,Job,Disease\n";
+    for (int i = 0; i < 40; ++i) out << "c" << i % 3 << ",j" << i % 2 << ",d" << i % 4 << "\n";
+  }
+  spec.algorithms = {Algorithm::kTp};
+  spec.ls = {2};
+  spec.timings = false;
+  spec.out = testing::TempDir() + "failpoint_raw";
+  const std::vector<std::string> outputs = {spec.out + "_dict.csv", spec.out + ".csv",
+                                            spec.out + ".json"};
+  for (const std::string& path : outputs) std::remove(path.c_str());
+
+  failpoint::Arm(Site::kReportWrite, Injection{ENOSPC, false});
+  {
+    Engine engine;
+    Expected<ExecuteSummary, PipelineError> result = engine.Execute(spec);
+    ASSERT_FALSE(result.ok()) << "armed report.write but the raw run succeeded";
+    EXPECT_EQ(result.error().code, PipelineErrorCode::kIo) << result.error().message;
+    EXPECT_NE(result.error().message.find("cannot write '" + spec.out + "_dict.csv'"),
+              std::string::npos)
+        << result.error().message;
+    EXPECT_NE(result.error().message.find("[failpoint report.write]"), std::string::npos)
+        << result.error().message;
+  }
+  EXPECT_EQ(failpoint::Triggers(Site::kReportWrite), 1u) << "the sidecar is the first write";
+  for (const std::string& path : outputs) {
+    EXPECT_FALSE(std::ifstream(path).good()) << path << " exists after the sidecar failed";
+  }
+  std::remove(spec.input.c_str());
 }
 
 // A job that throws on a batch worker thread must not std::terminate the
