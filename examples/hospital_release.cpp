@@ -11,7 +11,6 @@
 
 #include "anonymity/eligibility.h"
 #include "anonymity/generalization.h"
-#include "anonymity/k_anonymity.h"
 #include "common/rng.h"
 #include "common/text_table.h"
 #include "core/algorithm.h"
@@ -19,6 +18,20 @@
 using namespace ldv;
 
 namespace {
+
+// Fraction of tuples in a QI-group of two or more whose members all share
+// one SA value: the homogeneity problem of plain k-anonymity (Section 1),
+// where an adversary learns the diagnosis without identifying the tuple.
+double HomogeneousTupleFraction(const Table& table, const Partition& partition) {
+  std::size_t exposed = 0;
+  for (GroupId g = 0; g < partition.group_count(); ++g) {
+    const auto rows = partition.group(g);
+    bool homogeneous = rows.size() >= 2;
+    for (RowId r : rows) homogeneous = homogeneous && table.sa(r) == table.sa(rows[0]);
+    if (homogeneous) exposed += rows.size();
+  }
+  return static_cast<double>(exposed) / static_cast<double>(table.size());
+}
 
 // Synthetic hospital microdata: AgeBand(16), Gender(2), Ward(12),
 // AdmissionMonth(12); Diagnosis(20), skewed like real ICD frequency data.

@@ -81,7 +81,8 @@ AnatomyResult AnatomyAnonymize(const Table& table, std::uint32_t l) {
     }
   }
 
-  for (auto& bucket : buckets) result.partition.AddGroup(std::move(bucket));
+  result.partition.Reserve(buckets.size(), table.size());
+  for (const auto& bucket : buckets) result.partition.AddGroup(bucket);
   result.feasible = true;
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

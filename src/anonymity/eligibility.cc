@@ -6,14 +6,10 @@ bool IsEligible(const SaHistogram& histogram, std::uint32_t l) {
   return histogram.IsEligible(l);
 }
 
-SaHistogram RowsHistogram(const Table& table, const std::vector<RowId>& rows) {
+bool IsEligible(const Table& table, std::span<const RowId> rows, std::uint32_t l) {
   SaHistogram h(table.schema().sa_domain_size());
   for (RowId r : rows) h.Add(table.sa(r));
-  return h;
-}
-
-bool IsEligible(const Table& table, const std::vector<RowId>& rows, std::uint32_t l) {
-  return RowsHistogram(table, rows).IsEligible(l);
+  return h.IsEligible(l);
 }
 
 bool IsTableEligible(const Table& table, std::uint32_t l) {
@@ -22,8 +18,8 @@ bool IsTableEligible(const Table& table, std::uint32_t l) {
 }
 
 bool IsLDiverse(const Table& table, const Partition& partition, std::uint32_t l) {
-  for (const auto& group : partition.groups()) {
-    if (!IsEligible(table, group, l)) return false;
+  for (GroupId g = 0; g < partition.group_count(); ++g) {
+    if (!IsEligible(table, partition.group(g), l)) return false;
   }
   return true;
 }

@@ -2,6 +2,7 @@
 #define LDIV_ANONYMITY_ELIGIBILITY_H_
 
 #include <cstdint>
+#include <span>
 
 #include "anonymity/partition.h"
 #include "common/histogram.h"
@@ -14,7 +15,7 @@ namespace ldv {
 bool IsEligible(const SaHistogram& histogram, std::uint32_t l);
 
 /// l-eligibility of a subset of rows of `table`.
-bool IsEligible(const Table& table, const std::vector<RowId>& rows, std::uint32_t l);
+bool IsEligible(const Table& table, std::span<const RowId> rows, std::uint32_t l);
 
 /// l-eligibility of the whole table; by Lemma 1 the star-minimization
 /// problem has a solution iff this holds.
@@ -27,9 +28,6 @@ bool IsLDiverse(const Table& table, const Partition& partition, std::uint32_t l)
 /// The largest l for which `table` is l-eligible: floor(n / h(T)).
 /// Returns 0 for an empty table.
 std::uint32_t MaxFeasibleL(const Table& table);
-
-/// Builds the SA histogram of a subset of rows of `table`.
-SaHistogram RowsHistogram(const Table& table, const std::vector<RowId>& rows);
 
 }  // namespace ldv
 

@@ -2,40 +2,27 @@
 
 #include <sstream>
 
-#include "common/check.h"
-
 namespace ldv {
-
-namespace {
-
-// Computes the Definition-1 signature of one group: per attribute, the
-// common value or kStar. Column-major: one gathered scan per attribute
-// with a first-disagreement early exit.
-std::vector<Value> ComputeSignature(const Table& table, const std::vector<RowId>& rows) {
-  LDIV_CHECK(!rows.empty());
-  const std::size_t d = table.qi_count();
-  std::vector<Value> sig(d);
-  for (AttrId a = 0; a < d; ++a) {
-    const Value* col = table.column(a).data();
-    const Value first = col[rows[0]];
-    sig[a] = first;
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-      if (col[rows[i]] != first) {
-        sig[a] = kStar;
-        break;
-      }
-    }
-  }
-  return sig;
-}
-
-}  // namespace
 
 GeneralizedTable::GeneralizedTable(const Table& table, const Partition& partition)
     : partition_(partition), qi_count_(table.qi_count()) {
-  signatures_.reserve(partition_.group_count());
-  for (GroupId g = 0; g < partition_.group_count(); ++g) {
-    signatures_.push_back(ComputeSignature(table, partition_.group(g)));
+  // Per group, column-major: one gathered scan per attribute with a
+  // first-disagreement early exit.
+  signatures_.resize(group_count() * qi_count_);
+  for (GroupId g = 0; g < group_count(); ++g) {
+    const std::span<const RowId> rows = partition_.group(g);
+    Value* sig = signatures_.data() + g * qi_count_;
+    for (AttrId a = 0; a < qi_count_; ++a) {
+      const Value* col = table.column(a).data();
+      const Value first = col[rows[0]];
+      sig[a] = first;
+      for (std::size_t i = 1; i < rows.size(); ++i) {
+        if (col[rows[i]] != first) {
+          sig[a] = kStar;
+          break;
+        }
+      }
+    }
   }
 }
 
@@ -57,7 +44,7 @@ std::uint64_t GeneralizedTable::SuppressedTupleCount() const {
 
 std::uint32_t GeneralizedTable::StarredAttributeCount(GroupId g) const {
   std::uint32_t count = 0;
-  for (Value v : signatures_[g]) {
+  for (Value v : signature(g)) {
     if (IsStar(v)) ++count;
   }
   return count;
@@ -74,7 +61,7 @@ std::string GeneralizedTable::ToString(const Table& table, std::size_t max_rows)
         return out.str();
       }
       out << "  ";
-      for (Value v : signatures_[g]) {
+      for (Value v : signature(g)) {
         if (IsStar(v)) {
           out << "* ";
         } else {
@@ -87,7 +74,7 @@ std::string GeneralizedTable::ToString(const Table& table, std::size_t max_rows)
   return out.str();
 }
 
-std::uint64_t GroupStarCount(const Table& table, const std::vector<RowId>& rows) {
+std::uint64_t GroupStarCount(const Table& table, std::span<const RowId> rows) {
   if (rows.empty()) return 0;
   std::uint32_t starred = 0;
   for (AttrId a = 0; a < table.qi_count(); ++a) {
@@ -105,7 +92,9 @@ std::uint64_t GroupStarCount(const Table& table, const std::vector<RowId>& rows)
 
 std::uint64_t PartitionStarCount(const Table& table, const Partition& partition) {
   std::uint64_t stars = 0;
-  for (const auto& group : partition.groups()) stars += GroupStarCount(table, group);
+  for (GroupId g = 0; g < partition.group_count(); ++g) {
+    stars += GroupStarCount(table, partition.group(g));
+  }
   return stars;
 }
 

@@ -2,6 +2,7 @@
 #define LDIV_ANONYMITY_GENERALIZATION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,21 +15,23 @@ namespace ldv {
 /// The generalization T* of a table determined by a partition
 /// (Definition 1): in each QI-group, an attribute keeps its value if all
 /// member tuples agree on it and becomes a star otherwise; SA values are
-/// always retained.
+/// always retained. Stored flat: a copy of the partition and one
+/// group-major array of groups x d signature values.
 class GeneralizedTable {
  public:
   /// Applies Definition 1 to `table` under `partition`.
   GeneralizedTable(const Table& table, const Partition& partition);
 
-  std::size_t group_count() const { return signatures_.size(); }
+  std::size_t group_count() const { return partition_.group_count(); }
 
   /// The generalized QI signature of group `g`; entries are either a
   /// concrete value or kStar.
-  const std::vector<Value>& signature(GroupId g) const { return signatures_[g]; }
+  std::span<const Value> signature(GroupId g) const {
+    return {signatures_.data() + g * qi_count_, qi_count_};
+  }
 
-  /// Rows belonging to group `g` (same indices as the input partition,
-  /// empty groups removed).
-  const std::vector<RowId>& rows(GroupId g) const { return partition_.group(g); }
+  /// Rows belonging to group `g` (same indices as the input partition).
+  std::span<const RowId> rows(GroupId g) const { return partition_.group(g); }
 
   const Partition& partition() const { return partition_; }
 
@@ -49,13 +52,13 @@ class GeneralizedTable {
 
  private:
   Partition partition_;
-  std::vector<std::vector<Value>> signatures_;
+  std::vector<Value> signatures_;  // group g at [g * qi_count_, (g + 1) * qi_count_)
   std::size_t qi_count_ = 0;
 };
 
 /// Number of stars that Definition 1 assigns to `rows` as a single QI-group:
 /// |rows| times the number of attributes on which the rows disagree.
-std::uint64_t GroupStarCount(const Table& table, const std::vector<RowId>& rows);
+std::uint64_t GroupStarCount(const Table& table, std::span<const RowId> rows);
 
 /// Total stars of the generalization induced by `partition` without
 /// materializing a GeneralizedTable.

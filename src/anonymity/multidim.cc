@@ -21,36 +21,32 @@ bool QiBox::Contains(std::span<const Value> qi) const {
   return true;
 }
 
-void BoxGeneralization::AddGroup(QiBox box, std::vector<RowId> rows) {
+void BoxGeneralization::AddGroup(QiBox box, std::span<const RowId> rows) {
   LDIV_CHECK_EQ(box.lo.size(), box.hi.size());
   LDIV_CHECK(!rows.empty());
-  boxes_.push_back(std::move(box));
-  rows_.push_back(std::move(rows));
+  if (group_count() == 0) d_ = box.lo.size();
+  LDIV_CHECK_EQ(box.lo.size(), d_);
+  bounds_.insert(bounds_.end(), box.lo.begin(), box.lo.end());
+  bounds_.insert(bounds_.end(), box.hi.begin(), box.hi.end());
+  rows_.AddGroup(rows);
 }
 
-void BoxGeneralization::Append(BoxGeneralization&& other) {
-  for (std::size_t g = 0; g < other.boxes_.size(); ++g) {
-    boxes_.push_back(std::move(other.boxes_[g]));
-    rows_.push_back(std::move(other.rows_[g]));
-  }
-  other.boxes_.clear();
-  other.rows_.clear();
+void BoxGeneralization::Append(const BoxGeneralization& other) {
+  for (std::size_t g = 0; g < other.group_count(); ++g) AddGroup(other.box(g), other.rows(g));
 }
 
 BoxGeneralization RelaxSuppressionToMultiDim(const Table& table,
                                              const GeneralizedTable& generalized) {
   BoxGeneralization out;
   const std::size_t d = table.qi_count();
+  std::vector<Value> lo(d), hi(d);
   for (GroupId g = 0; g < generalized.group_count(); ++g) {
-    const std::vector<Value>& sig = generalized.signature(g);
-    const std::vector<RowId>& rows = generalized.rows(g);
-    QiBox box;
-    box.lo.resize(d);
-    box.hi.resize(d);
+    const std::span<const Value> sig = generalized.signature(g);
+    const std::span<const RowId> rows = generalized.rows(g);
     for (AttrId a = 0; a < d; ++a) {
       if (!IsStar(sig[a])) {
-        box.lo[a] = sig[a];
-        box.hi[a] = sig[a] + 1;
+        lo[a] = sig[a];
+        hi[a] = sig[a] + 1;
         continue;
       }
       Value min_v = table.qi(rows[0], a), max_v = min_v;
@@ -58,10 +54,10 @@ BoxGeneralization RelaxSuppressionToMultiDim(const Table& table,
         min_v = std::min(min_v, table.qi(r, a));
         max_v = std::max(max_v, table.qi(r, a));
       }
-      box.lo[a] = min_v;
-      box.hi[a] = max_v + 1;
+      lo[a] = min_v;
+      hi[a] = max_v + 1;
     }
-    out.AddGroup(std::move(box), rows);
+    out.AddGroup({lo, hi}, rows);
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "anonymity/generalization.h"
+#include "anonymity/partition.h"
 #include "common/table.h"
 
 namespace ldv {
@@ -13,10 +14,11 @@ namespace ldv {
 /// An axis-aligned box of QI sub-domains: attribute a is published as the
 /// half-open code interval [lo[a], hi[a]). Multi-dimensional generalization
 /// (Section 2, Table 5) publishes one box per QI-group; boxes from
-/// different groups may overlap.
+/// different groups may overlap. A view: the bounds belong to whoever
+/// holds them (a BoxGeneralization, or a solver's working box).
 struct QiBox {
-  std::vector<Value> lo;
-  std::vector<Value> hi;
+  std::span<const Value> lo;
+  std::span<const Value> hi;
 
   /// Product of interval widths.
   double Volume() const;
@@ -25,20 +27,28 @@ struct QiBox {
   bool Contains(std::span<const Value> qi) const;
 };
 
-/// A multi-dimensional generalization: one (box, rows) pair per QI-group.
+/// A multi-dimensional generalization: one (box, rows) pair per QI-group,
+/// stored flat: the groups' rows as a Partition and every box's bounds in
+/// one group-major array (lo then hi, d values each).
 class BoxGeneralization {
  public:
   BoxGeneralization() = default;
 
-  void AddGroup(QiBox box, std::vector<RowId> rows);
+  /// Appends one group; `rows` must be non-empty and every box must have
+  /// the same dimension.
+  void AddGroup(QiBox box, std::span<const RowId> rows);
 
-  /// Moves every (box, rows) pair of `other` to the end, in order.
-  /// `other` is left empty; its tiling flag is ignored.
-  void Append(BoxGeneralization&& other);
+  /// Appends every (box, rows) pair of `other`, in order. `other`'s
+  /// tiling flag is ignored.
+  void Append(const BoxGeneralization& other);
 
-  std::size_t group_count() const { return boxes_.size(); }
-  const QiBox& box(std::size_t g) const { return boxes_[g]; }
-  const std::vector<RowId>& rows(std::size_t g) const { return rows_[g]; }
+  std::size_t group_count() const { return rows_.group_count(); }
+  QiBox box(std::size_t g) const {
+    const Value* lo = bounds_.data() + 2 * d_ * g;
+    return {{lo, d_}, {lo + d_, d_}};
+  }
+  std::span<const RowId> rows(std::size_t g) const { return rows_.group(static_cast<GroupId>(g)); }
+  const Partition& partition() const { return rows_; }
 
   /// Declares that the boxes are pairwise disjoint (they tile the QI
   /// space), so every point lies in at most one box. Set by producers
@@ -50,8 +60,9 @@ class BoxGeneralization {
   bool tiling() const { return tiling_; }
 
  private:
-  std::vector<QiBox> boxes_;
-  std::vector<std::vector<RowId>> rows_;
+  Partition rows_;
+  std::vector<Value> bounds_;  // group g: lo at [2dg, 2dg + d), hi at [2dg + d, 2dg + 2d)
+  std::size_t d_ = 0;
   bool tiling_ = false;
 };
 

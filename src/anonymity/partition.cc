@@ -1,50 +1,44 @@
 #include "anonymity/partition.h"
 
+#include <limits>
 #include <numeric>
 
-namespace ldv {
+#include "common/check.h"
 
-Partition::Partition(std::vector<std::vector<RowId>> groups) {
-  for (auto& g : groups) {
-    if (!g.empty()) groups_.push_back(std::move(g));
-  }
-}
+namespace ldv {
 
 Partition Partition::SingleGroup(const Table& table) {
   std::vector<RowId> all(table.size());
   std::iota(all.begin(), all.end(), 0u);
   Partition p;
-  p.AddGroup(std::move(all));
+  p.AddGroup(all);
   return p;
 }
 
-std::size_t Partition::row_count() const {
-  std::size_t n = 0;
-  for (const auto& g : groups_) n += g.size();
-  return n;
+void Partition::AddGroup(std::span<const RowId> rows) {
+  if (rows.empty()) return;
+  LDIV_CHECK_LE(rows_.size() + rows.size(), std::numeric_limits<std::uint32_t>::max());
+  if (offsets_.empty()) offsets_.push_back(0);
+  rows_.insert(rows_.end(), rows.begin(), rows.end());
+  offsets_.push_back(static_cast<std::uint32_t>(rows_.size()));
 }
 
-void Partition::AddGroup(std::vector<RowId> rows) {
-  if (!rows.empty()) groups_.push_back(std::move(rows));
+void Partition::Append(const Partition& other) {
+  for (GroupId g = 0; g < other.group_count(); ++g) AddGroup(other.group(g));
 }
 
-void Partition::Append(Partition&& other) {
-  for (auto& g : other.groups_) groups_.push_back(std::move(g));
-  other.groups_.clear();
+void Partition::Reserve(std::size_t groups, std::size_t rows) {
+  offsets_.reserve(group_count() + groups + 1);
+  rows_.reserve(rows_.size() + rows);
 }
 
 bool Partition::CoversExactly(const Table& table) const {
   std::vector<bool> seen(table.size(), false);
-  for (const auto& g : groups_) {
-    for (RowId r : g) {
-      if (r >= table.size() || seen[r]) return false;
-      seen[r] = true;
-    }
+  for (RowId r : rows_) {
+    if (r >= table.size() || seen[r]) return false;
+    seen[r] = true;
   }
-  for (bool s : seen) {
-    if (!s) return false;
-  }
-  return true;
+  return rows_.size() == table.size();
 }
 
 }  // namespace ldv

@@ -29,7 +29,7 @@ bool WriteReleaseCsv(const Table& table, const GeneralizedTable& generalized,
   // 1), so the QI cells are formatted once per group as a prefix.
   std::string prefix;
   for (GroupId g = 0; g < generalized.group_count(); ++g) {
-    const std::vector<Value>& sig = generalized.signature(g);
+    const std::span<const Value> sig = generalized.signature(g);
     prefix.clear();
     for (std::size_t a = 0; a < d; ++a) {
       if (IsStar(sig[a])) {

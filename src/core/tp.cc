@@ -467,17 +467,15 @@ const TpStats& TpEngine::Run() {
   return stats_;
 }
 
-std::vector<RowId> TpEngine::RemainingRows(GroupId g) const {
+void TpEngine::RemainingRows(GroupId g, std::vector<RowId>* rows) const {
   LDIV_CHECK(has_rows_);
   const GroupState& gs = groups_[g];
-  std::vector<RowId> rows;
-  rows.reserve(static_cast<std::size_t>(gs.index.total()));
+  rows->clear();
   for (std::uint32_t slot = 0; slot < gs.index.slot_count(); ++slot) {
-    std::uint32_t remaining = gs.index.count(slot);
-    std::uint32_t begin = gs.source->sa_runs[slot].second;
-    for (std::uint32_t i = 0; i < remaining; ++i) rows.push_back(gs.source->rows[begin + i]);
+    const std::uint32_t begin = gs.source->sa_runs[slot].second;
+    const auto run = gs.source->rows.subspan(begin, gs.index.count(slot));
+    rows->insert(rows->end(), run.begin(), run.end());
   }
-  return rows;
 }
 
 // ---------------------------------------------------------------------------
@@ -486,8 +484,8 @@ std::vector<RowId> TpEngine::RemainingRows(GroupId g) const {
 
 Partition TpResult::ToPartition() const {
   Partition p;
-  p.Reserve(kept_groups.size() + 1);
-  for (const auto& group : kept_groups) p.AddGroup(group);
+  p.Reserve(kept_groups.group_count() + 1, kept_groups.row_count() + residue_rows.size());
+  p.Append(kept_groups);
   p.AddGroup(residue_rows);
   return p;
 }
@@ -513,10 +511,12 @@ TpResult RunTp(const GroupedTable& grouped, std::uint32_t l) {
   result.feasible = true;
   result.stats = engine.stats();
   result.residue_rows = engine.removed_rows();
-  result.kept_groups.reserve(grouped.group_count());
+  result.kept_groups.Reserve(grouped.group_count(),
+                             grouped.row_count() - result.residue_rows.size());
+  std::vector<RowId> rows;  // one group's survivors, reused across groups
   for (GroupId g = 0; g < grouped.group_count(); ++g) {
-    std::vector<RowId> rows = engine.RemainingRows(g);
-    if (!rows.empty()) result.kept_groups.push_back(std::move(rows));
+    engine.RemainingRows(g, &rows);
+    result.kept_groups.AddGroup(rows);
   }
   return result;
 }

@@ -102,8 +102,9 @@ class TpEngine {
   /// Rows moved to R, in removal order (row-tracking constructor only).
   const std::vector<RowId>& removed_rows() const { return removed_rows_; }
 
-  /// Rows still in group `g` (row-tracking constructor only).
-  std::vector<RowId> RemainingRows(GroupId g) const;
+  /// Replaces `*rows` with the rows still in group `g` (row-tracking
+  /// constructor only).
+  void RemainingRows(GroupId g, std::vector<RowId>* rows) const;
 
  private:
   struct GroupState {
@@ -137,9 +138,9 @@ class TpEngine {
 struct TpResult {
   /// False iff the input table is not l-eligible (Problem 1 infeasible).
   bool feasible = false;
-  /// Surviving QI-groups; every row in a group shares the exact QI
-  /// signature, so these groups carry zero stars.
-  std::vector<std::vector<RowId>> kept_groups;
+  /// Surviving QI-groups, flat and in grouping order; every row in a group
+  /// shares the exact QI signature, so these groups carry zero stars.
+  Partition kept_groups;
   /// The residue set R (suppressed tuples).
   std::vector<RowId> residue_rows;
   TpStats stats;

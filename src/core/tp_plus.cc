@@ -16,8 +16,7 @@ TpPlusResult RunTpPlus(const Table& table, std::uint32_t l,
   result.tp_stats = tp.stats;
   result.tp_seconds = tp.seconds;
 
-  result.partition.Reserve(tp.kept_groups.size() + 1);
-  for (auto& group : tp.kept_groups) result.partition.AddGroup(std::move(group));
+  result.partition = std::move(tp.kept_groups);
 
   if (!tp.residue_rows.empty()) {
     // Refine R with the Hilbert baseline; R is l-eligible by construction,
@@ -26,13 +25,12 @@ TpPlusResult RunTpPlus(const Table& table, std::uint32_t l,
     HilbertResult refined = HilbertAnonymize(residue_table, l, hilbert_options, workspace);
     LDIV_CHECK(refined.feasible) << "residue set must be l-eligible";
     result.hilbert_seconds = refined.seconds;
-    result.partition.Reserve(result.partition.group_count() +
-                             refined.partition.group_count());
-    for (const auto& sub_group : refined.partition.groups()) {
-      std::vector<RowId> rows;
-      rows.reserve(sub_group.size());
-      for (RowId local : sub_group) rows.push_back(tp.residue_rows[local]);
-      result.partition.AddGroup(std::move(rows));
+    result.partition.Reserve(refined.partition.group_count(), tp.residue_rows.size());
+    std::vector<RowId> rows;  // one refined group, mapped back to table rows
+    for (GroupId g = 0; g < refined.partition.group_count(); ++g) {
+      rows.clear();
+      for (RowId local : refined.partition.group(g)) rows.push_back(tp.residue_rows[local]);
+      result.partition.AddGroup(rows);
     }
   }
   return result;

@@ -69,12 +69,13 @@ ExactStarResult ExactStarMinimization(const Table& table, std::uint32_t l) {
 
   result.feasible = true;
   result.stars = dp[full];
+  std::vector<RowId> group;
   for (std::uint32_t mask = full; mask > 0; mask ^= choice[mask]) {
-    std::vector<RowId> group;
+    group.clear();
     for (std::uint32_t r = 0; r < n; ++r) {
       if ((choice[mask] >> r) & 1u) group.push_back(r);
     }
-    result.partition.AddGroup(std::move(group));
+    result.partition.AddGroup(group);
   }
   return result;
 }

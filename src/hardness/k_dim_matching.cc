@@ -122,14 +122,11 @@ Partition KDimPartitionFromMatching(const KDmInstance& instance,
                                     const std::vector<std::uint32_t>& matching) {
   LDIV_CHECK_EQ(matching.size(), instance.n);
   Partition partition;
+  std::vector<RowId> rows(instance.k);
   for (std::uint32_t idx : matching) {
     const auto& p = instance.points[idx];
-    std::vector<RowId> rows;
-    rows.reserve(instance.k);
-    for (std::uint32_t dim = 0; dim < instance.k; ++dim) {
-      rows.push_back(dim * instance.n + p[dim]);
-    }
-    partition.AddGroup(std::move(rows));
+    for (std::uint32_t dim = 0; dim < instance.k; ++dim) rows[dim] = dim * instance.n + p[dim];
+    partition.AddGroup(rows);
   }
   return partition;
 }

@@ -111,7 +111,8 @@ Partition PartitionFromMatching(const ThreeDmInstance& instance,
     const Point3& p = instance.points[idx];
     // The three rows that carry 0 on the point's attribute: its D1, D2 and
     // D3 coordinates (0-based row ids).
-    partition.AddGroup({p.a, n + p.b, 2 * n + p.c});
+    const RowId rows[] = {p.a, n + p.b, 2 * n + p.c};
+    partition.AddGroup(rows);
   }
   return partition;
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "anonymity/eligibility.h"
@@ -335,10 +336,10 @@ void WindowDpSplit(const Table& table, const std::vector<RowId>& order, std::uin
 // Emits order[starts[i], starts[i+1]) as the partition's groups.
 void EmitGroups(const std::vector<RowId>& order, const std::vector<std::uint32_t>& starts,
                 Partition* partition) {
-  partition->Reserve(starts.size());
+  partition->Reserve(starts.size(), order.size());
   for (std::size_t gi = 0; gi < starts.size(); ++gi) {
     std::size_t end = (gi + 1 < starts.size()) ? starts[gi + 1] : order.size();
-    partition->AddGroup(std::vector<RowId>(order.begin() + starts[gi], order.begin() + end));
+    partition->AddGroup(std::span(order).subspan(starts[gi], end - starts[gi]));
   }
 }
 

@@ -57,7 +57,8 @@ ExactM2Result SolveExactM2(const Table& table) {
   result.feasible = true;
   result.stars = static_cast<std::uint64_t>(total);
   for (std::size_t i = 0; i < n; ++i) {
-    result.partition.AddGroup({s1[i], s2[assignment[i]]});
+    const RowId pair[] = {s1[i], s2[assignment[i]]};
+    result.partition.AddGroup(pair);
   }
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

@@ -9,13 +9,12 @@ GroupSizeStats ComputeGroupSizeStats(const Partition& partition) {
   stats.group_count = partition.group_count();
   if (stats.group_count == 0) return stats;
   stats.min_size = partition.group(0).size();
-  std::size_t total = 0;
-  for (const auto& group : partition.groups()) {
-    stats.min_size = std::min(stats.min_size, group.size());
-    stats.max_size = std::max(stats.max_size, group.size());
-    total += group.size();
+  for (GroupId g = 0; g < partition.group_count(); ++g) {
+    stats.min_size = std::min(stats.min_size, partition.group(g).size());
+    stats.max_size = std::max(stats.max_size, partition.group(g).size());
   }
-  stats.mean_size = static_cast<double>(total) / static_cast<double>(stats.group_count);
+  stats.mean_size =
+      static_cast<double>(partition.row_count()) / static_cast<double>(stats.group_count);
   return stats;
 }
 

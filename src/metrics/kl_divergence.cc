@@ -132,7 +132,7 @@ std::vector<double> TilingFstar(const Table& table, const BoxGeneralization& gen
                 std::vector<double>& mass = *mass_s;
                 mass.assign(m, 0.0);
                 for (std::size_t g = gb; g < ge; ++g) {
-                  const QiBox& box = gen.box(g);
+                  const QiBox box = gen.box(g);
                   const double volume = box.Volume();
                   for (RowId r : gen.rows(g)) {
                     for (std::size_t a = 0; a < d; ++a) {
@@ -185,7 +185,7 @@ std::vector<double> StabbingFstar(const Table& table, const BoxGeneralization& g
   ParallelFor(group_count, group_grain, ws,
               [&](std::size_t gb, std::size_t ge, Workspace&) {
                 for (std::size_t g = gb; g < ge; ++g) {
-                  const QiBox& box = gen.box(g);
+                  const QiBox box = gen.box(g);
                   for (std::size_t a = 0; a < d; ++a) {
                     bounds[a * group_count + g] = box.lo[a];
                     bounds[(d + a) * group_count + g] = box.hi[a];
@@ -312,7 +312,7 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
   std::vector<std::uint32_t> sa_counts(m, 0);
   std::vector<SaValue> sa_touched;
   for (GroupId g = 0; g < generalized.group_count(); ++g) {
-    const std::vector<Value>& sig = generalized.signature(g);
+    const std::span<const Value> sig = generalized.signature(g);
     std::uint64_t mask = 0;
     double volume = 1.0;
     for (AttrId a = 0; a < d; ++a) {

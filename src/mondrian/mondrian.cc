@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,13 @@
 namespace ldv {
 
 namespace {
+
+// An owned, mutable box: the walker's current box and each frontier
+// node's. What a walker publishes is a QiBox view of one.
+struct Bounds {
+  std::vector<Value> lo;
+  std::vector<Value> hi;
+};
 
 // Immutable per-solve context shared by every walker: the table, the
 // hoisted column pointers and the concatenated-histogram layout.
@@ -35,8 +43,8 @@ struct MondrianShared {
     }
   }
 
-  QiBox RootBox() const {
-    QiBox box;
+  Bounds RootBox() const {
+    Bounds box;
     box.lo.assign(d, 0);
     box.hi.resize(d);
     for (AttrId a = 0; a < d; ++a) {
@@ -79,11 +87,9 @@ struct MondrianShared {
 class MondrianWalker {
  public:
   MondrianWalker(const MondrianShared& shared, std::vector<RowId>& rows,
-                 std::vector<SaValue>& sa, BoxGeneralization* out, ldv::Partition* partition,
-                 Workspace& ws)
+                 std::vector<SaValue>& sa, BoxGeneralization* out, Workspace& ws)
       : s_(shared),
         out_(out),
-        partition_(partition),
         scratch_s_(ws.U32()),
         values_s_(ws.U32()),
         vhist_s_(ws.U32()),
@@ -112,7 +118,7 @@ class MondrianWalker {
 
   /// The box the next Recurse/TrySplit call starts from; defaults to the
   /// root box. The parallel driver points it at a frontier node's box.
-  QiBox& box() { return box_; }
+  Bounds& box() { return box_; }
 
   void Recurse(std::size_t begin, std::size_t end) {
     AttrId attr = 0;
@@ -131,9 +137,7 @@ class MondrianWalker {
       return;
     }
     // No allowable cut: emit the group.
-    std::vector<RowId> group(rows_.begin() + begin, rows_.begin() + end);
-    partition_->AddGroup(group);
-    out_->AddGroup(box_, std::move(group));
+    out_->AddGroup({box_.lo, box_.hi}, std::span(rows_).subspan(begin, end - begin));
   }
 
   /// One cut attempt on [begin, end): finds the best allowable median cut
@@ -291,7 +295,6 @@ class MondrianWalker {
 
   const MondrianShared& s_;
   BoxGeneralization* out_;
-  ldv::Partition* partition_;
 
   ScratchVec<std::uint32_t> scratch_s_, values_s_, vhist_s_;
   ScratchVec<std::uint32_t> left_counts_s_, right_counts_s_, touched_s_;
@@ -305,7 +308,7 @@ class MondrianWalker {
   std::vector<SaValue>& touched_;
   std::vector<std::pair<double, AttrId>> spreads_;
   std::vector<Value> mins_, maxs_, medians_;
-  QiBox box_;  // current box, mutated and restored around recursion
+  Bounds box_;  // current box, mutated and restored around recursion
 };
 
 // One pending subtree of the parallel driver: its row range and the box
@@ -313,7 +316,7 @@ class MondrianWalker {
 struct FrontierNode {
   std::size_t begin = 0;
   std::size_t end = 0;
-  QiBox box;
+  Bounds box;
   bool leaf = false;  // TrySplit already failed: the node is one group
 };
 
@@ -327,14 +330,14 @@ struct FrontierNode {
 // thread count.
 void RunParallel(const MondrianShared& shared, std::vector<RowId>& rows,
                  std::vector<SaValue>& sa, unsigned threads, Workspace& ws,
-                 BoxGeneralization* out, ldv::Partition* partition) {
+                 BoxGeneralization* out) {
   const std::size_t target_nodes = 8 * static_cast<std::size_t>(threads);
   const std::size_t cutoff =
       std::max<std::size_t>(4096, shared.n / (8 * static_cast<std::size_t>(threads)));
 
   std::vector<FrontierNode> frontier;
   frontier.push_back({0, shared.n, shared.RootBox(), false});
-  MondrianWalker expander(shared, rows, sa, nullptr, nullptr, ws);
+  MondrianWalker expander(shared, rows, sa, nullptr, ws);
   while (frontier.size() < target_nodes) {
     // Expand the largest splittable node; stop when every remaining node
     // is below the task-granularity cutoff (its subtree runs as one task).
@@ -369,21 +372,17 @@ void RunParallel(const MondrianShared& shared, std::vector<RowId>& rows,
   // Solve the subtrees in parallel, one task per frontier node, each with
   // its own walker (scratch from the executing thread's workspace) and
   // its own outputs. Leaf nodes re-run one failing TrySplit and emit.
-  std::vector<ldv::Partition> parts(frontier.size());
   std::vector<BoxGeneralization> gens(frontier.size());
   ParallelFor(frontier.size(), 1, ws,
               [&](std::size_t begin, std::size_t end, Workspace& cws) {
                 for (std::size_t i = begin; i < end; ++i) {
-                  MondrianWalker walker(shared, rows, sa, &gens[i], &parts[i], cws);
+                  MondrianWalker walker(shared, rows, sa, &gens[i], cws);
                   walker.box() = frontier[i].box;
                   walker.Recurse(frontier[i].begin, frontier[i].end);
                 }
               });
 
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    partition->Append(std::move(parts[i]));
-    out->Append(std::move(gens[i]));
-  }
+  for (const BoxGeneralization& gen : gens) out->Append(gen);
 }
 
 }  // namespace
@@ -419,14 +418,15 @@ MondrianResult MondrianAnonymize(const Table& table, std::uint32_t l, Workspace*
 
   const unsigned threads = ws.threads();
   if (threads > 1 && shared.n >= 8192) {
-    RunParallel(shared, rows, sa, threads, ws, &result.generalization, &result.partition);
+    RunParallel(shared, rows, sa, threads, ws, &result.generalization);
   } else {
-    MondrianWalker walker(shared, rows, sa, &result.generalization, &result.partition, ws);
+    MondrianWalker walker(shared, rows, sa, &result.generalization, ws);
     walker.Recurse(0, shared.n);
   }
   // Splits are global cuts of the parent box, so the boxes tile the QI
   // space (see MondrianResult::generalization).
   result.generalization.MarkTiling();
+  result.partition = result.generalization.partition();
 
   result.feasible = true;
   result.seconds =

@@ -151,6 +151,9 @@ class TdsState {
     result.feasible = true;
     result.generalization = std::make_shared<SingleDimGeneralization>(std::move(taxonomies_),
                                                                       std::move(value_to_node_));
+    std::size_t alive = 0;
+    for (const TdsGroup& g : groups_) alive += g.alive ? 1 : 0;
+    result.partition.Reserve(alive, table_.size());
     for (const TdsGroup& g : groups_) {
       if (g.alive) result.partition.AddGroup(g.rows);
     }

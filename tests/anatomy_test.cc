@@ -32,7 +32,7 @@ TEST(Anatomy, BucketsHaveDistinctCoreValues) {
   Table table = testutil::RandomEligibleTable(rng, 400, {5}, 10, 4);
   AnatomyResult result = AnatomyAnonymize(table, 4);
   ASSERT_TRUE(result.feasible);
-  for (const auto& bucket : result.partition.groups()) {
+  for (const auto& bucket : testutil::Groups(result.partition)) {
     std::set<SaValue> distinct;
     for (RowId r : bucket) distinct.insert(table.sa(r));
     EXPECT_GE(distinct.size(), 4u);
@@ -47,7 +47,7 @@ TEST(Anatomy, BucketSizesAreTight) {
   Table table = testutil::RandomEligibleTable(rng, 301, {4}, 9, l);
   AnatomyResult result = AnatomyAnonymize(table, l);
   ASSERT_TRUE(result.feasible);
-  for (const auto& bucket : result.partition.groups()) {
+  for (const auto& bucket : testutil::Groups(result.partition)) {
     EXPECT_GE(bucket.size(), l);
     EXPECT_LE(bucket.size(), static_cast<std::size_t>(2 * l));
   }
@@ -66,7 +66,7 @@ TEST(Anatomy, ExactlyBalancedInputGivesPerfectBuckets) {
   AnatomyResult result = AnatomyAnonymize(table, 4);
   ASSERT_TRUE(result.feasible);
   EXPECT_EQ(result.partition.group_count(), 6u);
-  for (const auto& bucket : result.partition.groups()) EXPECT_EQ(bucket.size(), 4u);
+  for (const auto& bucket : testutil::Groups(result.partition)) EXPECT_EQ(bucket.size(), 4u);
 }
 
 TEST(Anatomy, InfeasibleTableRejected) {

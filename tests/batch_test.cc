@@ -35,7 +35,7 @@ void ExpectSameOutcome(const AnonymizationOutcome& a, const AnonymizationOutcome
   EXPECT_EQ(a.group_stats.group_count, b.group_stats.group_count);
   EXPECT_EQ(a.group_stats.min_size, b.group_stats.min_size);
   EXPECT_EQ(a.group_stats.max_size, b.group_stats.max_size);
-  EXPECT_EQ(a.partition.groups(), b.partition.groups());
+  EXPECT_EQ(testutil::Groups(a.partition), testutil::Groups(b.partition));
 }
 
 // Every algorithm at l in {2, 4} on each of `table_count` tables: the

@@ -130,7 +130,7 @@ TEST(HilbertPartitioner, LocalityBeatsArbitraryGrouping) {
   // compare star counts on the raw partitions instead of privacy).
   std::vector<std::vector<RowId>> rr(table.size() / 4 + 1);
   for (RowId r = 0; r < table.size(); ++r) rr[r % rr.size()].push_back(r);
-  std::uint64_t rr_stars = PartitionStarCount(table, Partition(rr));
+  std::uint64_t rr_stars = PartitionStarCount(table, testutil::MakePartition(rr));
   std::uint64_t hilbert_stars = PartitionStarCount(table, hilbert.partition);
   EXPECT_LT(hilbert_stars * 10, rr_stars * 7);
 }

@@ -26,7 +26,7 @@ TEST(KlSuppression, SingletonGroupsGiveZeroDivergence) {
   Table table = testutil::PaperTable1();
   std::vector<std::vector<RowId>> singletons;
   for (RowId r = 0; r < table.size(); ++r) singletons.push_back({r});
-  GeneralizedTable generalized(table, Partition(singletons));
+  GeneralizedTable generalized(table, testutil::MakePartition(singletons));
   EXPECT_NEAR(KlDivergenceSuppression(table, generalized), 0.0, 1e-9);
 }
 
@@ -100,7 +100,7 @@ double BruteForceKlSuppression(const Table& table, const GeneralizedTable& gener
   for (const auto& [point, count] : points) {
     double fstar_n = 0.0;
     for (GroupId g = 0; g < generalized.group_count(); ++g) {
-      const std::vector<Value>& sig = generalized.signature(g);
+      const std::span<const Value> sig = generalized.signature(g);
       bool matches = true;
       double volume = 1.0;
       for (std::size_t a = 0; a < d; ++a) {
@@ -133,7 +133,7 @@ Partition RandomPartition(Rng& rng, std::size_t n) {
     groups.emplace_back(rows.begin() + i, rows.begin() + i + size);
     i += size;
   }
-  return Partition(std::move(groups));
+  return testutil::MakePartition(groups);
 }
 
 TEST(KlSuppression, MatchesBruteForceEquationTwo) {

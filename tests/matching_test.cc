@@ -80,7 +80,7 @@ TEST(ExactM2, ProducesTwoDiversePairPartition) {
   ASSERT_TRUE(result.feasible);
   EXPECT_TRUE(result.partition.CoversExactly(table));
   EXPECT_TRUE(IsLDiverse(table, result.partition, 2));
-  for (const auto& group : result.partition.groups()) EXPECT_EQ(group.size(), 2u);
+  for (const auto& group : testutil::Groups(result.partition)) EXPECT_EQ(group.size(), 2u);
   EXPECT_EQ(PartitionStarCount(table, result.partition), result.stars);
 }
 

@@ -16,7 +16,8 @@ namespace ldv {
 namespace {
 
 TEST(QiBox, VolumeAndContainment) {
-  QiBox box{{1, 0}, {4, 2}};
+  const Value lo[] = {1, 0}, hi[] = {4, 2};
+  const QiBox box{lo, hi};
   EXPECT_DOUBLE_EQ(box.Volume(), 6.0);
   EXPECT_TRUE(box.Contains(std::vector<Value>{1, 0}));
   EXPECT_TRUE(box.Contains(std::vector<Value>{3, 1}));

@@ -97,7 +97,7 @@ TEST(Tds, AllCellsAreLEligible) {
     EXPECT_TRUE(result.partition.CoversExactly(table));
     EXPECT_TRUE(IsLDiverse(table, result.partition, l)) << "l=" << l;
     // Groups match the published cells: all rows of a group share a cell id.
-    for (const auto& group : result.partition.groups()) {
+    for (const auto& group : testutil::Groups(result.partition)) {
       std::uint64_t cell = result.generalization->PackedCellId(table.qi_row(group[0]));
       for (RowId r : group) {
         EXPECT_EQ(result.generalization->PackedCellId(table.qi_row(r)), cell);

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "anonymity/partition.h"
 #include "common/rng.h"
 #include "common/schema.h"
 #include "common/table.h"
@@ -32,6 +34,26 @@ inline Table MakeTable(const Schema& schema,
     table.AppendRow(qi, row.back());
   }
   return table;
+}
+
+/// Builds a partition from explicit groups, in order. Empty groups are
+/// dropped, as Partition::AddGroup drops them.
+inline Partition MakePartition(const std::vector<std::vector<RowId>>& groups) {
+  Partition partition;
+  for (const std::vector<RowId>& group : groups) partition.AddGroup(group);
+  return partition;
+}
+
+/// A copy of a group's rows, for EXPECT_EQ and printing.
+inline std::vector<RowId> Rows(std::span<const RowId> rows) {
+  return {rows.begin(), rows.end()};
+}
+
+/// Every group of `partition` as a copy, in order, for EXPECT_EQ.
+inline std::vector<std::vector<RowId>> Groups(const Partition& partition) {
+  std::vector<std::vector<RowId>> groups;
+  for (GroupId g = 0; g < partition.group_count(); ++g) groups.push_back(Rows(partition.group(g)));
+  return groups;
 }
 
 /// The paper's running example, Table 1 (10 hospital records).

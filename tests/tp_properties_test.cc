@@ -40,8 +40,8 @@ TEST_P(TpSweepTest, OutputIsAnLDiversePartitionWithinTheoremThreeBound) {
   EXPECT_TRUE(IsLDiverse(table, partition, param.l));
 
   // Kept groups carry no stars (identical QI signatures).
-  for (const auto& group : result.kept_groups) {
-    EXPECT_EQ(GroupStarCount(table, group), 0u);
+  for (GroupId g = 0; g < result.kept_groups.group_count(); ++g) {
+    EXPECT_EQ(GroupStarCount(table, result.kept_groups.group(g)), 0u);
   }
 
   // Theorem 3: |R| <= l * OPT for tuple minimization; Corollary 3 tightens
@@ -104,7 +104,7 @@ TEST(TpPipeline, DeterministicAcrossRuns) {
   TpResult b = RunTp(table, 3);
   ASSERT_TRUE(a.feasible);
   EXPECT_EQ(a.residue_rows, b.residue_rows);
-  EXPECT_EQ(a.kept_groups, b.kept_groups);
+  EXPECT_EQ(testutil::Groups(a.kept_groups), testutil::Groups(b.kept_groups));
   EXPECT_EQ(a.stats.terminated_phase, b.stats.terminated_phase);
 }
 
@@ -134,9 +134,7 @@ TEST(TpPipeline, ResidueRowsMatchEngineAccounting) {
   Table table = RandomEligibleTable(rng, 50, {5, 2, 2}, 5, 4);
   TpResult result = RunTp(table, 4);
   ASSERT_TRUE(result.feasible);
-  std::uint64_t total_kept = 0;
-  for (const auto& g : result.kept_groups) total_kept += g.size();
-  EXPECT_EQ(total_kept + result.residue_rows.size(), table.size());
+  EXPECT_EQ(result.kept_groups.row_count() + result.residue_rows.size(), table.size());
   EXPECT_EQ(result.stats.residue_size, result.residue_rows.size());
   EXPECT_EQ(result.stats.removed_phase1 + result.stats.removed_phase2 +
                 result.stats.removed_phase3,

@@ -23,6 +23,7 @@
 #include "common/csv.h"
 #include "common/rng.h"
 #include "core/anonymizer.h"
+#include "data/acs_generator.h"
 #include "engine/report.h"
 #include "test_util.h"
 
@@ -45,7 +46,7 @@ void ReferenceReleaseCsv(const Table& table, const GeneralizedTable& generalized
   }
   out << CsvEscapeCell(schema.sensitive().name) << "\n";
   for (GroupId g = 0; g < generalized.group_count(); ++g) {
-    const std::vector<Value>& sig = generalized.signature(g);
+    const std::span<const Value> sig = generalized.signature(g);
     for (RowId r : generalized.rows(g)) {
       for (std::size_t a = 0; a < sig.size(); ++a) {
         if (IsStar(sig[a])) {
@@ -220,7 +221,7 @@ Table SmallLabeledTable() {
                                               });
 }
 
-Partition SmallPartition() { return Partition({{0, 1, 2}, {3, 4, 5}, {6, 7, 8, 9}}); }
+Partition SmallPartition() { return testutil::MakePartition({{0, 1, 2}, {3, 4, 5}, {6, 7, 8, 9}}); }
 
 // An l-eligible table over the labeled schema, large enough that its
 // releases cross the sink's flush chunk many times.
@@ -270,7 +271,7 @@ TEST(WriterOracle, CodedValuesWithSeveralDigits) {
                                               {10, 3, 1000, 0},
                                               {10, 3, 1000, 10},
                                           });
-  const Partition partition({{0, 1}, {2, 3}, {4, 5}});
+  const Partition partition = testutil::MakePartition({{0, 1}, {2, 3}, {4, 5}});
   ExpectReleaseMatchesReference(table, SuppressionOutcome(table, partition), "oracle_coded_view");
   ExpectReleaseMatchesReference(table, AnatomyOutcome(partition), "oracle_coded_pair");
 }
@@ -298,6 +299,58 @@ TEST(WriterOracle, InputCopyAndDictionarySidecar) {
     ReferenceDictionaryCsv(table.schema(), want);
     ASSERT_TRUE(WriteDictionaryCsv(table.schema(), got, &error)) << error;
     ExpectSameBytes(want, got);
+  }
+}
+
+// FNV-1a-64 of a file's bytes.
+std::uint64_t Fnv1a64(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (unsigned char c : bytes) h = (h ^ c) * 1099511628211ULL;
+  return h;
+}
+
+TEST(ReleaseGolden, SalSevenReleasesMatchPinnedHashes) {
+  // Every release of the KlGolden cases, pinned by a hash of its bytes.
+  // The oracle cases above compare two writers of one outcome, so a change
+  // that reorders groups or rows the same way everywhere passes them and
+  // shows only here. A failure means a release's bytes changed: find out
+  // why, never edit a literal to match.
+  struct Golden {
+    Algorithm algo;
+    std::uint32_t l;
+    std::uint64_t release;
+    std::uint64_t sa;  // Anatomy's <stem>_sa.csv; 0 for the others
+  };
+  const Golden golden[] = {
+      {Algorithm::kTp, 2, 0x1c69f64c9d9ad629, 0},
+      {Algorithm::kTp, 4, 0xc0f9997f96603536, 0},
+      {Algorithm::kTpPlus, 2, 0xdec1259403b208f1, 0},
+      {Algorithm::kTpPlus, 4, 0xe51998602e8f1414, 0},
+      {Algorithm::kHilbert, 2, 0x939096e243ebaba4, 0},
+      {Algorithm::kHilbert, 4, 0xf7570f7be2f8b8f8, 0},
+      {Algorithm::kMondrian, 2, 0x3aaa25eb49fce50d, 0},
+      {Algorithm::kMondrian, 4, 0x4ff359356f5cf5c2, 0},
+      {Algorithm::kAnatomy, 2, 0xac202b3a7f654acd, 0x932e8244e46cd413},
+      {Algorithm::kAnatomy, 4, 0x29e83afd01a9beaf, 0x760a288b7e328e3b},
+      {Algorithm::kTds, 2, 0xc173e9b5f098629d, 0},
+      {Algorithm::kTds, 4, 0xc545b1d6557a3476, 0},
+  };
+  const Table sal = GenerateSal(20000, 1);
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(std::string(AlgorithmName(g.algo)) + " l=" + std::to_string(g.l));
+    const AnonymizationOutcome outcome = Anonymize(sal, g.l, g.algo);
+    ASSERT_TRUE(outcome.feasible);
+    const std::string stem = testing::TempDir() + "release_golden";
+    std::string error;
+    ASSERT_TRUE(WriteReleaseForOutcome(sal, outcome, stem, &error)) << error;
+    EXPECT_EQ(Fnv1a64(ReadBytes(stem + ".csv")), g.release)
+        << std::hex << "got 0x" << Fnv1a64(ReadBytes(stem + ".csv"));
+    std::remove((stem + ".csv").c_str());
+    if (g.algo == Algorithm::kAnatomy) {
+      EXPECT_EQ(Fnv1a64(ReadBytes(stem + "_sa.csv")), g.sa)
+          << std::hex << "got 0x" << Fnv1a64(ReadBytes(stem + "_sa.csv"));
+      std::remove((stem + "_sa.csv").c_str());
+    }
   }
 }
 
