@@ -13,13 +13,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "anonymity/generalization.h"
 #include "anonymity/release.h"
 #include "bench_util.h"
+#include "common/csv.h"
 #include "common/grouped_table.h"
 #include "common/histogram.h"
 #include "common/parallel.h"
@@ -381,6 +385,72 @@ void BM_AnatomyWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_AnatomyWrite)->Name("anatomy_write")->Arg(10000)->Arg(100000);
 
+// ---- Serial prefix: CSV ingest and the Hilbert order ----
+//
+// The in-RAM CSV readers over the SAL-7 tables, each file written once at
+// set-up and read from the page cache, so the series time parsing, not the
+// disk: integer cells through ReadTableCsv, and the same rows as
+// "<attribute>_<code>" labels through ReadRawTableCsv, which builds its
+// dictionaries as it goes. hilbert_order is the l-independent Hilbert sort
+// of the same tables on one thread.
+
+std::string WriteIngestCsv(std::size_t n, bool raw) {
+  const Table& t = SizedSal7(n);
+  const std::string path =
+      BenchTempStem(raw ? "csv_read_raw" : "csv_read_coded") + std::to_string(n) + ".csv";
+  if (!raw) {
+    WriteTableCsv(t, path);
+    return path;
+  }
+  const Schema& schema = t.schema();
+  std::ofstream out(path);
+  for (AttrId a = 0; a < t.qi_count(); ++a) out << schema.qi(a).name << ',';
+  out << schema.sensitive().name << '\n';
+  for (RowId r = 0; r < t.size(); ++r) {
+    for (AttrId a = 0; a < t.qi_count(); ++a) {
+      out << schema.qi(a).name << '_' << t.qi(r, a) << ',';
+    }
+    out << schema.sensitive().name << '_' << t.sa(r) << '\n';
+  }
+  return path;
+}
+
+void RunCsvRead(benchmark::State& state, bool raw) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Schema& schema = SizedSal7(n).schema();
+  const std::string path = WriteIngestCsv(n, raw);
+  for (auto _ : state) {
+    CsvError error;
+    std::optional<Table> table = raw ? ReadRawTableCsv(path, &error)
+                                     : ReadTableCsv(schema, path, &error);
+    if (!table.has_value()) {
+      state.SkipWithError(error.ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(table->size());
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BM_CsvReadCoded(benchmark::State& state) { RunCsvRead(state, false); }
+BENCHMARK(BM_CsvReadCoded)->Name("csv_read_coded")->Arg(10000)->Arg(100000);
+
+void BM_CsvReadRaw(benchmark::State& state) { RunCsvRead(state, true); }
+BENCHMARK(BM_CsvReadRaw)->Name("csv_read_raw")->Arg(10000)->Arg(100000);
+
+void BM_HilbertOrder(benchmark::State& state) {
+  const Table& t = SizedSal7(static_cast<std::size_t>(state.range(0)));
+  Workspace ws(1, nullptr);
+  std::vector<RowId> order;
+  for (auto _ : state) {
+    HilbertComputeOrder(t, &ws, &order);
+    benchmark::DoNotOptimize(order.data());
+  }
+  state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_HilbertOrder)->Name("hilbert_order")->Arg(10000)->Arg(100000);
+
 // ---- Intra-run parallel series ----
 //
 // The hot kernels again, under explicit thread budgets (1 / 2 / 4): the
@@ -538,6 +608,9 @@ void RegisterBenchFields() {
     fields[series("grouping_artifact_hit")] = {n, 4, 1, ActiveSimd()};
     fields[series("release_write")] = {n, 4, 1, {}};
     fields[series("anatomy_write")] = {n, 4, 1, {}};
+    fields[series("csv_read_coded")] = {n, 7, 1, {}};
+    fields[series("csv_read_raw")] = {n, 7, 1, {}};
+    fields[series("hilbert_order")] = {n, 7, 1, {}};
   }
   fields["BM_GroupedTableConstruction"] = {50000, 4, 1, ActiveSimd()};
   for (const char* name : {"BM_TpSolveFromGroups/2", "BM_TpSolveFromGroups/6",

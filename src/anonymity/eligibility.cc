@@ -1,10 +1,8 @@
 #include "anonymity/eligibility.h"
 
-namespace ldv {
+#include "common/histogram.h"
 
-bool IsEligible(const SaHistogram& histogram, std::uint32_t l) {
-  return histogram.IsEligible(l);
-}
+namespace ldv {
 
 bool IsEligible(const Table& table, std::span<const RowId> rows, std::uint32_t l) {
   SaHistogram h(table.schema().sa_domain_size());

@@ -5,16 +5,13 @@
 #include <span>
 
 #include "anonymity/partition.h"
-#include "common/histogram.h"
 #include "common/table.h"
 
 namespace ldv {
 
-/// Definition 2: a set S of tuples is l-eligible if at most |S|/l of the
-/// tuples share an identical SA value, i.e. |S| >= l * h(S).
-bool IsEligible(const SaHistogram& histogram, std::uint32_t l);
-
-/// l-eligibility of a subset of rows of `table`.
+/// Definition 2 for a subset S of the rows of `table`: S is l-eligible if
+/// at most |S|/l of its tuples share an identical SA value, i.e.
+/// |S| >= l * h(S).
 bool IsEligible(const Table& table, std::span<const RowId> rows, std::uint32_t l);
 
 /// l-eligibility of the whole table; by Lemma 1 the star-minimization

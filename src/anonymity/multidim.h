@@ -42,6 +42,13 @@ class BoxGeneralization {
   /// tiling flag is ignored.
   void Append(const BoxGeneralization& other);
 
+  /// Reserves room for `rows` more rows across the groups to come.
+  void ReserveRows(std::size_t rows) { rows_.Reserve(0, rows); }
+
+  /// Frees the bounds array's growth slack; for a producer that has
+  /// added its last group.
+  void ShrinkToFit() { bounds_.shrink_to_fit(); }
+
   std::size_t group_count() const { return rows_.group_count(); }
   QiBox box(std::size_t g) const {
     const Value* lo = bounds_.data() + 2 * d_ * g;

@@ -6,8 +6,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <limits>
+#include <span>
 
 namespace ldv {
 
@@ -80,7 +80,7 @@ std::string CsvError::ToString() const {
   return out;
 }
 
-bool SplitCsvRecord(const std::string& line, std::vector<std::string>* cells,
+bool SplitCsvRecord(std::string_view line, std::vector<std::string>* cells,
                     std::size_t* open_cell) {
   cells->clear();
   std::size_t length = line.size();
@@ -114,11 +114,11 @@ bool SplitCsvRecord(const std::string& line, std::vector<std::string>* cells,
   return !in_quotes;
 }
 
-void SplitCsvLine(const std::string& line, std::vector<std::string>* cells) {
+void SplitCsvLine(std::string_view line, std::vector<std::string>* cells) {
   SplitCsvRecord(line, cells, nullptr);
 }
 
-bool IsBlankCsvLine(const std::string& line) { return line.empty() || line == "\r"; }
+bool IsBlankCsvLine(std::string_view line) { return line.empty() || line == "\r"; }
 
 std::string CsvEscapeCell(const std::string& cell) {
   bool needs_quotes = false;
@@ -245,18 +245,184 @@ bool WriteTableCsv(const Table& table, const std::string& path, std::string* err
 
 namespace {
 
+// Reads a file a line at a time through one kCsvReadBlockBytes block, with
+// std::getline's boundaries: a line ends at '\n', which it does not
+// include, and a last line without one is still a line. A line is a view
+// into the block, valid until the next call.
+class LineReader {
+ public:
+  LineReader() : block_(kCsvReadBlockBytes) {}
+  ~LineReader() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  LineReader(const LineReader&) = delete;
+  LineReader& operator=(const LineReader&) = delete;
+
+  bool Open(const std::string& path) {
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    return fd_ >= 0;
+  }
+
+  // The next line; false at the end of the file, or on a read error, whose
+  // errno error() then holds.
+  bool Next(std::string_view* line);
+
+  int error() const { return error_; }
+
+ private:
+  std::vector<char> block_;
+  std::size_t begin_ = 0;  // the unread bytes are [begin_, end_)
+  std::size_t end_ = 0;
+  int fd_ = -1;
+  bool eof_ = false;
+  int error_ = 0;
+};
+
+bool LineReader::Next(std::string_view* line) {
+  std::size_t scanned = begin_;  // [begin_, scanned) holds no '\n'
+  while (error_ == 0) {
+    const char* data = block_.data();
+    const void* newline = std::memchr(data + scanned, '\n', end_ - scanned);
+    if (newline != nullptr) {
+      const std::size_t at = static_cast<std::size_t>(static_cast<const char*>(newline) - data);
+      *line = std::string_view(data + begin_, at - begin_);
+      begin_ = at + 1;
+      return true;
+    }
+    if (eof_) {
+      if (begin_ == end_) return false;
+      *line = std::string_view(data + begin_, end_ - begin_);
+      begin_ = end_;
+      return true;
+    }
+    // Carry the partial line to the front; only a line that fills the
+    // whole block makes it grow.
+    std::memmove(block_.data(), data + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    if (end_ == block_.size()) block_.resize(2 * block_.size());
+    scanned = end_;
+    const ssize_t got = ::read(fd_, block_.data() + end_, block_.size() - end_);
+    if (got > 0) {
+      end_ += static_cast<std::size_t>(got);
+    } else if (got == 0) {
+      eof_ = true;
+    } else if (errno != EINTR) {
+      error_ = errno;
+    }
+  }
+  return false;
+}
+
 // Splits the next line into cells with quote-state checking; false (with
 // `error` positioned at the open cell) when the line -- including a final
 // line truncated mid-quoted-field -- ends inside an open quote.
-bool SplitRecordChecked(const std::string& line, std::size_t line_number,
-                        const std::string& path, std::vector<std::string>* cells,
-                        CsvError* error) {
+bool SplitRecordChecked(std::string_view line, std::size_t line_number, const std::string& path,
+                        std::vector<std::string>* cells, CsvError* error) {
   std::size_t open_cell = 0;
   if (SplitCsvRecord(line, cells, &open_cell)) return true;
   SetError(error, path, line_number, open_cell,
            "unterminated quoted cell (quote opened but never closed before the end of the "
            "line or file)");
   return false;
+}
+
+// The fast path of a coded data line: d + 1 unquoted cells of 1 to 10
+// digits, each below its limit (the attribute's domain size, capped at
+// 2^32), parsed while the line is scanned. One trailing '\r' is dropped, as
+// SplitCsvRecord drops it. False on anything else, quotes included; the
+// caller then takes the line through ParseCodedCells.
+bool ParseCodedLine(std::string_view line, std::span<const std::uint64_t> limits, Value* values) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  for (std::size_t i = 0; i < limits.size(); ++i) {
+    if (i > 0) {
+      if (p == end || *p != ',') return false;
+      ++p;
+    }
+    const char* const cell = p;
+    std::uint64_t value = 0;
+    for (; p != end; ++p) {
+      const unsigned digit = static_cast<unsigned char>(*p) - unsigned{'0'};
+      if (digit > 9) break;
+      value = value * 10 + digit;
+    }
+    if (p == cell || p - cell > 10 || value >= limits[i]) return false;
+    values[i] = static_cast<Value>(value);
+  }
+  return p == end;
+}
+
+// A coded data line through SplitCsvRecord and the positioned checks:
+// false (with `error` set) when it is malformed, otherwise its codes in
+// `values`, QIs then SA (a quoted code reads as its digits).
+bool ParseCodedCells(const Schema& schema, std::string_view line, std::size_t line_number,
+                     const std::string& path, std::vector<std::string>* cells, Value* values,
+                     CsvError* error) {
+  if (!SplitRecordChecked(line, line_number, path, cells, error)) return false;
+  const std::size_t d = schema.qi_count();
+  if (cells->size() != d + 1) {
+    SetError(error, path, line_number, 0,
+             "row has " + std::to_string(cells->size()) + " cells; expected " +
+                 std::to_string(d + 1));
+    return false;
+  }
+  for (std::size_t i = 0; i <= d; ++i) {
+    const Attribute& attr = i == d ? schema.sensitive() : schema.qi(static_cast<AttrId>(i));
+    const std::string& cell = (*cells)[i];
+    std::uint64_t value = 0;
+    if (!ParseUintCell(cell, &value)) {
+      SetError(error, path, line_number, i + 1,
+               "cell '" + cell + "' is not a non-negative integer code (is this a raw " +
+                   "string-valued CSV? load it with format 'raw')");
+      return false;
+    }
+    if (value >= attr.domain_size) {
+      SetError(error, path, line_number, i + 1,
+               "value " + std::to_string(value) + " is outside the domain [0, " +
+                   std::to_string(attr.domain_size) + ") of attribute '" + attr.name + "'");
+      return false;
+    }
+    values[i] = static_cast<Value>(value);
+  }
+  return true;
+}
+
+// Evaluates the csv.read failpoint for the line about to be parsed.
+bool CsvReadFails(const std::string& path, std::size_t line_number, CsvError* error) {
+  failpoint::Injection injection;
+  if (!failpoint::Check(failpoint::Site::kCsvRead, &injection)) return false;
+  SetError(error, path, line_number, 0,
+           failpoint::Describe(failpoint::Site::kCsvRead, injection, "read failed"));
+  return true;
+}
+
+// A read(2) error ends a load as a positioned error rather than a short
+// table that passes as a complete one.
+bool ReadFailed(const LineReader& reader, const std::string& path, std::size_t line_number,
+                CsvError* error) {
+  if (reader.error() == 0) return false;
+  SetError(error, path, line_number, 0,
+           std::string("read failed: ") + std::strerror(reader.error()));
+  return true;
+}
+
+// Opens `path` and splits its header row into `header`; false (with
+// `error` set) when the file cannot be opened, is empty, or its header
+// leaves a quote open.
+bool ReadHeader(const std::string& path, LineReader* reader, std::vector<std::string>* header,
+                CsvError* error) {
+  if (!reader->Open(path)) {
+    SetError(error, path, 0, 0, "cannot open file");
+    return false;
+  }
+  std::string_view line;
+  if (!reader->Next(&line)) {
+    SetError(error, path, 1, 0, "empty file (missing header row)");
+    return false;
+  }
+  return SplitRecordChecked(line, 1, path, header, error);
 }
 
 // Streaming core of the coded readers: opens `path`, validates the header
@@ -266,71 +432,81 @@ bool SplitRecordChecked(const std::string& line, std::size_t line_number,
 // byte-identical.
 template <typename RowFn>
 bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* error,
-                    const RowFn& row_fn) {
-  std::ifstream in(path);
-  if (!in) {
-    SetError(error, path, 0, 0, "cannot open file");
-    return false;
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    SetError(error, path, 1, 0, "empty file (missing header row)");
-    return false;
-  }
+                    RowFn&& row_fn) {
+  LineReader reader;
   std::vector<std::string> cells;
-  if (!SplitRecordChecked(line, 1, path, &cells, error)) return false;
+  if (!ReadHeader(path, &reader, &cells, error)) return false;
   if (!ValidateHeader(schema, cells, path, error)) return false;
 
   const std::size_t d = schema.qi_count();
-  std::vector<Value> qi(d);
-  std::size_t line_number = 1;
-  while (std::getline(in, line)) {
-    ++line_number;
-    failpoint::Injection injection;
-    if (failpoint::Check(failpoint::Site::kCsvRead, &injection)) {
-      SetError(error, path, line_number, 0,
-               failpoint::Describe(failpoint::Site::kCsvRead, injection, "read failed"));
-      return false;
-    }
-    if (IsBlankCsvLine(line)) continue;
-    if (!SplitRecordChecked(line, line_number, path, &cells, error)) return false;
-    if (cells.size() != d + 1) {
-      SetError(error, path, line_number, 0,
-               "row has " + std::to_string(cells.size()) + " cells; expected " +
-                   std::to_string(d + 1));
-      return false;
-    }
-    SaValue sa = 0;
-    for (std::size_t i = 0; i <= d; ++i) {
-      const bool is_sa = i == d;
-      const Attribute& attr = is_sa ? schema.sensitive() : schema.qi(static_cast<AttrId>(i));
-      std::uint64_t value = 0;
-      if (!ParseUintCell(cells[i], &value)) {
-        SetError(error, path, line_number, i + 1,
-                 "cell '" + cells[i] + "' is not a non-negative integer code (is this a raw " +
-                     "string-valued CSV? load it with format 'raw')");
-        return false;
-      }
-      if (value >= attr.domain_size) {
-        SetError(error, path, line_number, i + 1,
-                 "value " + std::to_string(value) + " is outside the domain [0, " +
-                     std::to_string(attr.domain_size) + ") of attribute '" + attr.name + "'");
-        return false;
-      }
-      if (is_sa) {
-        sa = static_cast<SaValue>(value);
-      } else {
-        qi[i] = static_cast<Value>(value);
-      }
-    }
-    row_fn(std::span<const Value>(qi), sa);
+  constexpr std::uint64_t kValueLimit = std::uint64_t{std::numeric_limits<Value>::max()} + 1;
+  std::vector<std::uint64_t> limits(d + 1);  // codes lie below them
+  for (std::size_t i = 0; i <= d; ++i) {
+    const Attribute& attr = i == d ? schema.sensitive() : schema.qi(static_cast<AttrId>(i));
+    limits[i] = std::min<std::uint64_t>(attr.domain_size, kValueLimit);
   }
-  if (in.bad()) {
-    // getline's eof and a mid-file read error look identical without this
-    // check: a truncated table would silently pass as a complete one.
+  std::vector<Value> values(d + 1);  // QI codes, then the SA code
+  std::string_view line;
+  std::size_t line_number = 1;
+  while (reader.Next(&line)) {
+    ++line_number;
+    if (CsvReadFails(path, line_number, error)) return false;
+    if (IsBlankCsvLine(line)) continue;
+    if (!ParseCodedLine(line, limits, values.data()) &&
+        !ParseCodedCells(schema, line, line_number, path, &cells, values.data(), error)) {
+      return false;
+    }
+    row_fn(std::span<const Value>(values.data(), d), values[d]);
+  }
+  return !ReadFailed(reader, path, line_number, error);
+}
+
+// The fast path of a raw data line: d + 1 cells (the size of `cells`) cut
+// in place on commas after one trailing '\r' is dropped, exactly
+// SplitCsvRecord's cells for a line without quotes. False when the line
+// holds a quote, has another cell count, or a cell is empty or '*'; the
+// caller then takes the line through ParseRawCells.
+bool SplitRawLine(std::string_view line, std::span<std::string_view> cells) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  if (line.find('"') != std::string_view::npos) return false;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::size_t comma = line.find(',');
+    const bool last = i + 1 == cells.size();
+    if (last != (comma == std::string_view::npos)) return false;
+    cells[i] = line.substr(0, comma);
+    if (cells[i].empty() || cells[i] == "*") return false;
+    if (!last) line.remove_prefix(comma + 1);
+  }
+  return true;
+}
+
+// A raw data line through SplitCsvRecord and the positioned checks: false
+// (with `error` set) when it is malformed, otherwise its codes in
+// `values`, QIs then SA, each label added to its dictionary on first sight.
+bool ParseRawCells(std::string_view line, std::size_t line_number, const std::string& path,
+                   const std::vector<std::string>& header,
+                   std::vector<ValueDictionary>* dictionaries, std::vector<std::string>* cells,
+                   Value* values, CsvError* error) {
+  if (!SplitRecordChecked(line, line_number, path, cells, error)) return false;
+  if (cells->size() != header.size()) {
     SetError(error, path, line_number, 0,
-             std::string("read failed: ") + std::strerror(errno));
+             "row has " + std::to_string(cells->size()) + " cells; the header names " +
+                 std::to_string(header.size()));
     return false;
+  }
+  for (std::size_t i = 0; i < header.size(); ++i) {
+    const std::string& cell = (*cells)[i];
+    if (cell.empty()) {
+      SetError(error, path, line_number, i + 1,
+               "empty cell (labels must be non-empty under attribute '" + header[i] + "')");
+      return false;
+    }
+    if (cell == "*") {
+      SetError(error, path, line_number, i + 1,
+               "the label '*' is reserved for the suppression marker releases use");
+      return false;
+    }
+    values[i] = (*dictionaries)[i].GetOrAdd(cell);
   }
   return true;
 }
@@ -343,19 +519,10 @@ bool StreamCodedCsv(const Schema& schema, const std::string& path, CsvError* err
 // order, so every sink sees the identical encoding.
 template <typename HeaderFn, typename RowFn>
 bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_header,
-                  const RowFn& row_fn, Schema* out_schema) {
-  std::ifstream in(path);
-  if (!in) {
-    SetError(error, path, 0, 0, "cannot open file");
-    return false;
-  }
-  std::string line;
-  if (!std::getline(in, line)) {
-    SetError(error, path, 1, 0, "empty file (missing header row)");
-    return false;
-  }
+                  RowFn&& row_fn, Schema* out_schema) {
+  LineReader reader;
   std::vector<std::string> header;
-  if (!SplitRecordChecked(line, 1, path, &header, error)) return false;
+  if (!ReadHeader(path, &reader, &header, error)) return false;
   if (header.size() < 2) {
     SetError(error, path, 1, 0,
              "header names " + std::to_string(header.size()) +
@@ -381,53 +548,26 @@ bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_h
   const std::size_t d = header.size() - 1;
   if (!on_header(d)) return false;
   std::vector<ValueDictionary> dictionaries(d + 1);
-  std::vector<Value> qi(d);
+  std::vector<std::string_view> labels(d + 1);
+  std::vector<Value> values(d + 1);  // QI codes, then the SA code
   std::vector<std::string> cells;
+  std::string_view line;
   std::size_t line_number = 1;
   std::size_t rows = 0;
-  while (std::getline(in, line)) {
+  while (reader.Next(&line)) {
     ++line_number;
-    failpoint::Injection injection;
-    if (failpoint::Check(failpoint::Site::kCsvRead, &injection)) {
-      SetError(error, path, line_number, 0,
-               failpoint::Describe(failpoint::Site::kCsvRead, injection, "read failed"));
-      return false;
-    }
+    if (CsvReadFails(path, line_number, error)) return false;
     if (IsBlankCsvLine(line)) continue;
-    if (!SplitRecordChecked(line, line_number, path, &cells, error)) return false;
-    if (cells.size() != d + 1) {
-      SetError(error, path, line_number, 0,
-               "row has " + std::to_string(cells.size()) + " cells; the header names " +
-                   std::to_string(d + 1));
+    if (SplitRawLine(line, labels)) {
+      for (std::size_t i = 0; i <= d; ++i) values[i] = dictionaries[i].GetOrAdd(labels[i]);
+    } else if (!ParseRawCells(line, line_number, path, header, &dictionaries, &cells, values.data(),
+                              error)) {
       return false;
     }
-    SaValue sa = 0;
-    for (std::size_t i = 0; i <= d; ++i) {
-      if (cells[i].empty()) {
-        SetError(error, path, line_number, i + 1,
-                 "empty cell (labels must be non-empty under attribute '" + header[i] + "')");
-        return false;
-      }
-      if (cells[i] == "*") {
-        SetError(error, path, line_number, i + 1,
-                 "the label '*' is reserved for the suppression marker releases use");
-        return false;
-      }
-      Value code = dictionaries[i].GetOrAdd(cells[i]);
-      if (i < d) {
-        qi[i] = code;
-      } else {
-        sa = static_cast<SaValue>(code);
-      }
-    }
-    row_fn(std::span<const Value>(qi), sa);
+    row_fn(std::span<const Value>(values.data(), d), values[d]);
     ++rows;
   }
-  if (in.bad()) {
-    SetError(error, path, line_number, 0,
-             std::string("read failed: ") + std::strerror(errno));
-    return false;
-  }
+  if (ReadFailed(reader, path, line_number, error)) return false;
   if (rows == 0) {
     SetError(error, path, line_number, 0, "no data rows after the header");
     return false;
@@ -447,37 +587,38 @@ bool StreamRawCsv(const std::string& path, CsvError* error, const HeaderFn& on_h
   return true;
 }
 
+// The in-RAM sink of both readers: plain column vectors, built into a table
+// in one FromColumns call once the stream ends.
+struct ColumnSink {
+  std::vector<std::vector<Value>> columns;
+  std::vector<SaValue> sa;
+
+  void operator()(std::span<const Value> qi, SaValue sa_value) {
+    for (std::size_t i = 0; i < qi.size(); ++i) columns[i].push_back(qi[i]);
+    sa.push_back(sa_value);
+  }
+};
+
 }  // namespace
 
 std::optional<Table> ReadTableCsv(const Schema& schema, const std::string& path, CsvError* error) {
-  Table table(schema);
-  if (!StreamCodedCsv(schema, path, error, [&table](std::span<const Value> qi, SaValue sa) {
-        table.AppendRow(qi, sa);
-      })) {
-    return std::nullopt;
-  }
-  return table;
+  ColumnSink sink{std::vector<std::vector<Value>>(schema.qi_count()), {}};
+  if (!StreamCodedCsv(schema, path, error, sink)) return std::nullopt;
+  return Table::FromColumns(schema, std::move(sink.columns), std::move(sink.sa));
 }
 
 std::optional<Table> ReadRawTableCsv(const std::string& path, CsvError* error) {
-  // In-RAM sink: accumulate plain column vectors and bulk-construct, the
-  // same shape (and cost) as the pre-streaming reader.
-  std::vector<std::vector<Value>> columns;
-  std::vector<SaValue> sa_column;
+  ColumnSink sink;
   Schema schema;
   const bool ok = StreamRawCsv(
       path, error,
-      [&columns](std::size_t d) {
-        columns.resize(d);
+      [&sink](std::size_t d) {
+        sink.columns.resize(d);
         return true;
       },
-      [&columns, &sa_column](std::span<const Value> qi, SaValue sa) {
-        for (std::size_t i = 0; i < qi.size(); ++i) columns[i].push_back(qi[i]);
-        sa_column.push_back(sa);
-      },
-      &schema);
+      sink, &schema);
   if (!ok) return std::nullopt;
-  return Table::FromColumns(std::move(schema), std::move(columns), std::move(sa_column));
+  return Table::FromColumns(std::move(schema), std::move(sink.columns), std::move(sink.sa));
 }
 
 std::unique_ptr<PagedTable> ReadTableCsvPaged(const Schema& schema, const std::string& path,

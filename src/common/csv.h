@@ -33,6 +33,12 @@ struct CsvError {
   std::string ToString() const;
 };
 
+/// The block CSV ingestion reads a file through, with read(2): lines
+/// are cut out of it in place, and a line that runs past its end is
+/// carried to the front before the next read. Only a line longer than
+/// the block makes it grow, so a load never holds the whole file.
+inline constexpr std::size_t kCsvReadBlockBytes = std::size_t{256} << 10;
+
 /// Splits one CSV line into cells on commas, honoring RFC-4180 double
 /// quotes ("a,b" is one cell; "" inside quotes is a literal quote). A
 /// trailing carriage return (CRLF files saved on Windows) is stripped
@@ -40,20 +46,20 @@ struct CsvError {
 /// Embedded newlines are not supported -- ingestion is line-oriented.
 /// A quote left open at the end of the line is silently treated as
 /// closed; readers use SplitCsvRecord to reject that case instead.
-void SplitCsvLine(const std::string& line, std::vector<std::string>* cells);
+void SplitCsvLine(std::string_view line, std::vector<std::string>* cells);
 
 /// SplitCsvLine with quote-state checking: returns false when the line
 /// (or the file's final unterminated chunk) ends inside an open quoted
 /// cell, filling `open_cell` (when non-null) with the 1-based index of
-/// the offending cell. The cells parsed so far are still delivered. All
-/// ingestion goes through this so a truncated quoted field surfaces a
-/// positioned CsvError instead of EOF-succeeding with a mangled label.
-bool SplitCsvRecord(const std::string& line, std::vector<std::string>* cells,
-                    std::size_t* open_cell);
+/// the offending cell. The cells parsed so far are still delivered.
+/// Ingestion sends every line that holds a quote through this, so a
+/// truncated quoted field surfaces a positioned CsvError instead of
+/// EOF-succeeding with a mangled label.
+bool SplitCsvRecord(std::string_view line, std::vector<std::string>* cells, std::size_t* open_cell);
 
 /// True when the line holds no cells at all: empty, or a bare carriage
 /// return left behind by CRLF line endings. Readers skip such lines.
-bool IsBlankCsvLine(const std::string& line);
+bool IsBlankCsvLine(std::string_view line);
 
 /// Quotes `cell` for CSV output when it contains a comma, a quote, or
 /// leading/trailing whitespace; returns it verbatim otherwise.

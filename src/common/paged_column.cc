@@ -34,17 +34,19 @@ void PagedColumn::Append(const std::uint32_t* values, std::size_t count) {
     values += take;
     count -= take;
     size_ += take;
-    if (staging_.size() == page_values_) {
-      failpoint::Injection injection;
-      if (failpoint::Check(failpoint::Site::kPagedAppend, &injection)) {
-        throw IoFailure(failpoint::Describe(failpoint::Site::kPagedAppend, injection,
-                                            "paged column append failed"));
-      }
-      const std::size_t page_bytes = page_values_ * sizeof(std::uint32_t);
-      file_->Write(file_->Allocate(page_bytes), staging_.data(), page_bytes);
-      staging_.clear();
-    }
+    if (staging_.size() == page_values_) WritePage();
   }
+}
+
+void PagedColumn::WritePage() {
+  failpoint::Injection injection;
+  if (failpoint::Check(failpoint::Site::kPagedAppend, &injection)) {
+    throw IoFailure(failpoint::Describe(failpoint::Site::kPagedAppend, injection,
+                                        "paged column append failed"));
+  }
+  const std::size_t page_bytes = page_values_ * sizeof(std::uint32_t);
+  file_->Write(file_->Allocate(page_bytes), staging_.data(), page_bytes);
+  staging_.clear();
 }
 
 bool PagedColumn::Seal(std::string* error) {

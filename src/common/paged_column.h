@@ -1,6 +1,7 @@
 #ifndef LDIV_COMMON_PAGED_COLUMN_H_
 #define LDIV_COMMON_PAGED_COLUMN_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -9,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/memory_budget.h"
 #include "common/schema.h"
 #include "common/spill_file.h"
@@ -45,7 +47,13 @@ class PagedColumn {
 
   /// Appends `count` values (column must not be sealed).
   void Append(const std::uint32_t* values, std::size_t count);
-  void Append(std::uint32_t value) { Append(&value, 1); }
+  void Append(std::uint32_t value) {
+    LDIV_CHECK(!sealed_) << "append to a sealed paged column";
+    staging_.push_back(value);
+    max_ = std::max(max_, value);
+    ++size_;
+    if (staging_.size() == page_values_) WritePage();
+  }
 
   /// Flushes the tail page, releases the staging page and memory-maps the
   /// spill file read-only; false + `error` if the mapping fails.
@@ -55,6 +63,10 @@ class PagedColumn {
   std::span<const std::uint32_t> mapping() const;
 
  private:
+  // Writes the full staging page to the file, under the paged.append
+  // failpoint, and empties it.
+  void WritePage();
+
   std::unique_ptr<SpillFile> file_;
   std::size_t page_values_;
   std::vector<std::uint32_t> staging_;  // one open page of pending appends

@@ -2,9 +2,9 @@
 #define LDIV_COMMON_SCHEMA_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -16,7 +16,9 @@ namespace ldv {
 /// distinct label becomes code 0, the next code 1, and so on, so the
 /// dictionary doubles as the attribute domain. An empty dictionary means
 /// the attribute is natively integer-coded (the seed's only mode) and
-/// values print as their codes.
+/// values print as their codes. Labels are indexed by one flat
+/// open-addressing array of (hash, code) slots, checked against the
+/// label itself on a hash match.
 class ValueDictionary {
  public:
   ValueDictionary() = default;
@@ -28,6 +30,7 @@ class ValueDictionary {
   const std::string& label(Value code) const;
 
   /// The code of `label`, or nullptr if the label has never been added.
+  /// The pointer is valid until the next GetOrAdd.
   const Value* Find(std::string_view label) const;
 
   /// Returns the code of `label`, adding it (insertion-ordered) on first
@@ -41,15 +44,22 @@ class ValueDictionary {
   }
 
  private:
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view text) const {
-      return std::hash<std::string_view>{}(text);
-    }
+  // One slot of the label index: the high half of the label's hash, and
+  // its code (kNoCode in a free slot).
+  struct Slot {
+    std::uint32_t tag = 0;
+    Value code = kNoCode;
   };
+  static constexpr Value kNoCode = ~Value{0};
+
+  // The slot holding `label`, or the free slot where it belongs.
+  std::size_t Probe(std::string_view label, std::uint64_t hash) const;
+
+  // Doubles the index (at least 16 slots) and re-inserts every label.
+  void Grow();
 
   std::vector<std::string> labels_;  // code -> label, insertion-ordered
-  std::unordered_map<std::string, Value, StringHash, std::equal_to<>> index_;  // label -> code
+  std::vector<Slot> slots_;          // power-of-two size, at most half full
 };
 
 /// Description of one categorical attribute: its name and domain size.

@@ -72,7 +72,8 @@ AnonymizationOutcome Anonymizer::Run(const Table& table, std::uint32_t l,
     case Algorithm::kTp: {
       TpResult r = grouped != nullptr ? RunTp(*grouped, l) : RunTp(table, l, workspace);
       if (!r.feasible) return outcome;
-      outcome.partition = r.ToPartition();
+      outcome.partition = std::move(r.kept_groups);
+      outcome.partition.AddGroup(r.residue_rows);
       outcome.seconds = r.seconds;
       outcome.tp_stats = r.stats;
       break;

@@ -511,8 +511,12 @@ TpResult RunTp(const GroupedTable& grouped, std::uint32_t l) {
   result.feasible = true;
   result.stats = engine.stats();
   result.residue_rows = engine.removed_rows();
-  result.kept_groups.Reserve(grouped.group_count(),
-                             grouped.row_count() - result.residue_rows.size());
+  // Room for every row and one group more than survive: TP's outcome
+  // appends R as its last group, and TP+ appends R's refined groups,
+  // without moving the rows.
+  std::size_t kept = 0;
+  for (GroupId g = 0; g < grouped.group_count(); ++g) kept += engine.RemainingCount(g) > 0;
+  result.kept_groups.Reserve(kept + 1, grouped.row_count());
   std::vector<RowId> rows;  // one group's survivors, reused across groups
   for (GroupId g = 0; g < grouped.group_count(); ++g) {
     engine.RemainingRows(g, &rows);

@@ -106,6 +106,9 @@ class TpEngine {
   /// constructor only).
   void RemainingRows(GroupId g, std::vector<RowId>* rows) const;
 
+  /// The number of rows still in group `g`.
+  std::uint64_t RemainingCount(GroupId g) const { return groups_[g].index.total(); }
+
  private:
   struct GroupState {
     PillarIndex index;

@@ -136,23 +136,49 @@ void ComputeOrderExternal(const Table& table, Workspace& ws, std::vector<RowId>*
   }
 }
 
+// The rows sorted by code, ties by row: an LSD radix over the codes'
+// kDigitBits-bit digits, with only as many passes as the largest code
+// needs. Every pass is a stable scatter and the first reads the rows in
+// ascending order, so the result is exactly the order of the comparator
+// `codes[a] < codes[b], ties by a < b`.
+void RadixOrder(const std::vector<std::uint64_t>& codes, std::vector<RowId>* scratch,
+                std::vector<RowId>* order) {
+  constexpr unsigned kDigitBits = 11;
+  constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
+  const std::uint64_t largest = codes.empty() ? 0 : *std::ranges::max_element(codes);
+  order->resize(codes.size());
+  std::iota(order->begin(), order->end(), 0u);
+  scratch->resize(codes.size());
+  RowId* from = order->data();
+  RowId* to = scratch->data();
+  std::vector<std::uint32_t> start(kDigitMask + 1);
+  for (unsigned shift = 0; shift < 64 && largest >> shift != 0; shift += kDigitBits) {
+    std::ranges::fill(start, 0u);
+    for (std::uint64_t code : codes) ++start[(code >> shift) & kDigitMask];
+    std::exclusive_scan(start.begin(), start.end(), start.begin(), 0u);
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+      to[start[(codes[from[i]] >> shift) & kDigitMask]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  if (from != order->data()) std::copy(from, from + codes.size(), order->data());
+}
+
 // Sorted Hilbert order of the table's rows, drawn from the workspace.
-// Under a workspace budget that cannot fit the code array plus sort, the
-// external-sort path streams instead (byte-identical output).
+// Under a workspace budget that cannot fit the codes, the order and the
+// radix scratch, the external-sort path streams instead (byte-identical
+// output).
 void ComputeOrder(const Table& table, Workspace& ws, std::vector<RowId>* order) {
   const std::shared_ptr<MemoryBudget> budget = ws.budget();
-  if (budget != nullptr && !budget->WouldFit(12ull * table.size())) {  // codes + sorted order
+  if (budget != nullptr && !budget->WouldFit(16ull * table.size())) {
     ComputeOrderExternal(table, ws, order);
     return;
   }
   auto codes_s = ws.U64();
   std::vector<std::uint64_t>& codes = *codes_s;
   ComputeCodes(table, ws, &codes);
-  order->resize(table.size());
-  std::iota(order->begin(), order->end(), 0u);
-  std::sort(order->begin(), order->end(), [&](RowId a, RowId b) {
-    return codes[a] != codes[b] ? codes[a] < codes[b] : a < b;
-  });
+  auto scratch_s = ws.U32();
+  RadixOrder(codes, &*scratch_s, order);
 }
 
 // Greedy splitter: close each group as soon as it becomes l-eligible; merge

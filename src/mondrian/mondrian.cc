@@ -416,6 +416,8 @@ MondrianResult MondrianAnonymize(const Table& table, std::uint32_t l, Workspace*
   sa.resize(shared.n);
   for (RowId r = 0; r < shared.n; ++r) sa[r] = table.sa(r);
 
+  // Every row lands in exactly one group.
+  result.generalization.ReserveRows(shared.n);
   const unsigned threads = ws.threads();
   if (threads > 1 && shared.n >= 8192) {
     RunParallel(shared, rows, sa, threads, ws, &result.generalization);
@@ -426,6 +428,7 @@ MondrianResult MondrianAnonymize(const Table& table, std::uint32_t l, Workspace*
   // Splits are global cuts of the parent box, so the boxes tile the QI
   // space (see MondrianResult::generalization).
   result.generalization.MarkTiling();
+  result.generalization.ShrinkToFit();
   result.partition = result.generalization.partition();
 
   result.feasible = true;

@@ -147,8 +147,8 @@ JobSpec PagedHilbertSpec() {
 }
 
 // Reaches the external-sort sites and the spill reads, whose only caller
-// is the sort's merge: 12 bytes/row of Hilbert sort state over 800k rows
-// (9.6M) can never fit the 8M budget, so ComputeOrder is forced onto the
+// is the sort's merge: 16 bytes/row of Hilbert sort state over 800k rows
+// (12.8M) can never fit the 8M budget, so ComputeOrder is forced onto the
 // external spill+merge path, and 800k records overflow the
 // budget-derived sort buffer into multiple runs.
 JobSpec SortHeavySpec() {

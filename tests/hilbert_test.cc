@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "anonymity/eligibility.h"
 #include "anonymity/generalization.h"
+#include "common/memory_budget.h"
 #include "common/rng.h"
+#include "common/workspace.h"
 #include "hilbert/hilbert_curve.h"
 #include "hilbert/hilbert_partitioner.h"
 #include "test_util.h"
@@ -184,6 +188,29 @@ TEST(HilbertPartitioner, EmptyTableIsFeasibleNoop) {
   HilbertResult result = HilbertAnonymize(table, 2);
   EXPECT_TRUE(result.feasible);
   EXPECT_EQ(result.partition.group_count(), 0u);
+}
+
+TEST(HilbertPartitioner, InRamRadixOrderMatchesTheExternalSort) {
+  // The in-RAM order radix-sorts the Hilbert codes; under a budget too
+  // small for its 16 bytes a row, the order comes from the external sort
+  // of (code, row) records, which is the comparator order itself: codes
+  // ascending, ties by row. Shapes: all-zero codes (no radix pass), many
+  // ties, the paper's SAL-6 domains, and codes of six 11-bit digits.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {1, 1}, {2, 3}, {3, 5, 2}, {79, 2, 9, 6, 56, 17}, {std::size_t{1} << 31, 1000}};
+  Rng rng(5);
+  for (const std::vector<std::size_t>& domains : shapes) {
+    const Table table = testutil::RandomEligibleTable(rng, 6000, domains, 4, 1);
+    Workspace in_ram(1, nullptr);
+    Workspace budgeted(1, std::make_shared<MemoryBudget>(std::uint64_t{64} << 10));
+    std::vector<RowId> radix;
+    std::vector<RowId> external;
+    HilbertComputeOrder(table, &in_ram, &radix);
+    HilbertComputeOrder(table, &budgeted, &external);
+    ASSERT_EQ(radix.size(), table.size());
+    EXPECT_EQ(radix, external) << "domains of " << domains.size() << " QIs, first "
+                               << domains[0];
+  }
 }
 
 }  // namespace
