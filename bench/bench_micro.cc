@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "anonymity/anatomy.h"
 #include "anonymity/generalization.h"
 #include "anonymity/release.h"
 #include "bench_util.h"
@@ -69,11 +70,11 @@ void BM_PillarIndexChurn(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
     PillarIndex idx = PillarIndex::DenseEmpty(m);
-    for (int i = 0; i < 4096; ++i) idx.Increment(rng.Below(static_cast<std::uint32_t>(m)));
+    for (int i = 0; i < 4096; ++i) idx.Increment(0, rng.Below(static_cast<std::uint32_t>(m)));
     std::uint64_t acc = 0;
     for (int i = 0; i < 4096; ++i) {
-      acc += idx.PillarHeight();  // O(1)
-      idx.Decrement(idx.FirstPillarSlot());
+      acc += idx.PillarHeight(0);  // O(1)
+      idx.Decrement(0, idx.FirstPillarSlot(0));
     }
     benchmark::DoNotOptimize(acc);
   }
@@ -295,6 +296,34 @@ void BM_KlSuppressionMasks(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t.size());
 }
 BENCHMARK(BM_KlSuppressionMasks)->Name("kl_suppression_masks")->Arg(10000)->Arg(100000);
+
+// ---- Flat per-group state ----
+//
+// TP over the full-width SAL grouping, where nearly every QI-group holds
+// one or two rows: building and freeing the per-group pillar indexes, not
+// the three phases, sets the solve time. And Anatomy's KL over the SAL-4
+// l = 6 release, whose QI classes each span many buckets.
+
+void BM_TpSolveSal7(benchmark::State& state) {
+  const Table& t = SizedSal7(static_cast<std::size_t>(state.range(0)));
+  GroupedTable grouped(t);
+  for (auto _ : state) {
+    TpResult result = RunTp(grouped, 6);
+    benchmark::DoNotOptimize(result.residue_rows.size());
+  }
+  state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_TpSolveSal7)->Name("tp_solve_sal7")->Arg(10000)->Arg(100000);
+
+void BM_KlAnatomy(benchmark::State& state) {
+  const Table& t = SizedSal4(static_cast<std::size_t>(state.range(0)));
+  const AnatomyResult anatomy = AnatomyAnonymize(t, 6);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(KlDivergenceAnatomy(t, anatomy.partition));
+  }
+  state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_KlAnatomy)->Name("kl_anatomy")->Arg(10000)->Arg(100000);
 
 // ---- Out-of-core series ----
 //
@@ -602,6 +631,8 @@ void RegisterBenchFields() {
     fields[series("grouping_columnar")] = {n, 7, 1, ActiveSimd()};
     fields[series("kl_multidim_columnar")] = {n, 7, 1, ActiveSimd()};
     fields[series("kl_suppression_masks")] = {n, 7, 1, ActiveSimd()};
+    fields[series("tp_solve_sal7")] = {n, 7, 1, {}};
+    fields[series("kl_anatomy")] = {n, 4, 1, ActiveSimd()};
     fields[series("ingest_stream")] = {n, 7, 1, ActiveSimd()};
     fields[series("grouping_paged")] = {n, 7, 1, ActiveSimd()};
     fields[series("sweep_cached")] = {n, 4, 1, ActiveSimd()};

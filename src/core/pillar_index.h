@@ -1,9 +1,10 @@
 #ifndef LDIV_CORE_PILLAR_INDEX_H_
 #define LDIV_CORE_PILLAR_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -12,127 +13,205 @@
 
 namespace ldv {
 
-/// The inverted-list structure of Section 5.5.
+/// The inverted-list structure of Section 5.5, for any number of
+/// SA-multisets ("sets") in one arena.
 ///
-/// A PillarIndex represents one SA-multiset (a QI-group Q_i or the residue
-/// set R). It maintains, for every tracked SA value, its multiplicity, and a
-/// doubly-linked list of values per multiplicity level ("the j-th entry A[j]
-/// contains a pointer to a list of SA values v such that h(Q_i, v) = j"),
-/// together with the pillar pointer p_i = the maximum nonempty level.
+/// Each set is one QI-group Q_i or the residue set R. For every tracked SA
+/// value a set keeps its multiplicity, and it keeps a doubly-linked list of
+/// values per multiplicity level ("the j-th entry A[j] contains a pointer to
+/// a list of SA values v such that h(Q_i, v) = j"), together with the
+/// pillar pointer p_i = the maximum nonempty level.
 ///
-/// Tracked values are addressed by dense local *slots* [0, slot_count);
-/// each slot is bound to one SA value. QI-groups track only the values they
-/// actually contain (sum over groups is O(n) memory even when s is close to
-/// n), whereas the residue set tracks the whole SA domain so that counts can
-/// grow from zero.
+/// Every set lives in the same flat arrays, so an index over hundreds of
+/// thousands of QI-groups is a handful of allocations:
+///   - slots: each tracked value of a set is one slot (value, count, prev,
+///     next). A set's slots are contiguous and ascending by value; slot ids
+///     are global to the index.
+///   - level heads: each set owns a slice of one array, sized to its
+///     largest initial count + 1 (level 0 is never linked).
+///   - sets: each keeps its first slot, its first level head, its pillar
+///     height, its total and its distinct count.
+/// A set's counts may rise above their initial maximum only in the last
+/// set, whose slice ends the array and grows. TpEngine keeps the QI-groups
+/// in one index (they only lose tuples) and R in its own one-set index (it
+/// only gains them).
+///
+/// QI-groups track only the values they actually contain (the sum over
+/// groups is O(n) memory even when s is close to n), whereas the residue
+/// set tracks the whole SA domain so that counts can grow from zero.
 ///
 /// Increment and Decrement are O(1); the pillar pointer moves monotonically
 /// per direction, so its maintenance is amortized O(1) exactly as argued in
 /// Section 5.5.
 class PillarIndex {
  public:
-  /// Builds an index over the given (value, count) pairs. Values must be
-  /// strictly increasing; counts may be zero. Taking a span lets callers
-  /// that build one index per group reuse a single staging buffer
-  /// (TpEngine constructs tens of thousands of these per solve).
-  explicit PillarIndex(std::span<const std::pair<SaValue, std::uint32_t>> entries);
+  using SetId = std::uint32_t;
 
-  /// Builds a dense index tracking every value of an SA domain of size `m`,
-  /// all counts zero. Used for the residue set R.
+  PillarIndex() = default;
+
+  /// Builds one set per k in [0, set_count): `entries(k, add)` must call
+  /// `add(value, count)` once for each value set k tracks, with values
+  /// strictly increasing (counts may be zero). It is called twice per set:
+  /// once to size every array exactly, once to fill them.
+  template <typename Entries>
+  static PillarIndex Build(std::size_t set_count, const Entries& entries);
+
+  /// A one-set index tracking every value of an SA domain of size `m`, all
+  /// counts zero. Used for the residue set R; slot ids equal SA values.
   static PillarIndex DenseEmpty(std::size_t m);
 
-  /// Builds an index from a dense histogram, tracking every domain value.
-  static PillarIndex FromHistogram(const SaHistogram& h);
+  /// One set per histogram, each tracking every value of its domain.
+  static PillarIndex FromHistograms(std::span<const SaHistogram> histograms);
 
-  /// Number of tracked slots.
-  std::size_t slot_count() const { return values_.size(); }
+  /// A one-set index over a dense histogram, tracking every domain value.
+  static PillarIndex FromHistogram(const SaHistogram& h) { return FromHistograms({&h, 1}); }
+
+  std::size_t set_count() const { return sets_.size(); }
+
+  /// Number of tracked slots over all sets.
+  std::size_t slot_count() const { return slots_.size(); }
+
+  /// Set `s` owns slots [first_slot(s), end_slot(s)).
+  std::uint32_t first_slot(SetId s) const { return sets_[s].first_slot; }
+  std::uint32_t end_slot(SetId s) const {
+    return s + 1 < sets_.size() ? sets_[s + 1].first_slot
+                                : static_cast<std::uint32_t>(slots_.size());
+  }
 
   /// SA value bound to `slot`.
-  SaValue value(std::uint32_t slot) const { return values_[slot]; }
+  SaValue value(std::uint32_t slot) const { return slots_[slot].value; }
 
   /// Current multiplicity of `slot`.
-  std::uint32_t count(std::uint32_t slot) const { return counts_[slot]; }
+  std::uint32_t count(std::uint32_t slot) const { return slots_[slot].count; }
 
-  /// Slot bound to SA value `v`, or -1 if `v` is not tracked. O(log k).
-  std::int64_t FindSlot(SaValue v) const;
+  /// Slot of set `s` bound to SA value `v`, or -1 if `s` does not track
+  /// `v`. O(log k).
+  std::int64_t FindSlot(SetId s, SaValue v) const;
 
-  /// Multiplicity of SA value `v` (0 if untracked).
-  std::uint32_t CountOf(SaValue v) const;
+  /// Multiplicity of SA value `v` in set `s` (0 if untracked).
+  std::uint32_t CountOf(SetId s, SaValue v) const;
 
   /// Total multiset size |Q|.
-  std::uint64_t total() const { return total_; }
-  bool empty() const { return total_ == 0; }
+  std::uint64_t total(SetId s) const { return sets_[s].total; }
+  bool empty(SetId s) const { return sets_[s].total == 0; }
 
   /// The pillar height h(Q) (0 for an empty multiset).
-  std::uint32_t PillarHeight() const { return max_level_; }
+  std::uint32_t PillarHeight(SetId s) const { return sets_[s].pillar; }
 
-  /// True if `slot` currently holds a pillar (count > 0 and maximal).
-  bool IsPillarSlot(std::uint32_t slot) const {
-    return counts_[slot] > 0 && counts_[slot] == max_level_;
+  /// True if `slot` of set `s` currently holds a pillar (count > 0 and
+  /// maximal).
+  bool IsPillarSlot(SetId s, std::uint32_t slot) const {
+    return slots_[slot].count > 0 && slots_[slot].count == sets_[s].pillar;
   }
 
-  /// True if SA value `v` is a pillar.
-  bool IsPillarValue(SaValue v) const;
+  /// True if SA value `v` is a pillar of set `s`.
+  bool IsPillarValue(SetId s, SaValue v) const;
 
   /// First pillar slot in the top level list (deterministic; ascending by
-  /// slot id on a freshly built index, insertion order afterwards). The
-  /// multiset must be nonempty.
-  std::uint32_t FirstPillarSlot() const;
+  /// slot id on a freshly built index, most recently moved first
+  /// afterwards). The multiset must be nonempty.
+  std::uint32_t FirstPillarSlot(SetId s) const;
 
-  /// All pillar slots in top-level list order. O(#pillars).
-  std::vector<std::uint32_t> PillarSlots() const;
+  /// Replaces `*slots` with the pillar slots of set `s`, in top-level list
+  /// order. O(#pillars); a caller that snapshots many sets reuses one
+  /// buffer.
+  void PillarSlots(SetId s, std::vector<std::uint32_t>* slots) const;
 
-  /// Calls `fn(slot)` for every pillar slot. `fn` must not mutate the index.
+  /// Calls `fn(slot)` for every pillar slot of set `s`. `fn` must not
+  /// mutate the index.
   template <typename Fn>
-  void ForEachPillarSlot(Fn&& fn) const {
-    if (max_level_ == 0) return;
-    for (std::int32_t s = level_head_[max_level_]; s != kNil; s = next_[s]) {
-      fn(static_cast<std::uint32_t>(s));
-    }
+  void ForEachPillarSlot(SetId s, Fn&& fn) const {
+    AnyPillarSlot(s, [&fn](std::uint32_t slot) {
+      fn(slot);
+      return false;
+    });
   }
 
-  /// Returns true iff `pred(slot)` holds for some pillar slot.
+  /// Returns true iff `pred(slot)` holds for some pillar slot of set `s`.
   template <typename Pred>
-  bool AnyPillarSlot(Pred&& pred) const {
-    if (max_level_ == 0) return false;
-    for (std::int32_t s = level_head_[max_level_]; s != kNil; s = next_[s]) {
-      if (pred(static_cast<std::uint32_t>(s))) return true;
+  bool AnyPillarSlot(SetId s, Pred&& pred) const {
+    const SetState& set = sets_[s];
+    if (set.pillar == 0) return false;
+    for (std::uint32_t slot = level_head_[set.first_level + set.pillar]; slot != kNil;
+         slot = slots_[slot].next) {
+      if (pred(slot)) return true;
     }
     return false;
   }
 
-  /// Number of distinct values with positive count.
-  std::size_t DistinctCount() const { return distinct_; }
+  /// Number of distinct values with positive count in set `s`.
+  std::size_t DistinctCount(SetId s) const { return sets_[s].distinct; }
 
   /// The l-eligibility test |Q| >= l * h(Q) (Definition 2).
-  bool IsEligible(std::uint32_t l) const {
-    return total_ >= static_cast<std::uint64_t>(l) * max_level_;
+  bool IsEligible(SetId s, std::uint32_t l) const {
+    return sets_[s].total >= static_cast<std::uint64_t>(l) * sets_[s].pillar;
   }
 
-  /// Removes one tuple from `slot` (count must be positive).
-  void Decrement(std::uint32_t slot);
+  /// Removes one tuple from `slot` of set `s` (its count must be positive).
+  void Decrement(SetId s, std::uint32_t slot);
 
-  /// Adds one tuple to `slot`.
-  void Increment(std::uint32_t slot);
+  /// Adds one tuple to `slot` of set `s`. Past the set's initial largest
+  /// count only the last set may grow (checked).
+  void Increment(SetId s, std::uint32_t slot);
 
-  /// Dense histogram over SA domain size `m` (must cover all tracked values).
-  SaHistogram ToHistogram(std::size_t m) const;
+  /// Dense histogram of set `s` over SA domain size `m` (must cover all
+  /// tracked values).
+  SaHistogram ToHistogram(SetId s, std::size_t m) const;
 
  private:
-  static constexpr std::int32_t kNil = -1;
+  static constexpr std::uint32_t kNil = std::numeric_limits<std::uint32_t>::max();
 
-  void Unlink(std::uint32_t slot, std::uint32_t level);
-  void LinkAtLevel(std::uint32_t slot, std::uint32_t level);
+  struct Slot {
+    SaValue value;
+    std::uint32_t count;
+    std::uint32_t prev;  // intra-level doubly linked list
+    std::uint32_t next;
+  };
 
-  std::vector<SaValue> values_;          // slot -> SA value (ascending)
-  std::vector<std::uint32_t> counts_;    // slot -> multiplicity
-  std::vector<std::int32_t> prev_;       // intra-level doubly linked list
-  std::vector<std::int32_t> next_;
-  std::vector<std::int32_t> level_head_; // level -> first slot (grows on demand)
-  std::uint32_t max_level_ = 0;          // the pillar pointer p_i
-  std::uint64_t total_ = 0;
-  std::size_t distinct_ = 0;
+  struct SetState {
+    std::uint32_t first_slot;
+    std::uint32_t first_level;  // level_head_ index of the set's level 0
+    std::uint32_t pillar;       // the pillar pointer p_i
+    std::uint32_t total;
+    std::uint32_t distinct;
+  };
+
+  /// Makes slots [first, slot_count()) a new set and links its levels.
+  void CloseSet(std::size_t first);
+
+  void Unlink(const SetState& set, std::uint32_t slot, std::uint32_t level);
+  void LinkAtLevel(const SetState& set, std::uint32_t slot, std::uint32_t level);
+
+  std::vector<Slot> slots_;
+  std::vector<SetState> sets_;
+  std::vector<std::uint32_t> level_head_;  // per set: level -> first slot
 };
+
+template <typename Entries>
+PillarIndex PillarIndex::Build(std::size_t set_count, const Entries& entries) {
+  std::size_t slots = 0;
+  std::size_t levels = 0;
+  for (std::size_t k = 0; k < set_count; ++k) {
+    std::uint32_t max_count = 0;
+    entries(k, [&](SaValue, std::uint32_t count) {
+      ++slots;
+      max_count = std::max(max_count, count);
+    });
+    levels += std::size_t{max_count} + 1;
+  }
+  PillarIndex index;
+  index.slots_.reserve(slots);
+  index.sets_.reserve(set_count);
+  index.level_head_.reserve(levels);
+  for (std::size_t k = 0; k < set_count; ++k) {
+    const std::size_t first = index.slots_.size();
+    entries(k, [&](SaValue v, std::uint32_t count) {
+      index.slots_.push_back(Slot{v, count, kNil, kNil});
+    });
+    index.CloseSet(first);
+  }
+  return index;
+}
 
 }  // namespace ldv
 

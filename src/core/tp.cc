@@ -155,134 +155,107 @@ class TpEngine::CandidateList {
 // TpEngine
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// `entries` is a caller-owned staging buffer, reused across groups so the
-// per-group index build does not malloc a fresh vector tens of thousands
-// of times per solve.
-PillarIndex GroupIndexFromRuns(const QiGroup& group,
-                               std::vector<std::pair<SaValue, std::uint32_t>>& entries) {
-  entries.clear();
-  entries.reserve(group.sa_runs.size());
-  for (std::size_t i = 0; i < group.sa_runs.size(); ++i) {
-    entries.emplace_back(group.sa_runs[i].first, group.RunLength(i));
-  }
-  return PillarIndex(entries);
-}
-
-}  // namespace
-
 TpEngine::TpEngine(const GroupedTable& grouped, std::uint32_t l)
-    : l_(l), m_(grouped.sa_domain_size()), residue_(PillarIndex::DenseEmpty(m_)) {
+    : l_(l),
+      m_(grouped.sa_domain_size()),
+      grouped_(&grouped),
+      groups_(PillarIndex::Build(grouped.group_count(),
+                                 [&grouped](std::size_t g, auto&& add) {
+                                   const QiGroup& group = grouped.group(static_cast<GroupId>(g));
+                                   for (std::size_t i = 0; i < group.sa_runs.size(); ++i) {
+                                     add(group.sa_runs[i].first, group.RunLength(i));
+                                   }
+                                 })),
+      residue_(PillarIndex::DenseEmpty(m_)) {
   LDIV_CHECK_GE(l_, 1u);
-  groups_.reserve(grouped.group_count());
-  std::vector<std::pair<SaValue, std::uint32_t>> entries;
-  for (GroupId g = 0; g < grouped.group_count(); ++g) {
-    groups_.push_back(GroupState{GroupIndexFromRuns(grouped.group(g), entries), &grouped.group(g)});
-  }
-  has_rows_ = true;
   removed_rows_.reserve(grouped.row_count() / 8);
 }
 
 TpEngine::TpEngine(const std::vector<SaHistogram>& group_histograms, std::uint32_t l)
-    : l_(l),
-      m_(group_histograms.empty() ? 1 : group_histograms[0].domain_size()),
-      residue_(PillarIndex::DenseEmpty(m_)) {
-  LDIV_CHECK_GE(l_, 1u);
-  InitFromHistograms(group_histograms);
-}
+    : TpEngine(group_histograms,
+               SaHistogram(group_histograms.empty() ? 1 : group_histograms[0].domain_size()), l) {}
 
 TpEngine::TpEngine(const std::vector<SaHistogram>& group_histograms, const SaHistogram& residue,
                    std::uint32_t l)
-    : l_(l), m_(residue.domain_size()), residue_(PillarIndex::FromHistogram(residue)) {
+    : l_(l),
+      m_(residue.domain_size()),
+      groups_(PillarIndex::FromHistograms(group_histograms)),
+      residue_(PillarIndex::FromHistogram(residue)),
+      initial_residue_(residue.total()) {
   LDIV_CHECK_GE(l_, 1u);
-  initial_residue_ = residue.total();
-  InitFromHistograms(group_histograms);
-}
-
-void TpEngine::InitFromHistograms(const std::vector<SaHistogram>& group_histograms) {
-  groups_.reserve(group_histograms.size());
-  for (const SaHistogram& h : group_histograms) {
-    LDIV_CHECK_EQ(h.domain_size(), m_);
-    groups_.push_back(GroupState{PillarIndex::FromHistogram(h), nullptr});
-  }
-  has_rows_ = false;
+  for (const SaHistogram& h : group_histograms) LDIV_CHECK_EQ(h.domain_size(), m_);
 }
 
 SaHistogram TpEngine::GroupHistogram(GroupId g) const {
-  LDIV_CHECK_LT(g, groups_.size());
-  return groups_[g].index.ToHistogram(m_);
+  LDIV_CHECK_LT(g, group_count());
+  return groups_.ToHistogram(g, m_);
 }
 
 bool TpEngine::GroupIsFat(GroupId g) const {
-  const PillarIndex& idx = groups_[g].index;
-  return idx.total() >= static_cast<std::uint64_t>(l_) * idx.PillarHeight() + 1;
+  return groups_.total(g) >= static_cast<std::uint64_t>(l_) * groups_.PillarHeight(g) + 1;
 }
 
 bool TpEngine::GroupIsThin(GroupId g) const {
-  const PillarIndex& idx = groups_[g].index;
-  return idx.total() == static_cast<std::uint64_t>(l_) * idx.PillarHeight();
+  return groups_.total(g) == static_cast<std::uint64_t>(l_) * groups_.PillarHeight(g);
 }
 
 bool TpEngine::GroupIsConflicting(GroupId g) const {
-  const PillarIndex& idx = groups_[g].index;
-  return idx.AnyPillarSlot(
-      [&](std::uint32_t slot) { return residue_.IsPillarValue(idx.value(slot)); });
+  return groups_.AnyPillarSlot(
+      g, [&](std::uint32_t slot) { return residue_.IsPillarSlot(kR, groups_.value(slot)); });
 }
 
-SaValue TpEngine::RemoveTuple(GroupId g, std::uint32_t slot, CandidateList* candidates) {
-  GroupState& gs = groups_[g];
-  SaValue v = gs.index.value(slot);
-  gs.index.Decrement(slot);
-  if (has_rows_) {
-    const QiGroup& src = *gs.source;
-    removed_rows_.push_back(src.rows[src.sa_runs[slot].second + gs.index.count(slot)]);
+void TpEngine::RemoveTuple(GroupId g, std::uint32_t slot, CandidateList* candidates) {
+  const SaValue v = groups_.value(slot);
+  groups_.Decrement(g, slot);
+  if (grouped_ != nullptr) {
+    const QiGroup& src = grouped_->group(g);
+    const std::uint32_t run = slot - groups_.first_slot(g);
+    removed_rows_.push_back(src.rows[src.sa_runs[run].second + groups_.count(slot)]);
   }
-  // The residue index is dense over the SA domain, so slot ids coincide with
-  // SA values.
-  residue_.Increment(v);
+  residue_.Increment(kR, v);
   if (candidates != nullptr) candidates->OnResidueIncrement(v, residue_.count(v));
-  return v;
+}
+
+void TpEngine::DonatePillars(GroupId g, CandidateList* candidates) {
+  groups_.PillarSlots(g, &pillars_);
+  for (std::uint32_t slot : pillars_) RemoveTuple(g, slot, candidates);
 }
 
 void TpEngine::RunPhase1() {
-  for (GroupId g = 0; g < groups_.size(); ++g) {
-    PillarIndex& idx = groups_[g].index;
+  for (GroupId g = 0; g < group_count(); ++g) {
     // "Repeatedly remove one tuple from its pillar until the QI-group is
     // l-eligible" (Section 5.2). Ties between pillars are broken by the
     // smallest SA value for determinism; by the paper's argument the end
     // state is independent of this choice.
-    while (!idx.IsEligible(l_)) {
-      RemoveTuple(g, idx.FirstPillarSlot(), nullptr);
+    while (!groups_.IsEligible(g, l_)) {
+      RemoveTuple(g, groups_.FirstPillarSlot(g), nullptr);
     }
   }
-  stats_.removed_phase1 = residue_.total() - initial_residue_;
-  stats_.residue_pillar_after_phase1 = residue_.PillarHeight();
+  stats_.removed_phase1 = ResidueSize() - initial_residue_;
+  stats_.residue_pillar_after_phase1 = ResiduePillarHeight();
 }
 
 bool TpEngine::RunPhase2() {
   if (ResidueEligible()) return true;
-  const std::uint32_t kResidueHeight = residue_.PillarHeight();  // h(R-dot), fixed by Lemma 5
+  const std::uint32_t kResidueHeight = ResiduePillarHeight();  // h(R-dot), fixed by Lemma 5
 
 #ifndef NDEBUG
-  for (GroupId g = 0; g < groups_.size(); ++g) {
-    LDIV_DCHECK(groups_[g].index.IsEligible(l_)) << "phase two requires l-eligible groups";
+  for (GroupId g = 0; g < group_count(); ++g) {
+    LDIV_DCHECK(groups_.IsEligible(g, l_)) << "phase two requires l-eligible groups";
   }
 #endif
 
   std::size_t entry_capacity = 0;
-  for (GroupId g = 0; g < groups_.size(); ++g) {
-    const PillarIndex& idx = groups_[g].index;
-    if (idx.empty() || GroupIsDead(g)) continue;
-    entry_capacity += idx.slot_count();
+  for (GroupId g = 0; g < group_count(); ++g) {
+    if (groups_.empty(g) || GroupIsDead(g)) continue;
+    entry_capacity += groups_.end_slot(g) - groups_.first_slot(g);
   }
-  CandidateList candidates(m_, groups_.size(), kResidueHeight, entry_capacity);
-  for (GroupId g = 0; g < groups_.size(); ++g) {
-    const PillarIndex& idx = groups_[g].index;
-    if (idx.empty() || GroupIsDead(g)) continue;
-    for (std::uint32_t slot = 0; slot < idx.slot_count(); ++slot) {
-      if (idx.count(slot) == 0) continue;
-      SaValue v = idx.value(slot);
+  CandidateList candidates(m_, group_count(), kResidueHeight, entry_capacity);
+  for (GroupId g = 0; g < group_count(); ++g) {
+    if (groups_.empty(g) || GroupIsDead(g)) continue;
+    for (std::uint32_t slot = groups_.first_slot(g); slot < groups_.end_slot(g); ++slot) {
+      if (groups_.count(slot) == 0) continue;
+      SaValue v = groups_.value(slot);
       candidates.AddEntry(g, slot, v, residue_.count(v));
     }
   }
@@ -293,12 +266,11 @@ bool TpEngine::RunPhase2() {
     if (!candidates.NextCandidate(&v, &e)) return false;  // no alive SA value: phase three
     GroupId g = candidates.entry_group(e);
     std::uint32_t slot = candidates.entry_slot(e);
-    PillarIndex& idx = groups_[g].index;
-    if (idx.count(slot) == 0) {
+    if (groups_.count(slot) == 0) {
       candidates.DropEntry(e);
       continue;
     }
-    if (idx.empty() || GroupIsDead(g)) {
+    if (groups_.empty(g) || GroupIsDead(g)) {
       candidates.DropGroup(g);
       continue;
     }
@@ -308,26 +280,24 @@ bool TpEngine::RunPhase2() {
       RemoveTuple(g, slot, &candidates);
     } else {
       // Thin and alive, hence non-conflicting: donate one tuple from each
-      // pillar (snapshot first; decrements reshuffle the pillar level).
-      std::vector<std::uint32_t> pillars = idx.PillarSlots();
-      for (std::uint32_t ps : pillars) RemoveTuple(g, ps, &candidates);
+      // pillar.
+      DonatePillars(g, &candidates);
     }
-    if (idx.empty() || GroupIsDead(g)) candidates.DropGroup(g);
+    if (groups_.empty(g) || GroupIsDead(g)) candidates.DropGroup(g);
     // Lemma 5: phase two never increases h(R).
-    LDIV_CHECK_EQ(residue_.PillarHeight(), kResidueHeight);
+    LDIV_CHECK_EQ(ResiduePillarHeight(), kResidueHeight);
   }
   return true;
 }
 
 std::uint32_t TpEngine::PickFatDonationSlot(GroupId g) const {
-  const PillarIndex& idx = groups_[g].index;
   std::uint32_t best_slot = std::numeric_limits<std::uint32_t>::max();
   std::uint64_t best_count = std::numeric_limits<std::uint64_t>::max();
-  for (std::uint32_t slot = 0; slot < idx.slot_count(); ++slot) {
-    if (idx.count(slot) == 0) continue;
-    SaValue v = idx.value(slot);
-    if (residue_.IsPillarValue(v)) continue;  // donating a pillar would raise h(R)
-    std::uint64_t rc = residue_.count(v);     // residue slots coincide with values
+  for (std::uint32_t slot = groups_.first_slot(g); slot < groups_.end_slot(g); ++slot) {
+    if (groups_.count(slot) == 0) continue;
+    SaValue v = groups_.value(slot);
+    if (residue_.IsPillarSlot(kR, v)) continue;  // donating a pillar would raise h(R)
+    std::uint64_t rc = residue_.count(v);
     if (rc < best_count) {
       best_count = rc;
       best_slot = slot;
@@ -340,7 +310,7 @@ std::uint32_t TpEngine::PickFatDonationSlot(GroupId g) const {
 }
 
 void TpEngine::RunPhase3() {
-  const std::uint32_t h_start = residue_.PillarHeight();
+  const std::uint32_t h_start = ResiduePillarHeight();
   // Lemma 9 bounds the number of rounds by h(R-double-dot); the +1 is slack
   // for the round counter check below.
   const std::uint32_t round_limit = h_start + 1;
@@ -353,22 +323,22 @@ void TpEngine::RunPhase3() {
 
     // ---- Step one: greedy SET-COVER over the pillars P of R ----
     std::vector<SaValue> p_values;
-    residue_.ForEachPillarSlot([&](std::uint32_t slot) {
+    residue_.ForEachPillarSlot(kR, [&](std::uint32_t slot) {
       SaValue v = residue_.value(slot);
       in_p[v] = 1;
       p_values.push_back(v);
     });
     std::size_t p_left = p_values.size();
     std::vector<GroupId> selection;
-    std::vector<char> picked(groups_.size(), 0);
+    std::vector<char> picked(group_count(), 0);
     while (p_left > 0) {
       std::int64_t best = -1;
       std::uint64_t best_cost = std::numeric_limits<std::uint64_t>::max();
-      for (GroupId g = 0; g < groups_.size(); ++g) {
-        if (picked[g] || groups_[g].index.empty()) continue;
-        const PillarIndex& idx = groups_[g].index;
+      for (GroupId g = 0; g < group_count(); ++g) {
+        if (picked[g] || groups_.empty(g)) continue;
         std::uint64_t cost = 0;
-        idx.ForEachPillarSlot([&](std::uint32_t slot) { cost += in_p[idx.value(slot)]; });
+        groups_.ForEachPillarSlot(g,
+                                  [&](std::uint32_t slot) { cost += in_p[groups_.value(slot)]; });
         if (cost < best_cost) {
           best_cost = cost;
           best = static_cast<std::int64_t>(g);
@@ -380,9 +350,8 @@ void TpEngine::RunPhase3() {
       LDIV_CHECK_LT(best_cost, p_left) << "greedy cover made no progress";
       picked[best] = 1;
       selection.push_back(static_cast<GroupId>(best));
-      const PillarIndex& bidx = groups_[best].index;
       for (SaValue v : p_values) {
-        if (in_p[v] && !bidx.IsPillarValue(v)) {
+        if (in_p[v] && !groups_.IsPillarValue(static_cast<GroupId>(best), v)) {
           in_p[v] = 0;
           --p_left;
         }
@@ -396,29 +365,25 @@ void TpEngine::RunPhase3() {
     // all of its pillars have donated, so stopping mid-donation would leave
     // an ineligible QI-group behind.
     for (GroupId g : selection) {
-      std::vector<std::uint32_t> pillars = groups_[g].index.PillarSlots();
-      for (std::uint32_t ps : pillars) RemoveTuple(g, ps, nullptr);
+      DonatePillars(g, nullptr);
       if (ResidueEligible()) return;
     }
 
     // ---- Step two: re-kill every QI-group that came (back) alive ----
-    for (GroupId g = 0; g < groups_.size(); ++g) {
-      for (;;) {
-        PillarIndex& idx = groups_[g].index;
-        if (idx.empty()) break;
-        std::uint64_t lh = static_cast<std::uint64_t>(l_) * idx.PillarHeight();
-        if (idx.total() > lh) {
+    for (GroupId g = 0; g < group_count(); ++g) {
+      while (!groups_.empty(g)) {
+        std::uint64_t lh = static_cast<std::uint64_t>(l_) * groups_.PillarHeight(g);
+        if (groups_.total(g) > lh) {
           // Fat: donate any SA value that is not a pillar of R (we pick the
           // least frequent in R to also help eligibility along).
           RemoveTuple(g, PickFatDonationSlot(g), nullptr);
           if (ResidueEligible()) return;
         } else {
-          LDIV_CHECK_EQ(idx.total(), lh) << "QI-group lost l-eligibility";
+          LDIV_CHECK_EQ(groups_.total(g), lh) << "QI-group lost l-eligibility";
           if (GroupIsConflicting(g)) break;  // dead again
           // As in step one, the donation of a thin group is atomic: check
           // termination only after every pillar has donated.
-          std::vector<std::uint32_t> pillars = idx.PillarSlots();
-          for (std::uint32_t ps : pillars) RemoveTuple(g, ps, nullptr);
+          DonatePillars(g, nullptr);
           if (ResidueEligible()) return;
         }
       }
@@ -431,49 +396,46 @@ const TpStats& TpEngine::Run() {
   ran_ = true;
 
   // Problem 1 / 2 are feasible iff the whole table is l-eligible (Lemma 1).
-  SaHistogram all = residue_.ToHistogram(m_);
-  for (const GroupState& gs : groups_) {
-    const PillarIndex& idx = gs.index;
-    for (std::uint32_t slot = 0; slot < idx.slot_count(); ++slot) {
-      if (idx.count(slot) > 0) all.Add(idx.value(slot), idx.count(slot));
-    }
+  SaHistogram all = ResidueHistogram();
+  for (std::uint32_t slot = 0; slot < groups_.slot_count(); ++slot) {
+    if (groups_.count(slot) > 0) all.Add(groups_.value(slot), groups_.count(slot));
   }
   LDIV_CHECK(all.IsEligible(l_)) << "input table is not l-eligible; no solution exists";
 
   RunPhase1();
   if (ResidueEligible()) {
     stats_.terminated_phase = 1;
-    stats_.residue_pillar_after_phase2 = residue_.PillarHeight();
+    stats_.residue_pillar_after_phase2 = ResiduePillarHeight();
   } else {
-    std::uint64_t before2 = residue_.total();
+    std::uint64_t before2 = ResidueSize();
     bool done = RunPhase2();
-    stats_.removed_phase2 = residue_.total() - before2;
-    stats_.residue_pillar_after_phase2 = residue_.PillarHeight();
+    stats_.removed_phase2 = ResidueSize() - before2;
+    stats_.residue_pillar_after_phase2 = ResiduePillarHeight();
     if (done) {
       stats_.terminated_phase = 2;
     } else {
-      std::uint64_t before3 = residue_.total();
+      std::uint64_t before3 = ResidueSize();
       RunPhase3();
-      stats_.removed_phase3 = residue_.total() - before3;
+      stats_.removed_phase3 = ResidueSize() - before3;
       stats_.terminated_phase = 3;
     }
   }
-  stats_.residue_size = residue_.total();
+  stats_.residue_size = ResidueSize();
   LDIV_CHECK(ResidueEligible());
   // Condition (a) of Section 5.1: every QI-group must end l-eligible.
-  for (GroupId g = 0; g < groups_.size(); ++g) {
-    LDIV_CHECK(groups_[g].index.IsEligible(l_)) << "QI-group " << g << " ended ineligible";
+  for (GroupId g = 0; g < group_count(); ++g) {
+    LDIV_CHECK(groups_.IsEligible(g, l_)) << "QI-group " << g << " ended ineligible";
   }
   return stats_;
 }
 
 void TpEngine::RemainingRows(GroupId g, std::vector<RowId>* rows) const {
-  LDIV_CHECK(has_rows_);
-  const GroupState& gs = groups_[g];
+  LDIV_CHECK(grouped_ != nullptr);
+  const QiGroup& src = grouped_->group(g);
+  const std::uint32_t first = groups_.first_slot(g);
   rows->clear();
-  for (std::uint32_t slot = 0; slot < gs.index.slot_count(); ++slot) {
-    const std::uint32_t begin = gs.source->sa_runs[slot].second;
-    const auto run = gs.source->rows.subspan(begin, gs.index.count(slot));
+  for (std::uint32_t slot = first; slot < groups_.end_slot(g); ++slot) {
+    const auto run = src.rows.subspan(src.sa_runs[slot - first].second, groups_.count(slot));
     rows->insert(rows->end(), run.begin(), run.end());
   }
 }

@@ -37,12 +37,14 @@ struct TpStats {
 
 /// The three-phase tuple-minimization engine of Section 5.
 ///
-/// The engine operates on SA-multisets: one PillarIndex per QI-group plus
-/// one for the residue set R, mirroring the inverted-list implementation of
-/// Section 5.5. Construction from a GroupedTable additionally tracks which
-/// concrete rows are removed; the histogram-only constructors exist so tests
-/// can drive the algorithm through the paper's worked examples (Sections
-/// 5.2-5.4) and inspect intermediate states.
+/// The engine operates on SA-multisets through the inverted lists of
+/// Section 5.5: one PillarIndex holds every QI-group as one set, in group
+/// order, and a one-set PillarIndex holds the residue set R. Construction
+/// from a GroupedTable sizes the groups' index exactly from the SA runs
+/// and additionally tracks which concrete rows are removed; the
+/// histogram-only constructors exist so tests can drive the algorithm
+/// through the paper's worked examples (Sections 5.2-5.4) and inspect
+/// intermediate states.
 class TpEngine {
  public:
   /// Engine over a grouped table; removed rows are tracked.
@@ -77,15 +79,15 @@ class TpEngine {
   void RunPhase3();
 
   std::uint32_t l() const { return l_; }
-  std::size_t group_count() const { return groups_.size(); }
+  std::size_t group_count() const { return groups_.set_count(); }
   std::size_t sa_domain_size() const { return m_; }
 
   /// True iff |R| >= l * h(R).
-  bool ResidueEligible() const { return residue_.IsEligible(l_); }
+  bool ResidueEligible() const { return residue_.IsEligible(kR, l_); }
 
-  std::uint64_t ResidueSize() const { return residue_.total(); }
-  std::uint32_t ResiduePillarHeight() const { return residue_.PillarHeight(); }
-  SaHistogram ResidueHistogram() const { return residue_.ToHistogram(m_); }
+  std::uint64_t ResidueSize() const { return residue_.total(kR); }
+  std::uint32_t ResiduePillarHeight() const { return residue_.PillarHeight(kR); }
+  SaHistogram ResidueHistogram() const { return residue_.ToHistogram(kR, m_); }
   SaHistogram GroupHistogram(GroupId g) const;
 
   /// Group status predicates of Section 5.3 (meaningful once all groups are
@@ -107,20 +109,20 @@ class TpEngine {
   void RemainingRows(GroupId g, std::vector<RowId>* rows) const;
 
   /// The number of rows still in group `g`.
-  std::uint64_t RemainingCount(GroupId g) const { return groups_[g].index.total(); }
+  std::uint64_t RemainingCount(GroupId g) const { return groups_.total(g); }
 
  private:
-  struct GroupState {
-    PillarIndex index;
-    const QiGroup* source = nullptr;  // null in histogram-only mode
-  };
-
   class CandidateList;
 
-  void InitFromHistograms(const std::vector<SaHistogram>& group_histograms);
+  /// R is the one set of `residue_`; its slot ids equal SA values.
+  static constexpr PillarIndex::SetId kR = 0;
 
-  /// Moves one tuple of `slot` from group `g` into R. Returns the SA value.
-  SaValue RemoveTuple(GroupId g, std::uint32_t slot, CandidateList* candidates);
+  /// Moves one tuple of `slot` from group `g` into R.
+  void RemoveTuple(GroupId g, std::uint32_t slot, CandidateList* candidates);
+
+  /// A thin group's donation: one tuple from each of its pillars, snapshot
+  /// first (each decrement reshuffles the top level).
+  void DonatePillars(GroupId g, CandidateList* candidates);
 
   /// Chooses the fat-group donation of phase three's step two: a non-pillar
   /// (w.r.t. R) SA value present in `g`, minimizing h(R, v).
@@ -128,11 +130,12 @@ class TpEngine {
 
   std::uint32_t l_ = 0;
   std::size_t m_ = 0;
-  std::vector<GroupState> groups_;
+  const GroupedTable* grouped_ = nullptr;  // null in histogram-only mode
+  PillarIndex groups_;                     // set g is QI-group g
   PillarIndex residue_;
   std::uint64_t initial_residue_ = 0;  // seeded |R| (Section 5.4 test hook)
-  bool has_rows_ = false;
   std::vector<RowId> removed_rows_;
+  std::vector<std::uint32_t> pillars_;  // DonatePillars' snapshot, reused
   TpStats stats_;
   bool ran_ = false;
 };

@@ -456,14 +456,37 @@ double KlDivergenceAnatomy(const Table& table, const Partition& buckets, Workspa
   const double n = static_cast<double>(table.size());
   const std::size_t m = table.schema().sa_domain_size();
 
-  // Per-bucket SA frequency vectors (count / bucket size).
-  std::vector<std::vector<double>> frequency(buckets.group_count());
+  // Per-bucket SA frequencies (count / bucket size), sparse and flat: the
+  // entries of bucket g are its distinct SA values in first-occurrence
+  // order, entries [entry_offsets[g], entry_offsets[g + 1]). A bucket has
+  // at most |bucket| of them, so all buckets hold at most n. `entry_of`
+  // maps an SA value to its entry in the bucket being filled, reset
+  // through that bucket's entries.
+  constexpr std::uint32_t kNoEntry = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> entry_offsets(buckets.group_count() + 1, 0);
+  std::vector<SaValue> entry_value;
+  std::vector<double> entry_frequency;
+  entry_value.reserve(buckets.row_count());
+  entry_frequency.reserve(buckets.row_count());
   std::vector<std::uint32_t> bucket_of(table.size());
-  for (GroupId g = 0; g < buckets.group_count(); ++g) {
-    frequency[g].assign(m, 0.0);
-    for (RowId r : buckets.group(g)) {
-      frequency[g][table.sa(r)] += 1.0 / static_cast<double>(buckets.group(g).size());
-      bucket_of[r] = g;
+  {
+    std::vector<std::uint32_t> entry_of(m, kNoEntry);
+    for (GroupId g = 0; g < buckets.group_count(); ++g) {
+      const double size = static_cast<double>(buckets.group(g).size());
+      for (RowId r : buckets.group(g)) {
+        const SaValue v = table.sa(r);
+        if (entry_of[v] == kNoEntry) {
+          entry_of[v] = static_cast<std::uint32_t>(entry_value.size());
+          entry_value.push_back(v);
+          entry_frequency.push_back(0.0);
+        }
+        entry_frequency[entry_of[v]] += 1.0 / size;
+        bucket_of[r] = g;
+      }
+      entry_offsets[g + 1] = static_cast<std::uint32_t>(entry_value.size());
+      for (std::uint32_t e = entry_offsets[g]; e < entry_offsets[g + 1]; ++e) {
+        entry_of[entry_value[e]] = kNoEntry;
+      }
     }
   }
 
@@ -495,14 +518,39 @@ double KlDivergenceAnatomy(const Table& table, const Partition& buckets, Workspa
     for (RowId r = 0; r < table.size(); ++r) class_rows[cursor[class_of[r]]++] = r;
   }
 
+  // n * f*(p) of every row, summed once per QI class: f*(p) sums, over the
+  // rows t of p's class in ascending row order, t's bucket frequency at
+  // SA(p). Each row of the class adds its bucket's entries into one dense
+  // scratch, in that order, so every SA value's sum adds its nonzero terms
+  // in the order a per-point walk over the class adds them; the zero terms
+  // such a walk also adds leave a non-negative sum's bits unchanged. The
+  // scratch is reset through the same entries, as TilingFstar resets its
+  // scratch through the group's own rows.
+  std::vector<double> fstar(table.size());
+  {
+    std::vector<double> mass(m, 0.0);
+    for (std::uint32_t c = 0; c < class_count; ++c) {
+      const std::span<const RowId> rows(class_rows.data() + class_offsets[c],
+                                        class_rows.data() + class_offsets[c + 1]);
+      for (RowId r : rows) {
+        const std::uint32_t g = bucket_of[r];
+        for (std::uint32_t e = entry_offsets[g]; e < entry_offsets[g + 1]; ++e) {
+          mass[entry_value[e]] += entry_frequency[e];
+        }
+      }
+      for (RowId r : rows) fstar[r] = mass[table.sa(r)];
+      for (RowId r : rows) {
+        const std::uint32_t g = bucket_of[r];
+        for (std::uint32_t e = entry_offsets[g]; e < entry_offsets[g + 1]; ++e) {
+          mass[entry_value[e]] = 0.0;
+        }
+      }
+    }
+  }
+
   double kl = 0.0;
   for (const PointCount& pc : DistinctPoints(table, packer, ws)) {
-    SaValue sa = table.sa(pc.representative);
-    std::uint32_t c = class_of[pc.representative];
-    double fstar_n = 0.0;
-    for (std::uint32_t i = class_offsets[c]; i < class_offsets[c + 1]; ++i) {
-      fstar_n += frequency[bucket_of[class_rows[i]]][sa];
-    }
+    const double fstar_n = fstar[pc.representative];
     LDIV_CHECK_GT(fstar_n, 0.0);
     double f = static_cast<double>(pc.count) / n;
     kl += f * std::log(static_cast<double>(pc.count) / fstar_n);

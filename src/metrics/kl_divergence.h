@@ -66,6 +66,13 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
 /// linked only through l-diverse buckets): the adversary's density at point
 /// p is (1/n) * sum over tuples t with QI(t) = QI(p) of
 /// count_{bucket(t)}(SA(p)) / |bucket(t)|.
+///
+/// Each bucket keeps only the SA values it holds, with their frequencies,
+/// in one flat array of at most n entries. The sum is taken once per QI
+/// class: every row of the class, in ascending row order, adds its bucket's
+/// entries into one dense SA-domain scratch, and each point reads its SA's
+/// total. O(sum over rows of the distinct SA values in the row's bucket)
+/// time, O(n + m) memory.
 double KlDivergenceAnatomy(const Table& table, const Partition& buckets,
                            Workspace* workspace = nullptr);
 

@@ -1,5 +1,5 @@
-// KL-divergence (Equation 2) tests for suppression and single-dimensional
-// generalizations, and a golden pin of every estimator's bits.
+// KL-divergence (Equation 2) tests for suppression, single-dimensional and
+// Anatomy releases, and a golden pin of every estimator's bits.
 
 #include "metrics/kl_divergence.h"
 
@@ -9,8 +9,10 @@
 #include <cmath>
 #include <ios>
 #include <map>
+#include <numeric>
 #include <vector>
 
+#include "anonymity/anatomy.h"
 #include "anonymity/generalization.h"
 #include "common/rng.h"
 #include "core/anonymizer.h"
@@ -228,6 +230,109 @@ TEST(KlDivergence, NonNegativity) {
       GeneralizedTable gen(table, outcome.partition);
       EXPECT_GE(KlDivergenceSuppression(table, gen), -1e-9);
     }
+  }
+}
+
+namespace dense_reference {
+
+// The Anatomy estimator as it was before its bucket frequencies went
+// sparse: a dense buckets x SA matrix of count / |bucket|, and, for each
+// distinct point in first-occurrence order, a walk over every row of the
+// point's QI class in ascending row order, adding that row's bucket
+// frequency at the point's SA (zeros included). Every sum runs in the
+// same order as it did there, so its doubles are the estimator's old bits.
+double KlDivergenceAnatomy(const Table& table, const Partition& buckets) {
+  if (table.empty()) return 0.0;
+  const double n = static_cast<double>(table.size());
+  const std::size_t m = table.schema().sa_domain_size();
+  std::vector<std::vector<double>> frequency(buckets.group_count());
+  std::vector<std::uint32_t> bucket_of(table.size());
+  for (GroupId g = 0; g < buckets.group_count(); ++g) {
+    frequency[g].assign(m, 0.0);
+    for (RowId r : buckets.group(g)) {
+      frequency[g][table.sa(r)] += 1.0 / static_cast<double>(buckets.group(g).size());
+      bucket_of[r] = g;
+    }
+  }
+  std::map<std::vector<Value>, std::vector<RowId>> class_rows;  // QI signature -> rows
+  std::map<std::vector<Value>, std::size_t> point_index;        // (QI..., SA) -> point
+  std::vector<std::pair<RowId, std::uint32_t>> points;          // (first row, count)
+  for (RowId r = 0; r < table.size(); ++r) {
+    std::vector<Value> qi(table.qi_count());
+    for (std::size_t a = 0; a < qi.size(); ++a) qi[a] = table.qi(r, static_cast<AttrId>(a));
+    class_rows[qi].push_back(r);
+    qi.push_back(table.sa(r));
+    const auto [it, inserted] = point_index.try_emplace(qi, points.size());
+    if (inserted) {
+      points.emplace_back(r, 1);
+    } else {
+      ++points[it->second].second;
+    }
+  }
+  double kl = 0.0;
+  for (const auto& [rep, count] : points) {
+    std::vector<Value> qi(table.qi_count());
+    for (std::size_t a = 0; a < qi.size(); ++a) qi[a] = table.qi(rep, static_cast<AttrId>(a));
+    const SaValue sa = table.sa(rep);
+    double fstar_n = 0.0;
+    for (RowId r : class_rows[qi]) fstar_n += frequency[bucket_of[r]][sa];
+    double f = static_cast<double>(count) / n;
+    kl += f * std::log(static_cast<double>(count) / fstar_n);
+  }
+  return kl;
+}
+
+}  // namespace dense_reference
+
+TEST(KlEquivalence, AnatomyMatchesDenseReference) {
+  // Anatomy's estimate, bit for bit against the dense reference above.
+  // SAL-7 20k projected to its first d QIs: at d = 2 each QI class spans
+  // many buckets, at d = 7 most classes are a single row.
+  const Table sal = GenerateSal(20000, 1);
+  for (std::size_t d : {2u, 3u, 4u, 7u}) {
+    std::vector<AttrId> attrs(d);
+    std::iota(attrs.begin(), attrs.end(), AttrId{0});
+    const Table table = sal.ProjectQi(attrs);
+    for (std::uint32_t l : {2u, 4u, 7u}) {
+      const AnatomyResult anatomy = AnatomyAnonymize(table, l);
+      ASSERT_TRUE(anatomy.feasible) << "d=" << d << " l=" << l;
+      const double got = KlDivergenceAnatomy(table, anatomy.partition);
+      const double want = dense_reference::KlDivergenceAnatomy(table, anatomy.partition);
+      EXPECT_EQ(got, want) << "d=" << d << " l=" << l << std::hexfloat << ": got " << got
+                           << ", want " << want;
+    }
+  }
+
+  // Hand-built buckets over one QI of domain 3 and SA domain 4. Rows 0-3
+  // form QI class 0, rows 4-6 class 1, and row 7 is class 2 alone. Buckets
+  // repeat SA values ({1, 5, 7} and {3, 1, 7} hold SA 1 twice and three
+  // times, {6, 2, 5, 4} SA 2 three times), class 0 spans up to four
+  // buckets, and rows are listed out of order.
+  const Schema schema = testutil::MakeSchema({3}, 4);
+  const Table table = testutil::MakeTable(
+      schema, {{0, 0}, {0, 1}, {0, 2}, {0, 1}, {1, 2}, {1, 2}, {1, 3}, {2, 1}});
+  const std::vector<std::vector<std::vector<RowId>>> partitions = {
+      {{0, 4}, {1, 5, 7}, {2, 6}, {3}},
+      {{3, 1, 7}, {0}, {6, 2, 5, 4}},
+      {{0, 1, 2, 3, 4, 5, 6, 7}},
+      {{7}, {6}, {5}, {4}, {3}, {2}, {1}, {0}},
+  };
+  for (std::size_t k = 0; k < partitions.size(); ++k) {
+    const Partition buckets = testutil::MakePartition(partitions[k]);
+    EXPECT_EQ(KlDivergenceAnatomy(table, buckets),
+              dense_reference::KlDivergenceAnatomy(table, buckets))
+        << "hand-built partition " << k;
+  }
+
+  // Random bucketizations of small tables: few QI classes of many rows,
+  // and buckets of 1-8 rows that repeat SA values.
+  Rng rng(2406);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Table small = testutil::RandomEligibleTable(rng, 300, {3, 2}, 5, 2);
+    const Partition buckets = RandomPartition(rng, small.size());
+    EXPECT_EQ(KlDivergenceAnatomy(small, buckets),
+              dense_reference::KlDivergenceAnatomy(small, buckets))
+        << "trial " << trial;
   }
 }
 

@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ios>
+
 #include "anonymity/eligibility.h"
 #include "common/grouped_table.h"
 #include "core/tp.h"
+#include "data/acs_generator.h"
 #include "test_util.h"
 
 namespace ldv {
@@ -242,23 +245,29 @@ TEST(TpPhase3, MidDonationTerminationRegression) {
   EXPECT_TRUE(IsLDiverse(table, partition, 3));
 }
 
+// One table of the phase-three fuzz: tiny QI domains and skewed SA values
+// produce many thin conflicting groups. Draws l (3 or 4) first.
+Table PhaseThreeFuzzTable(Rng& rng, std::uint32_t* l) {
+  *l = 3 + rng.Below(2);
+  std::size_t m = *l + 1 + rng.Below(3);
+  Schema schema = testutil::MakeSchema({2, 3}, m);
+  Table table(schema);
+  std::size_t n = 10 + rng.Below(8);
+  std::vector<Value> qi(2);
+  for (std::size_t i = 0; i < n; ++i) {
+    qi[0] = rng.Below(2);
+    qi[1] = rng.Below(3);
+    table.AppendRow(qi, rng.Below(static_cast<std::uint32_t>(m)));
+  }
+  return table;
+}
+
 TEST(TpPhase3, TableLevelOutputsStayLDiverseWhenPhaseThreeFires) {
-  // Table-level fuzz targeted at phase three: tiny QI domains and skewed
-  // SA values produce many thin conflicting groups.
   Rng rng(2027);
   int phase3_seen = 0;
   for (int trial = 0; trial < 800; ++trial) {
-    std::uint32_t l = 3 + rng.Below(2);
-    std::size_t m = l + 1 + rng.Below(3);
-    Schema schema = testutil::MakeSchema({2, 3}, m);
-    Table table(schema);
-    std::size_t n = 10 + rng.Below(8);
-    std::vector<Value> qi(2);
-    for (std::size_t i = 0; i < n; ++i) {
-      qi[0] = rng.Below(2);
-      qi[1] = rng.Below(3);
-      table.AppendRow(qi, rng.Below(static_cast<std::uint32_t>(m)));
-    }
+    std::uint32_t l = 0;
+    const Table table = PhaseThreeFuzzTable(rng, &l);
     if (!IsTableEligible(table, l)) continue;
     TpResult result = RunTp(table, l);
     ASSERT_TRUE(result.feasible);
@@ -268,6 +277,81 @@ TEST(TpPhase3, TableLevelOutputsStayLDiverseWhenPhaseThreeFires) {
     if (result.stats.terminated_phase == 3) ++phase3_seen;
   }
   EXPECT_GT(phase3_seen, 0) << "fuzz never reached phase three; weak sweep";
+}
+
+// ---------------------------------------------------------------------------
+// Removal order, pinned
+// ---------------------------------------------------------------------------
+
+// FNV-1a-64 over a run's terminated phase, its removed rows in removal
+// order and its kept groups (sizes and rows, in order), eight bytes a
+// field, low byte first.
+void HashTpRun(const TpResult& result, std::uint64_t* hash) {
+  const auto add = [hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      *hash ^= (word >> (8 * byte)) & 0xffu;
+      *hash *= 0x100000001b3ull;
+    }
+  };
+  add(static_cast<std::uint64_t>(result.stats.terminated_phase));
+  add(result.residue_rows.size());
+  for (RowId r : result.residue_rows) add(r);
+  add(result.kept_groups.group_count());
+  for (GroupId g = 0; g < result.kept_groups.group_count(); ++g) {
+    add(result.kept_groups.group(g).size());
+    for (RowId r : result.kept_groups.group(g)) add(r);
+  }
+}
+
+TEST(TpGolden, RemovalOrderMatchesPinnedHashes) {
+  // Which tuple each phase removes, and in what order, follows from the
+  // Section 5.5 lists: each level list starts ascending by slot, a removed
+  // or donated slot goes to the head of its new level, and ties take the
+  // list head. The final |R| does not pin that order, and neither do the
+  // theorem checks above; these hashes do. A failure means the engine now
+  // removes other tuples or removes them in another order: find out why,
+  // never edit a literal to match.
+  constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+  int phase_seen[4] = {0, 0, 0, 0};
+
+  // Every eligible trial of the phase-three fuzz, folded into one hash.
+  Rng rng(2027);
+  std::uint64_t fuzz_hash = kFnvBasis;
+  for (int trial = 0; trial < 800; ++trial) {
+    std::uint32_t l = 0;
+    const Table table = PhaseThreeFuzzTable(rng, &l);
+    if (!IsTableEligible(table, l)) continue;
+    const TpResult result = RunTp(table, l);
+    ASSERT_TRUE(result.feasible);
+    HashTpRun(result, &fuzz_hash);
+    ++phase_seen[result.stats.terminated_phase];
+  }
+  EXPECT_EQ(fuzz_hash, 0x3ec60b60bb39eecfull) << std::hex << "fuzz: got 0x" << fuzz_hash;
+
+  // SAL-7 20k, one hash per l. No QI-group there holds more than 3 rows,
+  // so from l = 4 on phase one removes every group whole and the four
+  // pins coincide; they still pin the order in which it removes them.
+  struct Pin {
+    std::uint32_t l;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {2, 0x3ec20f4545c962aeull}, {4, 0xb0e208ebe0b52482ull}, {6, 0xb0e208ebe0b52482ull},
+      {8, 0xb0e208ebe0b52482ull}, {10, 0xb0e208ebe0b52482ull},
+  };
+  const Table table = GenerateSal(20000, 1);
+  const GroupedTable sal(table);
+  for (const Pin& pin : pins) {
+    const TpResult result = RunTp(sal, pin.l);
+    ASSERT_TRUE(result.feasible) << "l=" << pin.l;
+    std::uint64_t hash = kFnvBasis;
+    HashTpRun(result, &hash);
+    EXPECT_EQ(hash, pin.hash) << "SAL-7 l=" << pin.l << std::hex << ": got 0x" << hash;
+    ++phase_seen[result.stats.terminated_phase];
+  }
+  for (int phase = 1; phase <= 3; ++phase) {
+    EXPECT_GT(phase_seen[phase], 0) << "no pinned run ends in phase " << phase;
+  }
 }
 
 }  // namespace
