@@ -325,6 +325,24 @@ void BM_KlAnatomy(benchmark::State& state) {
 }
 BENCHMARK(BM_KlAnatomy)->Name("kl_anatomy")->Arg(10000)->Arg(100000);
 
+// ---- Shared KL points ----
+//
+// The distinct-point pass on the full-width SAL table, where most rows are
+// points of their own: the engine runs it once per table and every KL
+// estimate of a sweep sums over the one set. The `kl_*` series above call
+// the estimators without a point set, so each still pays this pass inside
+// its estimate and their trajectories stay comparable.
+
+void BM_KlPoints(benchmark::State& state) {
+  const Table& t = SizedSal7(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    const std::vector<KlPoint> points = KlDistinctPoints(t);
+    benchmark::DoNotOptimize(points.data());
+  }
+  state.SetItemsProcessed(state.iterations() * t.size());
+}
+BENCHMARK(BM_KlPoints)->Name("kl_points")->Arg(10000)->Arg(100000);
+
 // ---- Out-of-core series ----
 //
 // The paged data plane under its default (unbudgeted) sizing: streamed
@@ -633,6 +651,7 @@ void RegisterBenchFields() {
     fields[series("kl_suppression_masks")] = {n, 7, 1, ActiveSimd()};
     fields[series("tp_solve_sal7")] = {n, 7, 1, {}};
     fields[series("kl_anatomy")] = {n, 4, 1, ActiveSimd()};
+    fields[series("kl_points")] = {n, 7, 1, ActiveSimd()};
     fields[series("ingest_stream")] = {n, 7, 1, ActiveSimd()};
     fields[series("grouping_paged")] = {n, 7, 1, ActiveSimd()};
     fields[series("sweep_cached")] = {n, 4, 1, ActiveSimd()};

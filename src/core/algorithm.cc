@@ -134,18 +134,22 @@ AnonymizationOutcome Anonymizer::Run(const Table& table, std::uint32_t l,
     outcome.generalized = std::move(generalized);
   }
   if (options.compute_kl) {
+    const std::vector<KlPoint>* points =
+        artifacts != nullptr ? artifacts->kl_points.get() : nullptr;
     switch (methodology_) {
       case Methodology::kSuppression:
-        outcome.kl_divergence = KlDivergenceSuppression(table, *outcome.generalized, workspace);
+        outcome.kl_divergence =
+            KlDivergenceSuppression(table, *outcome.generalized, workspace, points);
         break;
       case Methodology::kMultiDimensional:
-        outcome.kl_divergence = KlDivergenceMultiDim(table, *outcome.boxes, workspace);
+        outcome.kl_divergence = KlDivergenceMultiDim(table, *outcome.boxes, workspace, points);
         break;
       case Methodology::kSingleDimensional:
-        outcome.kl_divergence = KlDivergenceSingleDim(table, *outcome.single_dim, workspace);
+        outcome.kl_divergence =
+            KlDivergenceSingleDim(table, *outcome.single_dim, workspace, points);
         break;
       case Methodology::kBucketization:
-        outcome.kl_divergence = KlDivergenceAnatomy(table, outcome.partition, workspace);
+        outcome.kl_divergence = KlDivergenceAnatomy(table, outcome.partition, workspace, points);
         break;
     }
   }

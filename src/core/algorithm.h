@@ -132,9 +132,9 @@ class Anonymizer {
   /// `workspace` (null = a local default-constructed one), so repeated
   /// solves stop re-allocating. A workspace is NOT thread-safe: callers
   /// running solves concurrently use one per thread (AnonymizeBatch keeps
-  /// one per worker). When `artifacts` supplies the GroupedTable or
-  /// Hilbert order for `table`, the solve skips rebuilding it; any field
-  /// may be null, in which case the algorithm derives the input itself.
+  /// one per worker). When `artifacts` supplies the GroupedTable, Hilbert
+  /// order or KL point set for `table`, the run skips rebuilding it; any
+  /// field may be null, in which case the run derives the input itself.
   /// Artifacts MUST have been built from exactly this table. Outcomes are
   /// identical with or without a workspace or artifacts.
   AnonymizationOutcome Run(const Table& table, std::uint32_t l,

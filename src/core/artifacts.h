@@ -6,14 +6,16 @@
 
 #include "common/grouped_table.h"
 #include "common/types.h"
+#include "metrics/kl_divergence.h"
 
 namespace ldv {
 
-/// Dataset-derived solver inputs that depend only on the table (and its QI
-/// schema), never on `l` or the algorithm: the exact-signature QI grouping
-/// and the sorted Hilbert row order. Resolving them once lets every job of
-/// an algorithms x l sweep -- and, through the engine's ContentCache,
-/// every repeat daemon submission of the same dataset -- share one build.
+/// Dataset-derived inputs that depend only on the table (and its QI
+/// schema), never on `l` or the algorithm: the exact-signature QI grouping,
+/// the sorted Hilbert row order and the distinct data points of the KL
+/// estimate. Resolving them once lets every job of an algorithms x l sweep
+/// -- and, through the engine's ContentCache, every repeat daemon
+/// submission of the same dataset -- share one build.
 /// Shared ownership keeps an artifact alive for concurrent consumers even
 /// while a cache eviction is in flight.
 struct TableArtifacts {
@@ -24,8 +26,12 @@ struct TableArtifacts {
   /// TP+'s residue refinement Hilbert-sorts a SelectRows sub-table whose
   /// row ids are local, so it must never consume this full-table order.
   std::shared_ptr<const std::vector<RowId>> hilbert_order;
+  /// KlDistinctPoints of the table, consumed by every KL estimate.
+  std::shared_ptr<const std::vector<KlPoint>> kl_points;
 
-  bool empty() const { return grouped == nullptr && hilbert_order == nullptr; }
+  bool empty() const {
+    return grouped == nullptr && hilbert_order == nullptr && kl_points == nullptr;
+  }
 };
 
 }  // namespace ldv

@@ -14,30 +14,31 @@ namespace ldv {
 std::vector<AnonymizationOutcome> AnonymizeBatch(std::span<const RunSpec> specs,
                                                  std::span<const Table* const> tables,
                                                  std::span<const TableArtifacts> artifacts,
-                                                 const Workspace& run) {
+                                                 const Workspace& run, const JobDone& on_done) {
   LDIV_CHECK(artifacts.empty() || artifacts.size() == tables.size())
       << "artifacts must parallel tables";
   for (const RunSpec& spec : specs) {
     LDIV_CHECK_LT(spec.table_index, tables.size()) << "RunSpec table_index out of range";
   }
+  std::vector<AnonymizationOutcome> results(specs.size());
   const auto run_job = [&](std::size_t i, Workspace* workspace) {
     const RunSpec& spec = specs[i];
-    return AlgorithmRegistry::Global()
-        .Get(spec.algorithm)
-        .Run(*tables[spec.table_index], spec.l, spec.options, workspace,
-             artifacts.empty() ? nullptr : &artifacts[spec.table_index]);
+    results[i] = AlgorithmRegistry::Global()
+                     .Get(spec.algorithm)
+                     .Run(*tables[spec.table_index], spec.l, spec.options, workspace,
+                          artifacts.empty() ? nullptr : &artifacts[spec.table_index]);
+    if (on_done) on_done(i, results[i]);
   };
 
   // One budget governs both layers: job-level workers claim it first, and
   // only a single-worker batch leaves it to the kernels.
-  std::vector<AnonymizationOutcome> results(specs.size());
   const std::shared_ptr<MemoryBudget> memory = run.budget();
   const std::size_t workers = std::min<std::size_t>(run.threads(), specs.size());
   if (workers <= 1) {
     // One worker: jobs run inline, and the kernels inherit the whole
     // budget for their intra-run fan-out.
     Workspace workspace(run.threads(), memory);
-    for (std::size_t i = 0; i < specs.size(); ++i) results[i] = run_job(i, &workspace);
+    for (std::size_t i = 0; i < specs.size(); ++i) run_job(i, &workspace);
     return results;
   }
 
@@ -59,7 +60,7 @@ std::vector<AnonymizationOutcome> AnonymizeBatch(std::span<const RunSpec> specs,
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= specs.size()) return;
       try {
-        results[i] = run_job(i, &workspace);
+        run_job(i, &workspace);
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(error_mutex);

@@ -1,6 +1,8 @@
 #ifndef LDIV_CORE_BATCH_H_
 #define LDIV_CORE_BATCH_H_
 
+#include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -9,6 +11,13 @@
 #include "core/run_spec.h"
 
 namespace ldv {
+
+/// Called with job i's outcome on the thread that solved it, as soon as
+/// the outcome is final and before that thread claims another job. It may
+/// consume the outcome (write it out, drop its bulk); whatever it leaves
+/// is what AnonymizeBatch returns for the job. Calls for different jobs
+/// may run concurrently.
+using JobDone = std::function<void(std::size_t job, AnonymizationOutcome& outcome)>;
 
 /// Runs every spec through its registry algorithm on
 /// `*tables[spec.table_index]` -- the one way a job runs. Results are
@@ -29,13 +38,14 @@ namespace ldv {
 /// one thread, solves on the calling thread and leaves the whole thread
 /// budget to the kernels; otherwise each worker solves on a one-thread
 /// workspace of its own, so the kernels of a multi-worker batch never fan
-/// out. An exception from any job (an IoFailure, say) stops the hand-out
-/// of further jobs and is rethrown here, on the calling thread, once
-/// every worker has joined.
+/// out. An exception from any job or its `on_done` call (an IoFailure,
+/// say) stops the hand-out of further jobs and is rethrown here, on the
+/// calling thread, once every worker has joined.
 std::vector<AnonymizationOutcome> AnonymizeBatch(std::span<const RunSpec> specs,
                                                  std::span<const Table* const> tables,
                                                  std::span<const TableArtifacts> artifacts,
-                                                 const Workspace& run);
+                                                 const Workspace& run,
+                                                 const JobDone& on_done = {});
 
 }  // namespace ldv
 

@@ -168,6 +168,7 @@ TpEngine::TpEngine(const GroupedTable& grouped, std::uint32_t l)
                                  })),
       residue_(PillarIndex::DenseEmpty(m_)) {
   LDIV_CHECK_GE(l_, 1u);
+  table_eligible_ = WholeTableEligible();
   removed_rows_.reserve(grouped.row_count() / 8);
 }
 
@@ -184,6 +185,15 @@ TpEngine::TpEngine(const std::vector<SaHistogram>& group_histograms, const SaHis
       initial_residue_(residue.total()) {
   LDIV_CHECK_GE(l_, 1u);
   for (const SaHistogram& h : group_histograms) LDIV_CHECK_EQ(h.domain_size(), m_);
+  table_eligible_ = WholeTableEligible();
+}
+
+bool TpEngine::WholeTableEligible() const {
+  SaHistogram all = ResidueHistogram();
+  for (std::uint32_t slot = 0; slot < groups_.slot_count(); ++slot) {
+    if (groups_.count(slot) > 0) all.Add(groups_.value(slot), groups_.count(slot));
+  }
+  return all.IsEligible(l_);
 }
 
 SaHistogram TpEngine::GroupHistogram(GroupId g) const {
@@ -395,12 +405,7 @@ const TpStats& TpEngine::Run() {
   LDIV_CHECK(!ran_) << "TpEngine::Run may only be called once";
   ran_ = true;
 
-  // Problem 1 / 2 are feasible iff the whole table is l-eligible (Lemma 1).
-  SaHistogram all = ResidueHistogram();
-  for (std::uint32_t slot = 0; slot < groups_.slot_count(); ++slot) {
-    if (groups_.count(slot) > 0) all.Add(groups_.value(slot), groups_.count(slot));
-  }
-  LDIV_CHECK(all.IsEligible(l_)) << "input table is not l-eligible; no solution exists";
+  LDIV_CHECK(table_eligible_) << "input table is not l-eligible; no solution exists";
 
   RunPhase1();
   if (ResidueEligible()) {
@@ -454,25 +459,15 @@ Partition TpResult::ToPartition() const {
 
 TpResult RunTp(const GroupedTable& grouped, std::uint32_t l) {
   TpResult result;
-  SaHistogram all(grouped.sa_domain_size());
-  for (const QiGroup& group : grouped.groups()) {
-    for (std::size_t i = 0; i < group.sa_runs.size(); ++i) {
-      all.Add(group.sa_runs[i].first, group.RunLength(i));
-    }
-  }
-  if (!all.IsEligible(l)) {
-    result.feasible = false;
-    return result;
-  }
-
   auto start = std::chrono::steady_clock::now();
   TpEngine engine(grouped, l);
+  if (!engine.table_eligible()) return result;  // infeasible (Lemma 1)
   engine.Run();
   result.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   result.feasible = true;
   result.stats = engine.stats();
-  result.residue_rows = engine.removed_rows();
+  result.residue_rows = engine.TakeRemovedRows();
   // Room for every row and one group more than survive: TP's outcome
   // appends R as its last group, and TP+ appends R's refined groups,
   // without moving the rows.

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "anonymity/partition.h"
@@ -61,6 +62,11 @@ class TpEngine {
   TpEngine(const TpEngine&) = delete;
   TpEngine& operator=(const TpEngine&) = delete;
 
+  /// Whether the whole table -- every QI-group plus R -- is l-eligible,
+  /// recorded at construction: by Lemma 1, Problems 1 and 2 have a
+  /// solution iff it is.
+  bool table_eligible() const { return table_eligible_; }
+
   /// Runs phases one..three until the residue set is l-eligible.
   /// The input table must be l-eligible (checked).
   const TpStats& Run();
@@ -103,6 +109,8 @@ class TpEngine {
 
   /// Rows moved to R, in removal order (row-tracking constructor only).
   const std::vector<RowId>& removed_rows() const { return removed_rows_; }
+  /// The same rows, moved out of the engine.
+  std::vector<RowId> TakeRemovedRows() { return std::move(removed_rows_); }
 
   /// Replaces `*rows` with the rows still in group `g` (row-tracking
   /// constructor only).
@@ -128,6 +136,9 @@ class TpEngine {
   /// (w.r.t. R) SA value present in `g`, minimizing h(R, v).
   std::uint32_t PickFatDonationSlot(GroupId g) const;
 
+  /// Lemma 1's test over the current sets and R, in one walk of the slots.
+  bool WholeTableEligible() const;
+
   std::uint32_t l_ = 0;
   std::size_t m_ = 0;
   const GroupedTable* grouped_ = nullptr;  // null in histogram-only mode
@@ -137,6 +148,7 @@ class TpEngine {
   std::vector<RowId> removed_rows_;
   std::vector<std::uint32_t> pillars_;  // DonatePillars' snapshot, reused
   TpStats stats_;
+  bool table_eligible_ = false;
   bool ran_ = false;
 };
 

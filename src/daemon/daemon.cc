@@ -398,7 +398,7 @@ void Daemon::RunJob(PendingJob job) {
   }
   std::map<std::string, std::string> kv;
   kv["exit-code"] = std::to_string(summary->exit_code);
-  kv["jobs"] = std::to_string(summary->job_count);
+  kv["jobs"] = std::to_string(summary->jobs.size());
   kv["infeasible"] = std::to_string(summary->infeasible);
   kv["threads"] = std::to_string(summary->threads);
   kv["cache-hits"] = std::to_string(summary->cache_hits);

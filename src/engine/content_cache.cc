@@ -22,13 +22,19 @@ std::uint64_t ResidentBytes(const std::vector<RowId>& order) {
   return order.size() * sizeof(RowId);
 }
 
+std::uint64_t ResidentBytes(const std::vector<KlPoint>& points) {
+  return points.size() * sizeof(KlPoint);
+}
+
 std::shared_ptr<const void> ContentCache::GetOrBuildErased(Kind kind, const std::string& key,
                                                            const std::function<Entry()>& build,
                                                            bool* hit) {
   std::unique_lock<std::mutex> lock(mutex_);
   auto& index = index_[static_cast<int>(kind)];
   auto& flights = flights_[static_cast<int>(kind)];
-  Counts& counts = kind == Kind::kTable ? stats_.tables : stats_.artifacts;
+  Counts& counts = kind == Kind::kTable       ? stats_.tables
+                   : kind == Kind::kKlPoints ? stats_.kl_points
+                                             : stats_.artifacts;
   *hit = true;
   for (;;) {
     if (auto it = index.find(key); it != index.end()) {

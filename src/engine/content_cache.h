@@ -16,6 +16,7 @@
 #include "common/table.h"
 #include "common/types.h"
 #include "data/dataset.h"
+#include "metrics/kl_divergence.h"
 
 namespace ldv {
 
@@ -26,14 +27,16 @@ struct EngineTable;
 std::uint64_t ResidentBytes(const EngineTable& table);
 std::uint64_t ResidentBytes(const GroupedTable& grouped);
 std::uint64_t ResidentBytes(const std::vector<RowId>& order);
+std::uint64_t ResidentBytes(const std::vector<KlPoint>& points);
 
-/// The engine's one cross-job cache: input tables and the two solver
-/// artifacts derived from them -- the exact-signature GroupedTable TP and
-/// TP+ start from, and the sorted Hilbert row order -- in one LRU under
-/// one byte capacity, keyed by content identity (see CsvKey,
-/// SyntheticKey, ArtifactKey). Entries hold shared ownership, so an
-/// eviction only drops the cache's reference: runs that pinned a value
-/// keep using it.
+/// The engine's one cross-job cache: input tables and the three artifacts
+/// derived from them -- the exact-signature GroupedTable TP and TP+ start
+/// from, the sorted Hilbert row order, and the distinct data points every
+/// KL estimate sums over -- in one LRU under one byte capacity, keyed by
+/// content identity (see CsvKey, SyntheticKey, ArtifactKey; the three
+/// artifact kinds share a table's ArtifactKey). Entries hold shared
+/// ownership, so an eviction only drops the cache's reference: runs that
+/// pinned a value keep using it.
 ///
 /// One mutex guards the LRU, the resident-byte count, the counters and
 /// the builds in flight. Concurrent misses on one key share one build:
@@ -50,7 +53,7 @@ std::uint64_t ResidentBytes(const std::vector<RowId>& order);
 class ContentCache {
  public:
   /// What an entry holds; a key names one value per kind.
-  enum class Kind { kTable, kGrouped, kHilbertOrder };
+  enum class Kind { kTable, kGrouped, kHilbertOrder, kKlPoints };
 
   struct Counts {
     std::uint64_t hits = 0;
@@ -59,6 +62,7 @@ class ContentCache {
   struct Stats {
     Counts tables;     ///< Kind::kTable lookups
     Counts artifacts;  ///< Kind::kGrouped and Kind::kHilbertOrder lookups
+    Counts kl_points;  ///< Kind::kKlPoints lookups
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
     std::uint64_t resident_bytes = 0;
@@ -130,7 +134,7 @@ class ContentCache {
   };
   // Per Kind, so a lookup needs no composite key.
   template <typename V>
-  using PerKind = std::array<std::unordered_map<std::string, V>, 3>;
+  using PerKind = std::array<std::unordered_map<std::string, V>, 4>;
 
   std::shared_ptr<const void> GetOrBuildErased(Kind kind, const std::string& key,
                                                const std::function<Entry()>& build, bool* hit);

@@ -8,6 +8,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/memory_budget.h"
 #include "common/parallel.h"
@@ -97,6 +98,50 @@ std::optional<PipelineError> CheckSchemaLimits(const JobSpec& spec, const Engine
                                  "KL estimate; --kl=false skips it and lifts this limit");
   }
   return std::nullopt;
+}
+
+// The files `spec` asks for besides the releases and reports, written
+// before its jobs run: the emit-input copy, then a raw input's dictionary
+// sidecar (so the sidecar is the first file of a raw run without one).
+std::optional<PipelineError> WriteSideFiles(const JobSpec& spec, const JobResult& result,
+                                            std::string* notices) {
+  std::string error;
+  if (!spec.emit_input.empty()) {
+    // ResolveJobSpec guarantees a single-table grid when emit_input is
+    // set, so tables.front() is the one input.
+    if (!WriteTableCsv(result.tables.front()->table, spec.emit_input, &error)) {
+      return IoError(error);
+    }
+    if (notices != nullptr) *notices += "wrote input table to " + spec.emit_input + "\n";
+  }
+
+  // A raw (dictionary-coded) input serializes its dictionaries alongside
+  // the releases so the codes stay machine-recoverable.
+  const Schema& schema = result.tables.front()->table.schema();
+  if (schema.has_dictionaries()) {
+    const std::string dict_path = spec.out + "_dict.csv";
+    if (!WriteDictionaryCsv(schema, dict_path, &error)) return IoError(error);
+    if (notices != nullptr) *notices += "wrote value dictionaries to " + dict_path + "\n";
+  }
+  return std::nullopt;
+}
+
+// Where job `index` of `job_count` writes its release: a single job always
+// writes one at <out>; a sweep only with write_releases, at <out>.jobK.
+std::optional<std::string> ReleaseStem(const JobSpec& spec, std::size_t job_count,
+                                       std::size_t index) {
+  if (job_count == 1) return spec.out;
+  if (!spec.write_releases) return std::nullopt;
+  return spec.out + ".job" + std::to_string(index);
+}
+
+// Keeps only what the reports read of a finished job: its scalars. The
+// partition and the published forms go once the release is written.
+void RetireOutcome(AnonymizationOutcome* outcome) {
+  outcome->partition = Partition();
+  outcome->generalized.reset();
+  outcome->boxes.reset();
+  outcome->single_dim.reset();
 }
 
 }  // namespace
@@ -204,14 +249,16 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, const Wor
   Workspace build_ws(run.threads(), run.budget());
   std::vector<char> need_grouped(result->tables.size(), 0);
   std::vector<char> need_order(result->tables.size(), 0);
+  std::vector<char> need_points(result->tables.size(), 0);
   for (const RunSpec& spec : specs) {
     if (AlgorithmUsesGroupedArtifact(spec.algorithm)) need_grouped[spec.table_index] = 1;
     if (AlgorithmUsesHilbertOrderArtifact(spec.algorithm)) need_order[spec.table_index] = 1;
+    if (spec.options.compute_kl) need_points[spec.table_index] = 1;
   }
 
   std::uint64_t resident_bytes = 0;
   for (std::size_t i = 0; i < result->tables.size(); ++i) {
-    if (need_grouped[i] == 0 && need_order[i] == 0) continue;
+    if (need_grouped[i] == 0 && need_order[i] == 0 && need_points[i] == 0) continue;
     const EngineTable& input = *result->tables[i];
     // Cross-run caching needs a content-identity key and an in-RAM table
     // (a paged table's artifacts are rebuilt per run like the table
@@ -251,11 +298,26 @@ std::uint64_t Engine::ResolveArtifacts(std::span<const RunSpec> specs, const Wor
       if (eligible) ++(hit ? result->artifact_hits : result->artifact_misses);
       resident_bytes += ResidentBytes(*artifacts.hilbert_order);
     }
+
+    // The KL point set is shared like the others but stays out of the
+    // artifact hit/miss counts, which report the solver inputs.
+    if (need_points[i] != 0) {
+      const std::function<std::shared_ptr<const std::vector<KlPoint>>()> build = [&] {
+        return std::make_shared<const std::vector<KlPoint>>(
+            KlDistinctPoints(input.table, &build_ws));
+      };
+      bool hit = false;
+      artifacts.kl_points =
+          eligible ? cache_.GetOrBuild(ContentCache::Kind::kKlPoints, key, build, &hit)
+                   : build();
+      resident_bytes += ResidentBytes(*artifacts.kl_points);
+    }
   }
   return resident_bytes;
 }
 
-Expected<JobResult, PipelineError> Engine::Solve(const ResolvedJobSpec& resolved) {
+Expected<JobResult, PipelineError> Engine::Solve(const ResolvedJobSpec& resolved,
+                                                 bool write_outputs, std::string* notices) {
   const JobSpec& spec = resolved.spec;
   JobResult result;
   // The run's own context: one thread count for the batch workers and the
@@ -274,6 +336,9 @@ Expected<JobResult, PipelineError> Engine::Solve(const ResolvedJobSpec& resolved
   for (const std::shared_ptr<const EngineTable>& input : result.tables) {
     if (std::optional<PipelineError> error = CheckSchemaLimits(spec, *input)) return *error;
   }
+  if (write_outputs) {
+    if (std::optional<PipelineError> error = WriteSideFiles(spec, result, notices)) return *error;
+  }
 
   AnonymizerOptions algo_options;
   algo_options.compute_kl = spec.compute_kl;
@@ -281,10 +346,10 @@ Expected<JobResult, PipelineError> Engine::Solve(const ResolvedJobSpec& resolved
       ExpandRunGrid(spec.algorithms, spec.ls, result.tables.size(), algo_options);
   result.jobs.reserve(specs.size());
 
-  // Resolve the GroupedTable / Hilbert order once per distinct table --
-  // the sweep's jobs share them -- and charge the run's budget for the
-  // bytes it now pins (cached artifacts carry no reservation of their
-  // own; see GroupedTable::ReleaseBudgetCharge).
+  // Resolve the GroupedTable, Hilbert order and KL point set once per
+  // distinct table -- the sweep's jobs share them -- and charge the run's
+  // budget for the bytes it now pins (cached artifacts carry no
+  // reservation of their own; see GroupedTable::ReleaseBudgetCharge).
   const std::uint64_t artifact_bytes = ResolveArtifacts(specs, run, &result);
   MemoryReservation artifacts_reservation(run.budget(), artifact_bytes);
 
@@ -293,25 +358,45 @@ Expected<JobResult, PipelineError> Engine::Solve(const ResolvedJobSpec& resolved
   for (const std::shared_ptr<const EngineTable>& input : result.tables) {
     tables.push_back(&input->table);
   }
+  // Writing runs hold only the outcomes in flight: the worker that solved
+  // a job writes its release and retires the outcome to its report
+  // scalars before it claims the next job.
+  std::vector<std::optional<std::string>> release_errors(specs.size());
+  JobDone on_done;
+  if (write_outputs) {
+    on_done = [&](std::size_t i, AnonymizationOutcome& outcome) {
+      if (const std::optional<std::string> stem = ReleaseStem(spec, specs.size(), i)) {
+        std::string error;
+        if (!WriteReleaseForOutcome(*tables[specs[i].table_index], outcome, *stem, &error)) {
+          release_errors[i] = std::move(error);
+        }
+      }
+      RetireOutcome(&outcome);
+    };
+  }
   // Every spec list, one job included, runs through AnonymizeBatch, which
   // splits the run's thread count between job-level workers and the
   // kernels.
   std::vector<AnonymizationOutcome> outcomes =
-      AnonymizeBatch(specs, tables, result.artifacts, run);
+      AnonymizeBatch(specs, tables, result.artifacts, run, on_done);
   for (std::size_t i = 0; i < specs.size(); ++i) {
+    // The lowest-indexed failure, whichever worker hit one first.
+    if (release_errors[i].has_value()) return IoError(*release_errors[i]);
     result.jobs.push_back({specs[i], std::move(outcomes[i])});
   }
   return result;
 }
 
-Expected<JobResult, PipelineError> Engine::RunResolved(const ResolvedJobSpec& resolved) {
+Expected<JobResult, PipelineError> Engine::RunResolved(const ResolvedJobSpec& resolved,
+                                                       bool write_outputs,
+                                                       std::string* notices) {
   // This is the I/O unwind boundary: a spill, page, sort, or ingestion
   // syscall failure anywhere below (including inside parallel kernels)
   // throws IoFailure, RAII reclaims the spill files and budget
   // reservations on the way up, and the caller sees a typed io error --
   // never an abort.
   try {
-    return Solve(resolved);
+    return Solve(resolved, write_outputs, notices);
   } catch (const IoFailure& failure) {
     return IoError(failure.what());
   }
@@ -320,20 +405,26 @@ Expected<JobResult, PipelineError> Engine::RunResolved(const ResolvedJobSpec& re
 Expected<JobResult, PipelineError> Engine::Run(const JobSpec& spec) {
   Expected<ResolvedJobSpec, PipelineError> resolved = ResolveJobSpec(spec);
   if (!resolved.ok()) return resolved.error();
-  return RunResolved(*resolved);
+  return RunResolved(*resolved, /*write_outputs=*/false, nullptr);
 }
 
 Expected<ExecuteSummary, PipelineError> Engine::Execute(const JobSpec& spec,
                                                         std::string* notices) {
   Expected<ResolvedJobSpec, PipelineError> resolved = ResolveJobSpec(spec);
   if (!resolved.ok()) return resolved.error();
-  Expected<JobResult, PipelineError> result = RunResolved(*resolved);
+  Expected<JobResult, PipelineError> result =
+      RunResolved(*resolved, /*write_outputs=*/true, notices);
   if (!result.ok()) return result.error();
-  std::optional<PipelineError> write_error = WriteJobOutputs(resolved->spec, *result, notices);
-  if (write_error.has_value()) return *write_error;
+  const std::string& out = resolved->spec.out;
+  ReportOptions report_options;
+  report_options.include_seconds = resolved->spec.timings;
+  std::string error;
+  if (!WriteJsonReport(*result, out + ".json", report_options, &error) ||
+      !WriteMetricsCsv(*result, out + "_metrics.csv", report_options, &error)) {
+    return IoError(error);
+  }
 
   ExecuteSummary summary;
-  summary.job_count = result->jobs.size();
   for (const EngineJob& job : result->jobs) {
     if (!job.outcome.feasible) ++summary.infeasible;
   }
@@ -343,9 +434,10 @@ Expected<ExecuteSummary, PipelineError> Engine::Execute(const JobSpec& spec,
   summary.artifact_hits = result->artifact_hits;
   summary.artifact_misses = result->artifact_misses;
   // A sweep treats infeasible cells as data; a single run fails loudly.
-  summary.exit_code = (summary.job_count == 1 && summary.infeasible > 0)
+  summary.exit_code = (result->jobs.size() == 1 && summary.infeasible > 0)
                           ? ExitCodeFor(PipelineErrorCode::kInfeasible)
                           : 0;
+  summary.jobs = std::move(result->jobs);
   return summary;
 }
 

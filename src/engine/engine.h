@@ -50,10 +50,11 @@ struct EngineJob {
 /// Everything one Engine::Run produced, in deterministic job order (the
 /// ExpandRunGrid order: table-major, then algorithm, then l). Tables are
 /// shared with the engine's ContentCache; entries may alias across
-/// JobResults.
+/// JobResults. Inside Engine::Execute each outcome is retired to the
+/// scalars the reports read as soon as its release is written.
 struct JobResult {
   std::vector<std::shared_ptr<const EngineTable>> tables;
-  /// Pre-resolved solver artifacts, parallel to `tables` (empty structs
+  /// Pre-resolved table artifacts, parallel to `tables` (empty structs
   /// for tables whose jobs consume none). Shared with the ContentCache;
   /// holding them here keeps every artifact alive for the whole run even
   /// if the cache evicts it mid-flight.
@@ -69,8 +70,8 @@ struct JobResult {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// ContentCache artifact lookups of this run's GroupedTable /
-  /// Hilbert-order resolution (0/0 when no job consumes artifacts or the
-  /// tables were cache-ineligible).
+  /// Hilbert-order resolution (0/0 when no job consumes them or the
+  /// tables were cache-ineligible). KL point-set lookups are not counted.
   std::uint64_t artifact_hits = 0;
   std::uint64_t artifact_misses = 0;
 };
@@ -78,7 +79,6 @@ struct JobResult {
 /// Byte-compare-friendly summary of an Execute call, the payload a daemon
 /// reply carries back to the submitting client.
 struct ExecuteSummary {
-  std::size_t job_count = 0;
   std::size_t infeasible = 0;
   unsigned threads = 1;
   std::uint64_t cache_hits = 0;
@@ -89,19 +89,24 @@ struct ExecuteSummary {
   /// single-job run was infeasible) -- `ldiv submit` exits with it so a
   /// scripted submit is a drop-in for a one-shot invocation.
   int exit_code = 0;
+  /// Every job in job order, each outcome retired to its report scalars
+  /// (no partition or published form), for per-job summary lines.
+  std::vector<EngineJob> jobs;
 };
 
 struct EngineOptions {
   /// ContentCache capacity, fixed for the engine's lifetime: input tables,
-  /// GroupedTables and Hilbert row orders together. 0 keeps nothing.
+  /// GroupedTables, Hilbert row orders and KL point sets together. 0 keeps
+  /// nothing.
   std::uint64_t cache_bytes = 512u << 20;
 };
 
 /// The reusable anonymization engine behind every front-end: one object
 /// that validates JobSpecs (ResolveJobSpec), materializes inputs and
-/// their solver artifacts through one cross-job ContentCache, and runs
-/// the algorithms x (l, n, d) grid through AnonymizeBatch. The one-shot
-/// CLI calls Run; the daemon's workers call Execute.
+/// their artifacts through one cross-job ContentCache, and runs the
+/// algorithms x (l, n, d) grid through AnonymizeBatch. The one-shot CLI
+/// and the daemon's workers call Execute; Run serves library callers
+/// that want whole outcomes.
 ///
 /// Runs are independent and may execute concurrently: each builds its own
 /// context -- a Workspace carrying the spec's thread count and a
@@ -113,18 +118,23 @@ class Engine {
  public:
   explicit Engine(EngineOptions options = {});
 
-  /// Validates, materializes and solves `spec`; no outputs are written.
-  /// Infeasible jobs are not an error (reported with feasible = false).
-  /// A budgeted (memory_budget != 0) result may hold paged tables; they
-  /// share ownership of the run's own budget, so the JobResult can
-  /// outlive the call and later runs freely.
+  /// Validates, materializes and solves `spec`; no outputs are written,
+  /// and every outcome is kept whole. Infeasible jobs are not an error
+  /// (reported with feasible = false). A budgeted (memory_budget != 0)
+  /// result may hold paged tables; they share ownership of the run's own
+  /// budget, so the JobResult can outlive the call and later runs freely.
   Expected<JobResult, PipelineError> Run(const JobSpec& spec);
 
-  /// Run + write every output the spec asks for (release(s), reports,
-  /// dictionary sidecar, emit-input), destroying the JobResult before
-  /// returning. Safe to call from several threads at once. Notice lines
-  /// ("wrote value dictionaries to ...") append to `*notices` when
-  /// non-null.
+  /// Runs `spec` and writes every output it asks for, holding only the
+  /// outcomes in flight: the emit-input copy and a raw input's dictionary
+  /// sidecar before the batch starts, each job's release from the worker
+  /// that solved it (single runs always write one; sweeps only with
+  /// write_releases, at <out>.jobK stems), after which its outcome is
+  /// retired to its report scalars, and the JSON/CSV reports last. When
+  /// release writes fail, the error of the lowest-indexed job is returned
+  /// and no report is written. Safe to call from several threads at
+  /// once. Notice lines ("wrote value dictionaries to ...") append to
+  /// `*notices` when non-null.
   Expected<ExecuteSummary, PipelineError> Execute(const JobSpec& spec,
                                                   std::string* notices = nullptr);
 
@@ -132,15 +142,19 @@ class Engine {
 
  private:
   /// Solve inside the I/O unwind boundary (IoFailure -> typed io error).
-  Expected<JobResult, PipelineError> RunResolved(const ResolvedJobSpec& resolved);
-  Expected<JobResult, PipelineError> Solve(const ResolvedJobSpec& resolved);
+  /// With `write_outputs` (Execute) the run writes the side files and the
+  /// releases as it goes and retires each outcome; see Execute.
+  Expected<JobResult, PipelineError> RunResolved(const ResolvedJobSpec& resolved,
+                                                 bool write_outputs, std::string* notices);
+  Expected<JobResult, PipelineError> Solve(const ResolvedJobSpec& resolved, bool write_outputs,
+                                           std::string* notices);
   Expected<bool, PipelineError> MaterializeTables(const ResolvedJobSpec& resolved,
                                                   const Workspace& run, JobResult* result);
-  /// Resolves the GroupedTable / Hilbert-order artifacts each distinct
-  /// table's jobs consume -- once per table, through the ContentCache
-  /// when the table is cache-eligible (non-empty cache_key, not paged).
-  /// Returns the total resident bytes of the artifacts now pinned by
-  /// `result`, so the run can charge them to its budget.
+  /// Resolves the GroupedTable / Hilbert-order / KL point-set artifacts
+  /// each distinct table's jobs consume -- once per table, through the
+  /// ContentCache when the table is cache-eligible (non-empty cache_key,
+  /// not paged). Returns the total resident bytes of the artifacts now
+  /// pinned by `result`, so the run can charge them to its budget.
   std::uint64_t ResolveArtifacts(std::span<const RunSpec> specs, const Workspace& run,
                                  JobResult* result);
 

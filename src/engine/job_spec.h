@@ -26,7 +26,7 @@ inline constexpr std::uint32_t kJobSpecVersion = 1;
 /// what to run, under which thread/memory budgets, and which outputs to
 /// write. It is the only description of a run: the one-shot CLI reads its
 /// flags into one, `ldiv submit` serializes one onto the daemon socket,
-/// and both meet in Engine::Run, so outputs are byte-identical by
+/// and both meet in Engine::Execute, so outputs are byte-identical by
 /// construction. The member initializers are the only defaults.
 ///
 /// A JobSpec is *syntactically* well-formed data; ResolveJobSpec performs

@@ -238,46 +238,4 @@ bool WriteReleaseForOutcome(const Table& table, const AnonymizationOutcome& outc
   return st.Close(qit_ok ? error : nullptr) && qit_ok;
 }
 
-std::optional<PipelineError> WriteJobOutputs(const JobSpec& spec, const JobResult& result,
-                                             std::string* notices) {
-  std::string error;
-  if (!spec.emit_input.empty()) {
-    // ResolveJobSpec guarantees a single-table grid when emit_input is
-    // set, so tables.front() is the one input.
-    if (!WriteTableCsv(result.tables.front()->table, spec.emit_input, &error)) {
-      return IoError(error);
-    }
-    if (notices != nullptr) *notices += "wrote input table to " + spec.emit_input + "\n";
-  }
-
-  // A raw (dictionary-coded) input serializes its dictionaries alongside
-  // the releases so the codes stay machine-recoverable.
-  if (!result.tables.empty() && result.tables.front()->table.schema().has_dictionaries()) {
-    std::string dict_path = spec.out + "_dict.csv";
-    if (!WriteDictionaryCsv(result.tables.front()->table.schema(), dict_path, &error)) {
-      return IoError(error);
-    }
-    if (notices != nullptr) *notices += "wrote value dictionaries to " + dict_path + "\n";
-  }
-
-  // Releases: single-job runs always write one; sweeps write per-job
-  // releases only on request (write_releases).
-  const bool single = result.jobs.size() == 1;
-  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-    if (!single && !spec.write_releases) break;
-    const EngineJob& job = result.jobs[i];
-    std::string stem = single ? spec.out : spec.out + ".job" + std::to_string(i);
-    const Table& table = result.tables[job.spec.table_index]->table;
-    if (!WriteReleaseForOutcome(table, job.outcome, stem, &error)) return IoError(error);
-  }
-
-  ReportOptions report_options;
-  report_options.include_seconds = spec.timings;
-  if (!WriteJsonReport(result, spec.out + ".json", report_options, &error) ||
-      !WriteMetricsCsv(result, spec.out + "_metrics.csv", report_options, &error)) {
-    return IoError(error);
-  }
-  return std::nullopt;
-}
-
 }  // namespace ldv

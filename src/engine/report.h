@@ -1,7 +1,6 @@
 #ifndef LDIV_ENGINE_REPORT_H_
 #define LDIV_ENGINE_REPORT_H_
 
-#include <optional>
 #include <string>
 
 #include "engine/engine.h"
@@ -40,16 +39,6 @@ bool WriteMetricsCsv(const JobResult& result, const std::string& path,
 /// nothing and succeed. Returns false with `*error` set on I/O failure.
 bool WriteReleaseForOutcome(const Table& table, const AnonymizationOutcome& outcome,
                             const std::string& stem, std::string* error);
-
-/// Writes everything `spec` asks for from a completed run, in the order
-/// the one-shot CLI always has: the emit-input copy, the dictionary
-/// sidecar of a raw input, the release(s) (single runs always write one;
-/// sweeps only with write_releases, at <out>.jobK stems), and the
-/// JSON/CSV reports. One "wrote ..." notice line per side artifact
-/// appends to `*notices` (may be null) for the front-end to print.
-/// Returns the I/O error that stopped the writes, or nullopt on success.
-std::optional<PipelineError> WriteJobOutputs(const JobSpec& spec, const JobResult& result,
-                                             std::string* notices);
 
 }  // namespace ldv
 

@@ -74,33 +74,13 @@ class PointPacker {
   std::uint64_t sa_stride_ = 0;
 };
 
-// One distinct data point: its packed id, a representative row and its
-// multiplicity.
-struct PointCount {
-  std::uint64_t key = 0;
-  RowId representative = 0;
-  std::uint32_t count = 0;
-};
-
-// The distinct data points of `table` in first-occurrence row order
-// (deterministic, unlike the seed's unordered_map bucket order). The
-// FlatMap only resolves duplicates; the sums below iterate the flat
-// vector.
-std::vector<PointCount> DistinctPoints(const Table& table, const PointPacker& packer,
-                                       Workspace& ws) {
-  std::vector<std::uint64_t> keys = packer.PackAllRows(table, /*include_sa=*/true, ws);
-  std::vector<PointCount> points;
-  points.reserve(table.size());
-  FlatMap<std::uint32_t> index(table.size());
-  for (RowId r = 0; r < table.size(); ++r) {
-    auto [slot, inserted] = index.TryEmplace(keys[r], static_cast<std::uint32_t>(points.size()));
-    if (inserted) {
-      points.push_back(PointCount{keys[r], r, 1});
-    } else {
-      ++points[*slot].count;
-    }
-  }
-  return points;
+// The estimate's point set: the caller's when it resolved one, else a
+// fresh build kept in `*local`.
+const std::vector<KlPoint>& PointsFor(const Table& table, const std::vector<KlPoint>* points,
+                                      Workspace& ws, std::vector<KlPoint>* local) {
+  if (points != nullptr) return *points;
+  *local = KlDistinctPoints(table, &ws);
+  return *local;
 }
 
 // Chunk sizes of the parallel per-point folds in the estimators below.
@@ -150,12 +130,12 @@ std::vector<double> TilingFstar(const Table& table, const BoxGeneralization& gen
 }
 
 // n * f*(p) of every distinct point of an arbitrary (possibly overlapping)
-// box set, indexed by the point's representative row: the sum over every
-// box containing p, in ascending group order. Candidate boxes per point
-// come from an inverted index on attribute 0; the containment loop tests
-// the remaining attributes.
+// box set, indexed by the point's first row: the sum over every box
+// containing p, in ascending group order. Candidate boxes per point come
+// from an inverted index on attribute 0; the containment loop tests the
+// remaining attributes.
 std::vector<double> StabbingFstar(const Table& table, const BoxGeneralization& gen,
-                                  const std::vector<PointCount>& points, Workspace& ws) {
+                                  const std::vector<KlPoint>& points, Workspace& ws) {
   const std::size_t m = table.schema().sa_domain_size();
   const std::size_t d = table.qi_count();
   const std::size_t group_count = gen.group_count();
@@ -211,13 +191,13 @@ std::vector<double> StabbingFstar(const Table& table, const BoxGeneralization& g
     }
   }
 
-  // Per-attribute column base pointers for the representative-row probes.
+  // Per-attribute column base pointers for the first-row probes.
   std::vector<const Value*> cols(d);
   for (std::size_t a = 0; a < d; ++a) cols[a] = table.column(static_cast<AttrId>(a)).data();
 
   // The stabbing loop reads only the index structures built above, so the
   // distinct points fan out in fixed chunks, each point writing its own
-  // representative's slot.
+  // first row's slot.
   std::vector<double> fstar(table.size(), 0.0);
   ParallelFor(points.size(), kKlMultiDimPointGrain, ws,
               [&](std::size_t begin, std::size_t end, Workspace& cws) {
@@ -225,7 +205,7 @@ std::vector<double> StabbingFstar(const Table& table, const BoxGeneralization& g
                 std::vector<std::uint32_t>& point = *point_s;
                 point.resize(d);
                 for (std::size_t p = begin; p < end; ++p) {
-                  const RowId rep = points[p].representative;
+                  const RowId rep = points[p].first_row;
                   const Value qi0 = cols[0][rep];
                   const SaValue sa = table.sa(rep);
                   for (std::size_t a = 1; a < d; ++a) point[a] = cols[a][rep];
@@ -255,6 +235,30 @@ bool KlPointIdsFit(const Schema& schema) {
   return PointStrides(schema, &strides);
 }
 
+std::vector<KlPoint> KlDistinctPoints(const Table& table, Workspace* workspace) {
+  Workspace local;
+  Workspace& ws = workspace != nullptr ? *workspace : local;
+  const PointPacker packer(table.schema());
+  std::vector<KlPoint> points;
+  {
+    // The FlatMap only resolves duplicates: ids in first-occurrence row
+    // order (deterministic, unlike the seed's unordered_map bucket order).
+    const std::vector<std::uint64_t> keys = packer.PackAllRows(table, /*include_sa=*/true, ws);
+    FlatMap<std::uint32_t> index(table.size());
+    points.reserve(table.size());
+    for (RowId r = 0; r < table.size(); ++r) {
+      auto [slot, inserted] = index.TryEmplace(keys[r], static_cast<std::uint32_t>(points.size()));
+      if (inserted) {
+        points.push_back(KlPoint{r, 1});
+      } else {
+        ++points[*slot].count;
+      }
+    }
+  }
+  points.shrink_to_fit();  // a resolved set lives as long as its table's artifacts
+  return points;
+}
+
 bool KlSingleDimKeysFit(const Schema& schema) {
   std::uint64_t keys = schema.sa_domain_size();
   for (AttrId a = 0; a < schema.qi_count(); ++a) {
@@ -266,7 +270,7 @@ bool KlSingleDimKeysFit(const Schema& schema) {
 }
 
 double KlDivergenceSuppression(const Table& table, const GeneralizedTable& generalized,
-                               Workspace* workspace) {
+                               Workspace* workspace, const std::vector<KlPoint>* points) {
   if (table.empty()) return 0.0;
   const Schema& schema = table.schema();
   const std::size_t d = table.qi_count();
@@ -356,13 +360,13 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
   // (independent, branch-free lookups the core can overlap). Every point
   // adds one term per bucket into its f*, in bucket order: the mass it
   // hits, or +0.0 on a miss, which leaves the sum's bits unchanged -- so
-  // f* is the point-major loop's sum of hits, bit for bit. The no-star
-  // bucket packs exactly like the point ids, so it probes by id, and only
-  // the columns some starred bucket projects are gathered.
+  // f* is the point-major loop's sum of hits, bit for bit. Only the
+  // columns some bucket projects are gathered; the no-star bucket packs
+  // them exactly like the point ids.
   std::vector<AttrId> projected;
   for (AttrId a = 0; a < d; ++a) {
     for (const MaskBucket& bucket : buckets) {
-      if (bucket.mask != 0 && ((bucket.mask >> a) & 1u) == 0) {
+      if (((bucket.mask >> a) & 1u) == 0) {
         projected.push_back(a);
         break;
       }
@@ -370,16 +374,16 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
   }
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
-  PointPacker packer(schema);
-  const std::vector<PointCount> points = DistinctPoints(table, packer, ws);
+  std::vector<KlPoint> local_points;
+  const std::vector<KlPoint>& kl_points = PointsFor(table, points, ws, &local_points);
   return ParallelReduce(
-      points.size(), kKlSuppressionPointGrain, ws, 0.0,
+      kl_points.size(), kKlSuppressionPointGrain, ws, 0.0,
       [&](std::size_t begin, std::size_t end, Workspace& cws) {
         const std::size_t len = end - begin;
         auto reps_s = cws.U32();
         std::vector<std::uint32_t>& reps = *reps_s;
         reps.resize(len);
-        for (std::size_t i = 0; i < len; ++i) reps[i] = points[begin + i].representative;
+        for (std::size_t i = 0; i < len; ++i) reps[i] = kl_points[begin + i].first_row;
         // Column a: the chunk's QI values of attribute a; column d: SA.
         auto columns_s = cws.U32();
         std::vector<std::uint32_t>& columns = *columns_s;
@@ -396,16 +400,11 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
         std::vector<double>& fstar = *fstar_s;  // n * f*(p)
         fstar.assign(len, 0.0);
         for (const MaskBucket& bucket : buckets) {
-          if (bucket.mask == 0) {
-            for (std::size_t i = 0; i < len; ++i) probes[i] = points[begin + i].key;
-          } else {
-            std::fill(probes.begin(), probes.end(), 0);
-            simd::StrideAccumulate(probes.data(), columns.data() + d * len, bucket.sa_stride,
-                                   len);
-            for (std::size_t i = 0; i < bucket.unstarred.size(); ++i) {
-              simd::StrideAccumulate(probes.data(), columns.data() + bucket.unstarred[i] * len,
-                                     bucket.strides[i], len);
-            }
+          std::fill(probes.begin(), probes.end(), 0);
+          simd::StrideAccumulate(probes.data(), columns.data() + d * len, bucket.sa_stride, len);
+          for (std::size_t i = 0; i < bucket.unstarred.size(); ++i) {
+            simd::StrideAccumulate(probes.data(), columns.data() + bucket.unstarred[i] * len,
+                                   bucket.strides[i], len);
           }
           simd::WindowProbeAdd(bucket.table.keys(), bucket.table.bits(),
                                bucket.table.slot_mask(), probes.data(), len, fstar.data());
@@ -413,7 +412,7 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
         double partial = 0.0;
         for (std::size_t i = 0; i < len; ++i) {
           LDIV_CHECK_GT(fstar[i], 0.0) << "f* must cover every data point";
-          const double count = points[begin + i].count;
+          const double count = kl_points[begin + i].count;
           partial += (count / n) * std::log(count / fstar[i]);
         }
         return partial;
@@ -422,28 +421,28 @@ double KlDivergenceSuppression(const Table& table, const GeneralizedTable& gener
 }
 
 double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
-                            Workspace* workspace) {
+                            Workspace* workspace, const std::vector<KlPoint>* points) {
   if (table.empty()) return 0.0;
   const double n = static_cast<double>(table.size());
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
-  PointPacker packer(table.schema());
-  const std::vector<PointCount> points = DistinctPoints(table, packer, ws);
+  std::vector<KlPoint> local_points;
+  const std::vector<KlPoint>& kl_points = PointsFor(table, points, ws, &local_points);
   const std::vector<double> fstar =
-      gen.tiling() ? TilingFstar(table, gen, ws) : StabbingFstar(table, gen, points, ws);
+      gen.tiling() ? TilingFstar(table, gen, ws) : StabbingFstar(table, gen, kl_points, ws);
   // Term i of a chunk adds into lane i mod 4 and the lanes fold as
   // ((a0 + a1) + a2) + a3. The four lanes exist only to keep the
   // estimate's bits: this is the summation order the pinned KL values
   // (kl_divergence_test's KlGolden) were computed in, and one running sum
   // would round differently.
   return ParallelReduce(
-      points.size(), kKlMultiDimPointGrain, ws, 0.0,
+      kl_points.size(), kKlMultiDimPointGrain, ws, 0.0,
       [&](std::size_t begin, std::size_t end, Workspace&) {
         double acc[4] = {0.0, 0.0, 0.0, 0.0};
         for (std::size_t p = begin; p < end; ++p) {
-          const double fstar_n = fstar[points[p].representative];
+          const double fstar_n = fstar[kl_points[p].first_row];
           LDIV_CHECK_GT(fstar_n, 0.0) << "f* must cover every data point";
-          const double count = points[p].count;
+          const double count = kl_points[p].count;
           acc[(p - begin) & 3] += (count / n) * std::log(count / fstar_n);
         }
         return ((acc[0] + acc[1]) + acc[2]) + acc[3];
@@ -451,7 +450,8 @@ double KlDivergenceMultiDim(const Table& table, const BoxGeneralization& gen,
       std::plus<double>());
 }
 
-double KlDivergenceAnatomy(const Table& table, const Partition& buckets, Workspace* workspace) {
+double KlDivergenceAnatomy(const Table& table, const Partition& buckets, Workspace* workspace,
+                           const std::vector<KlPoint>* points) {
   if (table.empty()) return 0.0;
   const double n = static_cast<double>(table.size());
   const std::size_t m = table.schema().sa_domain_size();
@@ -548,9 +548,10 @@ double KlDivergenceAnatomy(const Table& table, const Partition& buckets, Workspa
     }
   }
 
+  std::vector<KlPoint> local_points;
   double kl = 0.0;
-  for (const PointCount& pc : DistinctPoints(table, packer, ws)) {
-    const double fstar_n = fstar[pc.representative];
+  for (const KlPoint& pc : PointsFor(table, points, ws, &local_points)) {
+    const double fstar_n = fstar[pc.first_row];
     LDIV_CHECK_GT(fstar_n, 0.0);
     double f = static_cast<double>(pc.count) / n;
     kl += f * std::log(static_cast<double>(pc.count) / fstar_n);
@@ -559,7 +560,7 @@ double KlDivergenceAnatomy(const Table& table, const Partition& buckets, Workspa
 }
 
 double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& gen,
-                             Workspace* workspace) {
+                             Workspace* workspace, const std::vector<KlPoint>* points) {
   if (table.empty()) return 0.0;
   const double n = static_cast<double>(table.size());
   const std::size_t d = table.qi_count();
@@ -586,11 +587,11 @@ double KlDivergenceSingleDim(const Table& table, const SingleDimGeneralization& 
 
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
-  PointPacker packer(table.schema());
+  std::vector<KlPoint> local_points;
   double kl = 0.0;
-  for (const PointCount& pc : DistinctPoints(table, packer, ws)) {
-    gather(pc.representative);
-    SaValue sa = table.sa(pc.representative);
+  for (const KlPoint& pc : PointsFor(table, points, ws, &local_points)) {
+    gather(pc.first_row);
+    SaValue sa = table.sa(pc.first_row);
     std::uint64_t cell = gen.PackedCellId(qi);
     double volume = gen.CellVolume(qi);
     const std::uint32_t* count = cell_sa_counts.Find(cell * m + sa);

@@ -325,6 +325,49 @@ TEST(ContentCacheEngine, CsvContentChangeInvalidatesArtifacts) {
   std::remove(path.c_str());
 }
 
+TEST(ContentCacheEngine, RepeatExecuteReusesTheKlPoints) {
+  Rng rng(21);
+  const Table table = testutil::RandomEligibleTable(rng, 300, {6, 4, 5}, 7, 2);
+  const std::string path = testing::TempDir() + "points_input.csv";
+  ASSERT_TRUE(WriteTableCsv(table, path));
+
+  JobSpec spec;
+  spec.input = path;
+  spec.schema_spec = FormatSchemaSpec(table.schema());
+  spec.algorithms.assign(kAllAlgorithms.begin(), kAllAlgorithms.end());
+  spec.ls = {2};
+  spec.timings = false;
+  Engine engine;
+  std::vector<std::string> reports;
+  const auto execute = [&] {
+    spec.out = testing::TempDir() + "points_out" + std::to_string(reports.size());
+    Expected<ExecuteSummary, PipelineError> run = engine.Execute(spec);
+    ASSERT_TRUE(run.ok()) << run.error().message;
+    reports.push_back(ReadFile(spec.out + ".json") + ReadFile(spec.out + "_metrics.csv"));
+    std::remove((spec.out + ".json").c_str());
+    std::remove((spec.out + "_metrics.csv").c_str());
+  };
+
+  execute();
+  execute();
+  ContentCache::Stats stats = engine.cache().stats();
+  EXPECT_EQ(stats.kl_points.misses, 1u) << "one point-set build serves both runs";
+  EXPECT_EQ(stats.kl_points.hits, 1u);
+  EXPECT_FALSE(reports[0].empty());
+  EXPECT_EQ(reports[0], reports[1]);
+
+  // A changed CSV is a new table key, so its points are built anew.
+  Rng changed_rng(22);
+  const Table changed = testutil::RandomEligibleTable(changed_rng, 320, {6, 4, 5}, 7, 2);
+  ASSERT_TRUE(WriteTableCsv(changed, path));
+  execute();
+  stats = engine.cache().stats();
+  EXPECT_EQ(stats.kl_points.misses, 2u) << "a changed CSV must not reuse stale points";
+  EXPECT_EQ(stats.kl_points.hits, 1u);
+  EXPECT_NE(reports[2], reports[0]);
+  std::remove(path.c_str());
+}
+
 TEST(ContentCacheEngine, SchemaSpellingsShareOneTableEntry) {
   // "79,2,9|50" names its attributes Q1..Q3 and S, exactly as the spelled-
   // out form does: one Schema, so one cache entry and the same outputs.
@@ -438,11 +481,13 @@ TEST(ContentCacheEngine, ForcedEvictionRefaultsByteForByte) {
   Expected<JobResult, PipelineError> reference = roomy.Run(spec);
   ASSERT_TRUE(reference.ok()) << reference.error().message;
   EXPECT_EQ(reference->artifact_misses, 2u);
+  EXPECT_EQ(roomy.cache().stats().kl_points.misses, 1u);
+  EXPECT_EQ(roomy.cache().stats().entries, 4u);
   const std::uint64_t resident = roomy.cache().stats().resident_bytes;
   ASSERT_GT(resident, 0u);
 
-  // A cache one byte short of the table and both artifacts evicts as the
-  // last one lands; the next run refaults what it lost and must still
+  // A cache one byte short of the table and its three artifacts evicts as
+  // the last one lands; the next run refaults what it lost and must still
   // match.
   Engine tight(EngineOptions{resident - 1});
   ASSERT_TRUE(tight.Run(spec).ok());
@@ -450,6 +495,7 @@ TEST(ContentCacheEngine, ForcedEvictionRefaultsByteForByte) {
   Expected<JobResult, PipelineError> refaulted = tight.Run(spec);
   ASSERT_TRUE(refaulted.ok()) << refaulted.error().message;
   EXPECT_GT(refaulted->artifact_misses, 0u) << "the evicted artifact must refault";
+  EXPECT_GT(tight.cache().stats().kl_points.misses, 1u) << "so must the evicted point set";
 
   ReportOptions options;
   options.include_seconds = false;

@@ -11,8 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "cli/cli_options.h"
 #include "common/csv.h"
 #include "common/expected.h"
+#include "common/failpoint.h"
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/schema_spec.h"
@@ -305,8 +308,10 @@ TEST(Engine, SweepResolvesArtifactsOnceAndRepeatRunsHitTheCache) {
   const ContentCache::Stats stats = engine.cache().stats();
   EXPECT_EQ(stats.artifacts.misses, 2u);
   EXPECT_EQ(stats.artifacts.hits, 2u);
-  EXPECT_EQ(stats.insertions, 3u) << "the table and its two artifacts";
-  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.kl_points.misses, 1u) << "one KL point set for the whole sweep";
+  EXPECT_EQ(stats.kl_points.hits, 1u);
+  EXPECT_EQ(stats.insertions, 4u) << "the table and its three artifacts";
+  EXPECT_EQ(stats.entries, 4u);
   EXPECT_GT(stats.resident_bytes, 0u);
 
   ReportOptions options;
@@ -341,8 +346,8 @@ TEST(Engine, DisabledCacheMatchesTheHitPathByteForByte) {
 }
 
 TEST(Engine, MatchesTheCliAdapterByteForByte) {
-  // The one-shot CLI runs Engine::Run on the JobSpec it reads from argv;
-  // it must match the same job written as a JobSpec.
+  // The one-shot CLI runs the JobSpec it reads from argv through the
+  // engine; it must match the same job written as a JobSpec.
   const char* argv[] = {"ldiv", "--dataset=sal", "--n=900", "--d=3",
                         "--algo=tp+", "--l=3",       "--no-timings"};
   FlagSet flags;
@@ -562,7 +567,7 @@ TEST(Engine, ExecuteWritesOutputsAndMapsInfeasibleToExitCode) {
   std::string notices;
   Expected<ExecuteSummary, PipelineError> summary = engine.Execute(spec, &notices);
   ASSERT_TRUE(summary.ok()) << summary.error().message;
-  EXPECT_EQ(summary->job_count, 1u);
+  EXPECT_EQ(summary->jobs.size(), 1u);
   EXPECT_EQ(summary->infeasible, 0u);
   EXPECT_EQ(summary->exit_code, 0);
   EXPECT_FALSE(ReadFile(spec.out + ".json").empty());
@@ -594,6 +599,102 @@ std::vector<std::string> OutputFiles(const JobSpec& spec, std::size_t jobs) {
     files.push_back(spec.out + ".job" + std::to_string(k) + "_sa.csv");
   }
   return files;
+}
+
+// Execute writes each job's release from the worker that solved it and
+// then drops the outcome down to its report scalars. A 12-job raw sweep
+// must still write, at 1 and at 4 threads, exactly what Run followed by
+// the release and report writers writes from whole outcomes.
+TEST(Engine, ExecuteRetiresOutcomesWithSameBytes) {
+  JobSpec spec;
+  spec.input = testing::TempDir() + "engine_retire_input.csv";
+  {
+    Rng rng(17);
+    std::ofstream out(spec.input);
+    out << "City,Job,Age,Disease\n";
+    for (int i = 0; i < 600; ++i) {
+      out << "c" << rng.Below(5) << ",j" << rng.Below(4) << ",a" << rng.Below(7) << ",d" << i % 6
+          << "\n";
+    }
+  }
+  spec.algorithms.assign(kAllAlgorithms.begin(), kAllAlgorithms.end());
+  spec.ls = {2, 4};
+  spec.write_releases = true;
+  spec.timings = false;
+  constexpr std::size_t kJobs = 12;
+
+  // The reference: whole outcomes from Run, written by the writers.
+  spec.out = testing::TempDir() + "engine_retire_ref";
+  std::vector<std::string> reference;
+  {
+    Engine engine;
+    Expected<JobResult, PipelineError> run = engine.Run(spec);
+    ASSERT_TRUE(run.ok()) << run.error().message;
+    ASSERT_EQ(run->jobs.size(), kJobs);
+    const Table& table = run->tables.front()->table;
+    std::string error;
+    ASSERT_TRUE(WriteDictionaryCsv(table.schema(), spec.out + "_dict.csv", &error)) << error;
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      EXPECT_NE(run->jobs[i].outcome.partition.group_count(), 0u) << "Run keeps whole outcomes";
+      ASSERT_TRUE(WriteReleaseForOutcome(table, run->jobs[i].outcome,
+                                         spec.out + ".job" + std::to_string(i), &error))
+          << error;
+    }
+    ReportOptions options;
+    options.include_seconds = false;
+    ASSERT_TRUE(WriteJsonReport(*run, spec.out + ".json", options, &error)) << error;
+    ASSERT_TRUE(WriteMetricsCsv(*run, spec.out + "_metrics.csv", options, &error)) << error;
+    for (const std::string& path : OutputFiles(spec, kJobs)) {
+      reference.push_back(ReadFile(path));
+      std::remove(path.c_str());
+    }
+  }
+  const std::vector<std::string> reference_files = OutputFiles(spec, kJobs);
+  std::size_t anatomy_pairs = 0;
+  for (std::size_t f = 0; f < reference.size(); ++f) {
+    if (reference_files[f].ends_with("_sa.csv") && !reference[f].empty()) ++anatomy_pairs;
+  }
+  EXPECT_EQ(anatomy_pairs, 2u) << "both Anatomy jobs write their bucket pair";
+
+  for (const std::uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    spec.threads = threads;
+    spec.out = testing::TempDir() + "engine_retire_" + std::to_string(threads);
+    Engine engine;
+    Expected<ExecuteSummary, PipelineError> summary = engine.Execute(spec);
+    ASSERT_TRUE(summary.ok()) << summary.error().message;
+    ASSERT_EQ(summary->jobs.size(), kJobs);
+    for (const EngineJob& job : summary->jobs) {
+      EXPECT_EQ(job.outcome.partition.group_count(), 0u) << "Execute retires every outcome";
+      EXPECT_EQ(job.outcome.generalized, nullptr);
+      EXPECT_EQ(job.outcome.boxes, nullptr);
+      EXPECT_EQ(job.outcome.single_dim, nullptr);
+      EXPECT_GT(job.outcome.group_stats.group_count, 0u) << "but keeps its report scalars";
+    }
+    const std::vector<std::string> files = OutputFiles(spec, kJobs);
+    ASSERT_EQ(files.size(), reference.size());
+    for (std::size_t f = 0; f < files.size(); ++f) {
+      EXPECT_EQ(ReadFile(files[f]), reference[f]) << files[f];
+      std::remove(files[f].c_str());
+    }
+  }
+
+  // Every release write fails: the run reports job 0's error, whichever
+  // worker failed first, and writes no report.
+  spec.threads = 4;
+  spec.out = testing::TempDir() + "engine_retire_failed";
+  for (const std::string& path : OutputFiles(spec, kJobs)) std::remove(path.c_str());
+  failpoint::Arm(failpoint::Site::kReleaseWrite, failpoint::Injection{ENOSPC, false});
+  const Expected<ExecuteSummary, PipelineError> failed = Engine().Execute(spec);
+  failpoint::DisarmAll();
+  ASSERT_FALSE(failed.ok()) << "armed release.write but the sweep succeeded";
+  EXPECT_EQ(failed.error().code, PipelineErrorCode::kIo);
+  EXPECT_NE(failed.error().message.find("'" + spec.out + ".job0.csv'"), std::string::npos)
+      << failed.error().message;
+  EXPECT_FALSE(std::ifstream(spec.out + ".json").good()) << "a failed run writes no report";
+  EXPECT_FALSE(std::ifstream(spec.out + "_metrics.csv").good());
+  for (const std::string& path : OutputFiles(spec, kJobs)) std::remove(path.c_str());
+  std::remove(spec.input.c_str());
 }
 
 // One Engine serving several Execute calls at once. Each run carries its
@@ -656,7 +757,7 @@ TEST(Engine, ConcurrentExecutesMatchTheirSoloRunsByteForByte) {
     Engine engine;
     Expected<ExecuteSummary, PipelineError> summary = engine.Execute(spec);
     ASSERT_TRUE(summary.ok()) << i << ": " << summary.error().message;
-    for (const std::string& path : OutputFiles(spec, summary->job_count)) {
+    for (const std::string& path : OutputFiles(spec, summary->jobs.size())) {
       solo[i].push_back(ReadFile(path));
       std::remove(path.c_str());
     }
@@ -678,7 +779,7 @@ TEST(Engine, ConcurrentExecutesMatchTheirSoloRunsByteForByte) {
     ASSERT_TRUE(summaries[i]->ok()) << summaries[i]->error().message;
     const ExecuteSummary& summary = summaries[i]->value();
     EXPECT_EQ(summary.threads, specs[i].threads) << "each run reports its own thread count";
-    const std::vector<std::string> files = OutputFiles(concurrent[i], summary.job_count);
+    const std::vector<std::string> files = OutputFiles(concurrent[i], summary.jobs.size());
     ASSERT_EQ(files.size(), solo[i].size());
     for (std::size_t f = 0; f < files.size(); ++f) {
       EXPECT_EQ(ReadFile(files[f]), solo[i][f]) << files[f];

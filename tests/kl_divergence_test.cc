@@ -16,7 +16,10 @@
 #include "anonymity/generalization.h"
 #include "common/rng.h"
 #include "core/anonymizer.h"
+#include "core/batch.h"
+#include "core/run_spec.h"
 #include "data/acs_generator.h"
+#include "hilbert/hilbert_partitioner.h"
 #include "tds/tds.h"
 #include "test_util.h"
 
@@ -370,6 +373,46 @@ TEST(KlGolden, SalSevenMatchesPinnedBits) {
     EXPECT_EQ(outcome.kl_divergence, g.kl)
         << AlgorithmName(g.algo) << " l=" << g.l << std::hexfloat << ": got "
         << outcome.kl_divergence << ", pinned " << g.kl;
+  }
+}
+
+TEST(KlEquivalence, SharedPointsMatchPerJobPoints) {
+  // The engine resolves one point set per table, and every job of a sweep
+  // sums over it on whichever worker solved the job. KlGolden's twelve
+  // cells through AnonymizeBatch with resolved artifacts, at 1 and at 4
+  // workers, must equal each cell run alone -- its estimator building its
+  // own points -- bit for bit.
+  const Table sal = GenerateSal(20000, 1);
+  const std::uint32_t ls[] = {2, 4};
+  const std::vector<RunSpec> specs = ExpandRunGrid(kAllAlgorithms, ls, 1, AnonymizerOptions{});
+  ASSERT_EQ(specs.size(), 12u);
+  std::vector<double> alone;
+  for (const RunSpec& spec : specs) {
+    const AnonymizationOutcome outcome = Anonymize(sal, spec.l, spec.algorithm);
+    ASSERT_TRUE(outcome.feasible) << RunSpecLabel(spec);
+    alone.push_back(outcome.kl_divergence);
+  }
+
+  TableArtifacts artifacts;
+  artifacts.grouped = std::make_shared<const GroupedTable>(sal);
+  auto order = std::make_shared<std::vector<RowId>>();
+  HilbertComputeOrder(sal, nullptr, order.get());
+  artifacts.hilbert_order = std::move(order);
+  artifacts.kl_points = std::make_shared<const std::vector<KlPoint>>(KlDistinctPoints(sal));
+  std::uint64_t rows = 0;
+  for (const KlPoint& point : *artifacts.kl_points) rows += point.count;
+  EXPECT_EQ(rows, sal.size()) << "the point multiplicities must cover every row once";
+
+  const Table* tables[] = {&sal};
+  for (const unsigned threads : {1u, 4u}) {
+    const std::vector<AnonymizationOutcome> outcomes =
+        AnonymizeBatch(specs, tables, {&artifacts, 1}, Workspace(threads, nullptr));
+    ASSERT_EQ(outcomes.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(outcomes[i].kl_divergence, alone[i])
+          << RunSpecLabel(specs[i]) << " at " << threads << " workers" << std::hexfloat
+          << ": shared " << outcomes[i].kl_divergence << ", alone " << alone[i];
+    }
   }
 }
 

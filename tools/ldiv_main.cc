@@ -37,7 +37,6 @@
 #include "daemon/daemon.h"
 #include "daemon/protocol.h"
 #include "engine/engine.h"
-#include "engine/report.h"
 
 namespace {
 
@@ -77,27 +76,20 @@ int OneShotMain(int argc, char** argv) {
 
   const JobSpec& spec = parsed.value();
   Engine engine;
-  Expected<JobResult, PipelineError> run = engine.Run(spec);
+  std::string notices;
+  Expected<ExecuteSummary, PipelineError> run = engine.Execute(spec, &notices);
   if (!run.ok()) {
     std::fprintf(stderr, "ldiv: %s\n", run.error().message.c_str());
     return ExitCodeFor(run.error().code);
   }
-  const JobResult& result = run.value();
-
-  std::string notices;
-  if (std::optional<PipelineError> write_error = WriteJobOutputs(spec, result, &notices)) {
-    std::fprintf(stderr, "ldiv: %s\n", write_error->message.c_str());
-    return ExitCodeFor(write_error->code);
-  }
   std::fprintf(stderr, "%s", notices.c_str());
 
   // One summary line per job, in job order.
-  std::size_t infeasible = 0;
-  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-    const EngineJob& job = result.jobs[i];
+  const ExecuteSummary& summary = run.value();
+  for (std::size_t i = 0; i < summary.jobs.size(); ++i) {
+    const EngineJob& job = summary.jobs[i];
     const AnonymizationOutcome& outcome = job.outcome;
     if (!outcome.feasible) {
-      ++infeasible;
       std::fprintf(stderr, "[%zu] %s: infeasible (table is not %u-eligible)\n", i,
                    RunSpecLabel(job.spec).c_str(), job.spec.l);
       continue;
@@ -110,13 +102,8 @@ int OneShotMain(int argc, char** argv) {
                  outcome.group_stats.group_count, outcome.kl_divergence, outcome.seconds);
   }
   std::fprintf(stderr, "report: %s.json, %s_metrics.csv (%zu jobs)\n", spec.out.c_str(),
-               spec.out.c_str(), result.jobs.size());
-
-  // A sweep treats infeasible cells as data; a single run fails loudly.
-  if (result.jobs.size() == 1 && infeasible > 0) {
-    return ExitCodeFor(PipelineErrorCode::kInfeasible);
-  }
-  return kExitOk;
+               spec.out.c_str(), summary.jobs.size());
+  return summary.exit_code;
 }
 
 int ServeMain(int argc, char** argv) {
