@@ -548,6 +548,16 @@ void RunGroupingPar(benchmark::State& state, unsigned threads) {
   state.SetItemsProcessed(state.iterations() * t.size());
 }
 
+// What one parallel region costs by itself: an empty-bodied ParallelFor
+// over 16 one-index chunks, so each row reads the price of starting and
+// joining that many helpers (the 1t row runs inline and starts none).
+void RunParallelRegion(benchmark::State& state, unsigned threads) {
+  Workspace ws(threads, nullptr);
+  for (auto _ : state) {
+    ParallelFor(16, 1, ws, [](std::size_t, std::size_t, Workspace&) {});
+  }
+}
+
 // ---- Cross-job artifact cache series ----
 //
 // `sweep_cached` pushes a 3-l TP sweep through a warm Engine each
@@ -624,6 +634,10 @@ void RegisterParallelSeries() {
         series("grouping_par").c_str(),
         [threads](benchmark::State& state) { RunGroupingPar(state, threads); });
     FieldRegistry()[series("grouping_par")] = {100000, 7, threads, ActiveSimd()};
+    benchmark::RegisterBenchmark(
+        series("parallel_region").c_str(),
+        [threads](benchmark::State& state) { RunParallelRegion(state, threads); });
+    FieldRegistry()[series("parallel_region")] = {16, 0, threads, {}};
   }
 }
 

@@ -30,7 +30,12 @@ std::unique_ptr<ExternalSorter> ExternalSorter::Create(const Options& options,
 }
 
 ExternalSorter::ExternalSorter(const Options& options) : options_(options) {
-  LDIV_CHECK_GT(options_.buffer_records, 0u);
+  if (options_.buffer_records == 0) {
+    const std::uint64_t spend =
+        options_.budget != nullptr ? options_.budget->remaining() / 4 : 64ull << 20;
+    options_.buffer_records = static_cast<std::size_t>(
+        std::clamp<std::uint64_t>(spend / kRecordBytes, 1u << 16, 4u << 20));
+  }
   LDIV_CHECK_GT(options_.merge_buffer_records, 0u);
   buffer_.reserve(options_.buffer_records);
   buffer_reservation_ =

@@ -40,7 +40,9 @@ struct SortRecord {
 class ExternalSorter {
  public:
   struct Options {
-    std::size_t buffer_records = 1u << 20;        // in-RAM run size (16 B each)
+    /// In-RAM run size (16 B each); 0 = a quarter of what `budget` has
+    /// left, clamped to [2^16, 2^22] records (64 MiB worth unbudgeted).
+    std::size_t buffer_records = 0;
     std::size_t merge_buffer_records = 1u << 14;  // per-run merge read buffer
     std::shared_ptr<MemoryBudget> budget;
     /// The caller's workspace: runs sort at its threads(). Borrowed, and

@@ -358,18 +358,10 @@ void GroupedTable::BuildChunkedImpl(const Table& table, Workspace& ws,
   for (AttrId a = 0; a < d; ++a) cols[a] = table.column(a).data();
   const SaValue* sa_col = table.sa_column().data();
 
-  const std::shared_ptr<MemoryBudget> budget = ws.budget();
-  if (sort_buffer_records == 0) {
-    // Give the sort buffer a quarter of what's left, within sane bounds.
-    const std::uint64_t spend =
-        budget != nullptr ? budget->remaining() / 4 : 64ull << 20;
-    sort_buffer_records = static_cast<std::size_t>(std::clamp<std::uint64_t>(
-        spend / sizeof(SortRecord), 1u << 16, 4u << 20));
-  }
   std::string sort_error;
   std::unique_ptr<ExternalSorter> sorter = ExternalSorter::Create(
       ExternalSorter::Options{
-          .buffer_records = sort_buffer_records, .budget = budget, .workspace = &ws},
+          .buffer_records = sort_buffer_records, .budget = ws.budget(), .workspace = &ws},
       &sort_error);
   // No temp space mid-build is recoverable: the engine boundary turns
   // this into a typed I/O error, never an abort.

@@ -118,8 +118,8 @@ class GroupedTable {
   /// (groups by first occurrence, rows by (sa, row) within a group) -- so
   /// peak scratch is O(s) + the sort buffer instead of the sharded
   /// build's ~32 bytes/row. Byte-identical to the ctor's sharded build.
-  /// `sort_buffer_records` == 0 derives the buffer from the workspace's
-  /// budget; tests pass a small value to force multi-run spills.
+  /// `sort_buffer_records` == 0 lets the sorter size its buffer from the
+  /// workspace's budget; tests pass a small value to force multi-run spills.
   static GroupedTable BuildChunked(const Table& table, Workspace* workspace = nullptr,
                                    std::size_t sort_buffer_records = 0);
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -12,145 +12,13 @@ namespace ldv {
 
 namespace {
 
-// True on threads owned by the pool and on a caller currently inside a
-// parallel region, so a ParallelFor issued from inside a chunk body runs
-// inline instead of deadlocking on the run mutex.
+// True on a region's helpers and on a caller currently inside a parallel
+// region, so a ParallelFor issued from inside a chunk body runs inline
+// instead of forking a second team under the first.
 thread_local bool t_in_parallel_region = false;
 
 std::atomic<unsigned> g_thread_budget{0};  // 0 = auto
 std::atomic<unsigned> g_inner_threads{0};  // 0 = follow the budget
-
-// The work-stealing-lite pool: persistent workers claim chunk indices
-// from one shared atomic counter (dynamic load balancing without
-// per-chunk queues). One parallel region runs at a time (run_mutex_), so
-// concurrent engine runs with more than one thread take turns here; the
-// calling thread participates, so `threads == 1` never touches the pool
-// at all.
-class ThreadPool {
- public:
-  static ThreadPool& Global() {
-    static ThreadPool pool;
-    return pool;
-  }
-
-  void Run(unsigned threads, std::size_t n, std::size_t grain, Workspace& caller_ws,
-           const ParallelChunkFn& fn) {
-    const std::size_t chunk_count = (n + grain - 1) / grain;
-    std::lock_guard<std::mutex> run_lock(run_mutex_);
-    const unsigned helpers =
-        static_cast<unsigned>(std::min<std::size_t>(threads - 1, chunk_count - 1));
-    EnsureWorkers(helpers);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      task_fn_ = &fn;
-      task_n_ = n;
-      task_grain_ = grain;
-      task_chunks_ = chunk_count;
-      next_chunk_.store(0, std::memory_order_relaxed);
-      pending_ = helpers;
-      ++epoch_;
-      helpers_wanted_ = helpers;
-    }
-    work_cv_.notify_all();
-    t_in_parallel_region = true;
-    RunChunks(caller_ws);
-    t_in_parallel_region = false;
-    std::exception_ptr error;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      done_cv_.wait(lock, [this] { return pending_ == 0; });
-      task_fn_ = nullptr;
-      error = task_error_;
-      task_error_ = nullptr;
-    }
-    // A chunk that threw (on any thread) rethrows HERE, on the calling
-    // thread, after every worker has left the region -- a deep I/O
-    // failure inside a parallel kernel surfaces to the engine boundary
-    // instead of terminating the process from a pool thread.
-    if (error) std::rethrow_exception(error);
-  }
-
-  ~ThreadPool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      shutdown_ = true;
-    }
-    work_cv_.notify_all();
-    for (auto& worker : workers_) worker->thread.join();
-  }
-
- private:
-  struct Worker {
-    explicit Worker(ThreadPool* pool, unsigned index) {
-      thread = std::thread([pool, index] { pool->WorkerLoop(index); });
-    }
-    std::thread thread;
-    Workspace workspace;
-  };
-
-  void EnsureWorkers(unsigned count) {
-    while (workers_.size() < count) {
-      workers_.push_back(
-          std::make_unique<Worker>(this, static_cast<unsigned>(workers_.size())));
-    }
-  }
-
-  void RunChunks(Workspace& ws) {
-    for (;;) {
-      std::size_t chunk = next_chunk_.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= task_chunks_) return;
-      std::size_t begin = chunk * task_grain_;
-      std::size_t end = std::min(task_n_, begin + task_grain_);
-      try {
-        (*task_fn_)(begin, end, ws);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          if (!task_error_) task_error_ = std::current_exception();
-        }
-        // Skip the remaining chunks so every thread leaves the region
-        // promptly; Run() rethrows on the calling thread.
-        next_chunk_.store(task_chunks_, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  void WorkerLoop(unsigned index) {
-    t_in_parallel_region = true;
-    std::uint64_t seen_epoch = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        work_cv_.wait(lock, [&] {
-          return shutdown_ || (epoch_ != seen_epoch && index < helpers_wanted_);
-        });
-        if (shutdown_) return;
-        seen_epoch = epoch_;
-      }
-      RunChunks(workers_[index]->workspace);
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (--pending_ == 0) done_cv_.notify_all();
-      }
-    }
-  }
-
-  std::mutex run_mutex_;  // serializes whole parallel regions
-  std::mutex mutex_;      // protects the task state below
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  const ParallelChunkFn* task_fn_ = nullptr;
-  std::exception_ptr task_error_;  // first chunk exception of the region
-  std::size_t task_n_ = 0;
-  std::size_t task_grain_ = 1;
-  std::size_t task_chunks_ = 0;
-  std::atomic<std::size_t> next_chunk_{0};
-  unsigned pending_ = 0;
-  unsigned helpers_wanted_ = 0;
-  std::uint64_t epoch_ = 0;
-  bool shutdown_ = false;
-};
 
 }  // namespace
 
@@ -188,13 +56,63 @@ void ParallelForThreads(unsigned threads, std::size_t n, std::size_t grain, Work
   const std::size_t chunk_count = (n + grain - 1) / grain;
   if (threads <= 1 || chunk_count <= 1 || t_in_parallel_region) {
     // Inline execution, chunk by chunk: same geometry, same results, no
-    // pool -- this IS the sequential path.
+    // helper threads -- this IS the sequential path.
     for (std::size_t begin = 0; begin < n; begin += grain) {
       fn(begin, std::min(n, begin + grain), ws);
     }
     return;
   }
-  ThreadPool::Global().Run(threads, n, grain, ws, fn);
+
+  // Fork-join: the caller and its helpers claim chunk indices from one
+  // atomic counter (dynamic load balancing without per-chunk queues).
+  // Every helper runs on a one-thread workspace under the caller's memory
+  // budget and ends with the region, so concurrent regions share nothing.
+  const std::size_t helpers = std::min<std::size_t>(threads, chunk_count) - 1;
+  const std::shared_ptr<MemoryBudget> budget = ws.budget();
+  std::atomic<std::size_t> next_chunk{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;  // the first chunk exception of the region
+  const auto run_chunks = [&](Workspace& chunk_ws) {
+    t_in_parallel_region = true;
+    for (;;) {
+      const std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
+      if (chunk >= chunk_count) break;
+      const std::size_t begin = chunk * grain;
+      try {
+        fn(begin, std::min(n, begin + grain), chunk_ws);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (!error) error = std::current_exception();
+        }
+        // Skip the remaining chunks so every thread leaves the region
+        // promptly.
+        next_chunk.store(chunk_count, std::memory_order_relaxed);
+      }
+    }
+    t_in_parallel_region = false;
+  };
+  std::vector<std::thread> team;
+  team.reserve(helpers);
+  for (std::size_t h = 0; h < helpers; ++h) {
+    try {
+      team.emplace_back([&] {
+        Workspace helper_ws(1, budget);
+        run_chunks(helper_ws);
+      });
+    } catch (...) {
+      // No thread to be had (EAGAIN, out of memory): the threads already
+      // started finish the region, and none is left unjoined.
+      break;
+    }
+  }
+  run_chunks(ws);
+  for (std::thread& helper : team) helper.join();
+  // A chunk that threw (on any thread) rethrows HERE, on the calling
+  // thread, after every helper has joined -- a deep I/O failure inside a
+  // parallel kernel surfaces to the engine boundary instead of
+  // terminating the process from a helper thread.
+  if (error) std::rethrow_exception(error);
 }
 
 void ParallelFor(std::size_t n, std::size_t grain, Workspace& ws, const ParallelChunkFn& fn) {

@@ -47,28 +47,30 @@ class InnerThreadsScope {
 /// One chunk of a parallel loop: the half-open index range [begin, end)
 /// plus the Workspace the executing thread owns for its scratch memory.
 /// For the calling thread this is the workspace passed to ParallelFor;
-/// for pool workers it is the worker's resident workspace.
+/// for a helper it is its own Workspace(1, the caller's budget).
 using ParallelChunkFn =
     std::function<void(std::size_t begin, std::size_t end, Workspace& ws)>;
 
 /// Deterministic parallel loop over [0, n): the range is cut into
 /// ceil(n / grain) chunks, chunk k covering [k*grain, min(n, (k+1)*grain)),
-/// and the chunks are executed by up to ws.threads() threads (the caller
-/// participates; a lazily started pool supplies the rest, so a one-thread
-/// workspace never touches the pool). The chunk
+/// and the chunks are executed by up to ws.threads() threads in a
+/// fork-join: the caller starts min(threads, chunks) - 1 helpers, claims
+/// chunks beside them and joins them, so a one-thread workspace starts no
+/// thread. Regions share no process-wide state, so concurrent callers run
+/// theirs at the same time instead of taking turns. The chunk
 /// geometry depends only on (n, grain) -- never on the thread count -- so
 /// any output indexed by row or by chunk is byte-identical at every
 /// thread count; only the assignment of chunks to threads varies.
 ///
 /// `fn` must therefore write only to locations owned by its chunk (or to
 /// per-chunk slots) and may read any shared state that no chunk writes.
-/// Chunks claimed by the pool run concurrently; a chunk is never split.
-/// Calls from inside a pool worker run inline (no nested fan-out).
+/// Chunks run concurrently; a chunk is never split. Calls from inside a
+/// chunk run inline (no nested fan-out).
 ///
 /// A chunk that throws -- on any thread -- skips the region's remaining
 /// chunks and rethrows the first exception on the calling thread once
-/// every worker has left the region, so I/O failures inside parallel
-/// kernels reach the engine boundary instead of std::terminate.
+/// every helper has joined, so I/O failures inside parallel kernels
+/// reach the engine boundary instead of std::terminate.
 void ParallelFor(std::size_t n, std::size_t grain, Workspace& ws, const ParallelChunkFn& fn);
 
 /// ParallelFor with an explicit thread count instead of ws.threads().

@@ -75,14 +75,16 @@ class ScratchVec {
 /// signature index, Mondrian's row/median/histogram buffers and the
 /// Hilbert code/order arrays all draw from here. A Workspace is cheap to
 /// construct (no allocation until first use) and is NOT thread-safe --
-/// use one per thread; AnonymizeBatch keeps one per worker.
+/// use one per thread; AnonymizeBatch keeps one per worker, and ParallelFor
+/// one per helper.
 ///
 /// The context is a thread count (ParallelFor's and Mondrian's fan-out)
 /// and a memory budget (what GroupedTable, the Hilbert sort and the paged
 /// loader size against and charge to). Each engine run builds its own, so
-/// concurrent runs never share either. A default-constructed Workspace
-/// carries no context of its own and follows the process defaults
-/// (InnerThreads() and the SetMemoryBudget budget) at every use.
+/// concurrent runs never share either, nor take turns in parallel regions.
+/// A default-constructed Workspace carries no context of its own and
+/// follows the process defaults (InnerThreads() and the SetMemoryBudget
+/// budget) at every use.
 ///
 /// All of the repository's index types (RowId, Value, SaValue, GroupId,
 /// counts) are 32-bit, so a single 32-bit pool serves them all; the 64-bit

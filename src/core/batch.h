@@ -36,11 +36,12 @@ using JobDone = std::function<void(std::size_t job, AnonymizationOutcome& outcom
 /// job-level workers and the kernels share, and its budget() is the
 /// memory budget every job runs under. A batch of one job, or a run of
 /// one thread, solves on the calling thread and leaves the whole thread
-/// budget to the kernels; otherwise each worker solves on a one-thread
-/// workspace of its own, so the kernels of a multi-worker batch never fan
-/// out. An exception from any job or its `on_done` call (an IoFailure,
-/// say) stops the hand-out of further jobs and is rethrown here, on the
-/// calling thread, once every worker has joined.
+/// budget to the kernels; otherwise the workers are one ParallelForThreads
+/// region, one job per chunk, each on a one-thread workspace of its own,
+/// so the kernels of a multi-worker batch never fan out. An exception from
+/// any job or its `on_done` call (an IoFailure, say) stops the hand-out of
+/// further jobs and is rethrown here, on the calling thread, once every
+/// helper has joined.
 std::vector<AnonymizationOutcome> AnonymizeBatch(std::span<const RunSpec> specs,
                                                  std::span<const Table* const> tables,
                                                  std::span<const TableArtifacts> artifacts,

@@ -186,7 +186,12 @@ void Daemon::AcceptLoop() {
     std::size_t live = 0;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      handlers_.emplace_back(&Daemon::HandleConnection, this, fd);
+      handlers_.emplace_back([this, fd] {
+        HandleConnection(fd);
+        // The handler's last act: from here on, joining it cannot block.
+        std::lock_guard<std::mutex> lock(mutex_);
+        returned_handlers_.push_back(std::this_thread::get_id());
+      });
       live = handlers_.size();
     }
     // Handlers are short-lived (one frame in, at most one frame out);
@@ -200,13 +205,23 @@ void Daemon::ReapHandlers(bool all) {
   std::vector<std::thread> reaped;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    reaped.swap(handlers_);
+    if (all) {
+      reaped.swap(handlers_);
+    } else {
+      // Only the handlers that have returned: one still waiting on a
+      // silent peer would stall accept until its I/O timeout.
+      for (const std::thread::id id : returned_handlers_) {
+        const auto it = std::find_if(handlers_.begin(), handlers_.end(),
+                                     [id](const std::thread& t) { return t.get_id() == id; });
+        reaped.push_back(std::move(*it));
+        *it = std::move(handlers_.back());
+        handlers_.pop_back();
+      }
+      returned_handlers_.clear();
+    }
   }
   // Join OUTSIDE the lock: handlers take mutex_ to enqueue.
-  for (std::thread& handler : reaped) {
-    if (handler.joinable()) handler.join();
-  }
-  (void)all;
+  for (std::thread& handler : reaped) handler.join();
 }
 
 void Daemon::HandleConnection(int fd) {

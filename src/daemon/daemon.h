@@ -110,6 +110,7 @@ class Daemon {
   // Pops the best runnable job; false when stopping and drained.
   bool Dequeue(PendingJob* job);
   void RunJob(PendingJob job);
+  // Joins the handlers that have returned, or every handler when `all`.
   void ReapHandlers(bool all);
 
   DaemonOptions options_;
@@ -128,6 +129,8 @@ class Daemon {
   std::thread accept_thread_;
   std::vector<std::thread> workers_;
   std::vector<std::thread> handlers_;  // guarded by mutex_
+  // Ids of handlers_ entries whose thread has returned; guarded by mutex_.
+  std::vector<std::thread::id> returned_handlers_;
 };
 
 }  // namespace ldv

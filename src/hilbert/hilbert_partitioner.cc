@@ -59,30 +59,43 @@ class GrowingEligibility {
   std::uint64_t total_ = 0;
 };
 
-// Hilbert code per row, written into `codes`. Domains larger than the
-// representable grid are right-shifted (graceful coarsening); the paper's
-// workloads (d <= 7, domains <= 79) always fit exactly. The encode is a
-// pure per-row map, so the rows are fanned out in fixed chunks -- the
-// result cannot depend on the thread count.
-void ComputeCodes(const Table& table, Workspace& ws, std::vector<std::uint64_t>* codes) {
-  std::uint32_t d = static_cast<std::uint32_t>(table.qi_count());
+// The table's rows as points on one Hilbert curve, sized to the widest QI
+// domain. Domains larger than the representable grid are right-shifted
+// (graceful coarsening); the paper's workloads (d <= 7, domains <= 79)
+// always fit exactly.
+struct RowEncoder {
+  HilbertCurve curve;
+  std::uint32_t shift;
+  std::vector<const Value*> cols;
+
+  void Encode(std::size_t begin, std::size_t count, std::uint64_t* out) const {
+    curve.EncodeBlock(cols.data(), shift, begin, count, out);
+  }
+};
+
+RowEncoder MakeRowEncoder(const Table& table) {
+  const std::uint32_t d = static_cast<std::uint32_t>(table.qi_count());
   std::uint32_t bits_needed = 1;
+  std::vector<const Value*> cols(d);
   for (AttrId a = 0; a < d; ++a) {
     bits_needed = std::max(bits_needed,
                            HilbertCurve::BitsForDomain(table.schema().qi(a).domain_size));
+    cols[a] = table.column(a).data();
   }
-  std::uint32_t bits = std::min(bits_needed, std::max(1u, 64u / d));
-  std::uint32_t shift = bits_needed - bits;
-  HilbertCurve curve(d, bits);
+  const std::uint32_t bits = std::min(bits_needed, std::max(1u, 64u / d));
+  return {HilbertCurve(d, bits), bits_needed - bits, std::move(cols)};
+}
 
+// Hilbert code per row, written into `codes`. The encode is a pure
+// per-row map, so the rows are fanned out in fixed chunks -- the result
+// cannot depend on the thread count.
+void ComputeCodes(const Table& table, Workspace& ws, std::vector<std::uint64_t>* codes) {
+  const RowEncoder encoder = MakeRowEncoder(table);
   codes->resize(table.size());
-  std::vector<const Value*> cols(d);
-  for (AttrId a = 0; a < d; ++a) cols[a] = table.column(a).data();
   std::uint64_t* out = codes->data();
-  ParallelFor(table.size(), 8192, ws,
-              [&](std::size_t begin, std::size_t end, Workspace&) {
-                curve.EncodeBlock(cols.data(), shift, begin, end - begin, out + begin);
-              });
+  ParallelFor(table.size(), 8192, ws, [&](std::size_t begin, std::size_t end, Workspace&) {
+    encoder.Encode(begin, end - begin, out + begin);
+  });
 }
 
 // Out-of-core variant of ComputeOrder: rows are Hilbert-encoded in fixed
@@ -94,37 +107,20 @@ void ComputeCodes(const Table& table, Workspace& ws, std::vector<std::uint64_t>*
 // so the emitted order is byte-identical.
 void ComputeOrderExternal(const Table& table, Workspace& ws, std::vector<RowId>* order) {
   constexpr std::size_t kEncodeChunk = 65536;
-  std::uint32_t d = static_cast<std::uint32_t>(table.qi_count());
-  std::uint32_t bits_needed = 1;
-  for (AttrId a = 0; a < d; ++a) {
-    bits_needed = std::max(bits_needed,
-                           HilbertCurve::BitsForDomain(table.schema().qi(a).domain_size));
-  }
-  std::uint32_t bits = std::min(bits_needed, std::max(1u, 64u / d));
-  std::uint32_t shift = bits_needed - bits;
-  HilbertCurve curve(d, bits);
-
-  const std::shared_ptr<MemoryBudget> budget = ws.budget();
-  const std::uint64_t spend = budget != nullptr ? budget->remaining() / 4 : 64ull << 20;
-  const std::size_t buffer_records = static_cast<std::size_t>(
-      std::clamp<std::uint64_t>(spend / sizeof(SortRecord), 1u << 16, 4u << 20));
+  const RowEncoder encoder = MakeRowEncoder(table);
   std::string sort_error;
   std::unique_ptr<ExternalSorter> sorter = ExternalSorter::Create(
-      ExternalSorter::Options{
-          .buffer_records = buffer_records, .budget = budget, .workspace = &ws},
-      &sort_error);
+      ExternalSorter::Options{.budget = ws.budget(), .workspace = &ws}, &sort_error);
   // Recoverable: the engine boundary converts the throw to a typed I/O
   // error instead of aborting the process mid-sort.
   if (sorter == nullptr) throw IoFailure("external sort unavailable: " + sort_error);
 
-  std::vector<const Value*> cols(d);
-  for (AttrId a = 0; a < d; ++a) cols[a] = table.column(a).data();
   auto chunk_s = ws.U64();
   std::vector<std::uint64_t>& chunk = *chunk_s;
   chunk.resize(std::min(table.size(), kEncodeChunk));
   for (std::size_t begin = 0; begin < table.size(); begin += kEncodeChunk) {
     const std::size_t count = std::min(kEncodeChunk, table.size() - begin);
-    curve.EncodeBlock(cols.data(), shift, begin, count, chunk.data());
+    encoder.Encode(begin, count, chunk.data());
     for (std::size_t i = 0; i < count; ++i) sorter->Add(chunk[i], begin + i);
   }
   sorter->Finish();

@@ -3,7 +3,8 @@
 // busy -- never a hang or a silent drop), priority and deadline handling
 // at dequeue, cache hits across submissions, byte-identical
 // outputs versus a direct Engine run, workers running jobs concurrently
-// (the running / max-running counters), and graceful shutdown draining.
+// (the running / max-running counters), an accept loop that a silent
+// client cannot stall, and graceful shutdown draining.
 
 #include "daemon/daemon.h"
 
@@ -536,6 +537,30 @@ TEST_F(DaemonTest, TruncatedLyingAndOversizedFramesDropOnlyTheirConnection) {
   daemon.Stop();
   daemon.WaitForShutdown();
   EXPECT_GE(daemon.stats().rejected_error, 3u) << "hostile frames must be counted";
+}
+
+TEST_F(DaemonTest, SilentConnectionDoesNotStallAccept) {
+  DaemonOptions options;
+  options.socket_path = SocketPath("ldivd_silent.sock");
+  options.io_timeout_ms = 5000;  // far past each ping's allowance below
+  Daemon daemon(options);
+  std::string error;
+  ASSERT_TRUE(daemon.Start(&error)) << error;
+
+  // One client connects and sends nothing. The accept loop reaps its
+  // handlers every 32 connections; the reap must not wait on this one
+  // until its I/O timeout, so every later ping is answered promptly.
+  const int silent = RawConnect(options.socket_path);
+  ASSERT_GE(silent, 0);
+  for (int i = 0; i < 40; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ExpectAlive(options.socket_path);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1)) << "ping " << i;
+  }
+  ::close(silent);
+
+  daemon.Stop();
+  daemon.WaitForShutdown();
 }
 
 TEST_F(DaemonTest, PayloadValidationRejectsNulsDuplicatesAndOversizedKeys) {

@@ -87,9 +87,10 @@ TEST(GroupingShard, OversubscribedBuildIsNotSlowerThanSequential) {
   const double base = MinBuildSeconds(t, 1, kBuilds);
   for (unsigned budget : {2u, 4u}) {
     const double oversub = MinBuildSeconds(t, budget, kBuilds);
-    // 1.3x headroom covers pool-dispatch overhead and scheduler noise on
-    // a single-core host; a return of the old sequential-probe regression
-    // (2x and worse) still fails decisively.
+    // 1.3x headroom covers the cost of starting and joining each
+    // region's helper threads and scheduler noise on a single-core host;
+    // a return of the old sequential-probe regression (2x and worse)
+    // still fails decisively.
     EXPECT_LE(oversub, 1.3 * base)
         << "budget " << budget << ": " << oversub << "s vs 1-thread " << base << "s";
   }

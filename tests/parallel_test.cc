@@ -1,7 +1,8 @@
 // Unit tests of the shared parallel runtime (src/common/parallel.h): the
 // thread-budget helpers, the deterministic chunk geometry of ParallelFor,
-// the ordered combine of ParallelReduce, per-thread workspace handling,
-// nested calls and cross-thread use. Everything here runs at explicit
+// the ordered combine of ParallelReduce, per-thread workspace handling
+// (the helpers' one-thread workspaces under the caller's budget), nested
+// calls and cross-thread use. Everything here runs at explicit
 // thread counts above the (possibly single-core) host's concurrency --
 // oversubscription is part of the contract, it is what makes the parallel
 // code paths testable anywhere.
@@ -11,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -160,13 +163,55 @@ TEST_F(ParallelTest, WorkerWorkspacesAreDistinctPerThread) {
   }
 }
 
+TEST_F(ParallelTest, HelpersRunOnOneThreadWorkspacesUnderTheCallersBudget) {
+  // The caller's chunks run on the caller's workspace. Every helper's
+  // chunks run on a one-thread workspace of its own that carries the
+  // caller's memory budget -- the same object -- whatever the process
+  // defaults say.
+  SetThreadBudget(7);
+  const auto budget = std::make_shared<MemoryBudget>(1 << 20);
+  Workspace caller_ws(4, budget);
+  const std::thread::id caller = std::this_thread::get_id();
+  struct Seen {
+    bool on_caller;
+    Workspace* ws;
+    unsigned threads;
+    std::shared_ptr<MemoryBudget> budget;
+  };
+  std::mutex mu;
+  std::vector<Seen> seen;
+  std::atomic<bool> helper_ran{false};
+  ParallelFor(64, 1, caller_ws, [&](std::size_t, std::size_t, Workspace& ws) {
+    const bool on_caller = std::this_thread::get_id() == caller;
+    if (!on_caller) helper_ran.store(true);
+    // Hold the caller until a helper has claimed a chunk, so helpers take
+    // part however the scheduler runs them.
+    for (int i = 0; on_caller && !helper_ran.load() && i < 5000; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    seen.push_back({on_caller, &ws, ws.threads(), ws.budget()});
+  });
+  ASSERT_EQ(seen.size(), 64u);
+  EXPECT_TRUE(helper_ran.load()) << "no helper ran a chunk";
+  for (const Seen& chunk : seen) {
+    if (chunk.on_caller) {
+      EXPECT_EQ(chunk.ws, &caller_ws);
+    } else {
+      EXPECT_NE(chunk.ws, &caller_ws);
+      EXPECT_EQ(chunk.threads, 1u);
+      EXPECT_EQ(chunk.budget.get(), budget.get());
+    }
+  }
+}
+
 TEST_F(ParallelTest, NestedParallelForRunsInline) {
   SetThreadBudget(4);
   Workspace ws;
   std::atomic<std::uint64_t> total{0};
   ParallelFor(8, 1, ws, [&](std::size_t, std::size_t, Workspace& outer_ws) {
-    // A nested call must execute (inline) rather than deadlock on the
-    // pool, and must see the same per-thread workspace.
+    // A nested call must execute inline rather than fork a second team,
+    // and must see the same per-thread workspace.
     ParallelFor(10, 2, outer_ws, [&](std::size_t begin, std::size_t end, Workspace& inner_ws) {
       EXPECT_EQ(&inner_ws, &outer_ws);
       total.fetch_add(end - begin);
@@ -176,9 +221,9 @@ TEST_F(ParallelTest, NestedParallelForRunsInline) {
 }
 
 TEST_F(ParallelTest, ConcurrentCallersSerializeSafely) {
-  // Two plain threads issuing ParallelFor concurrently: regions serialize
-  // on the pool, both complete, results are exact. (This is also the
-  // TSan-job scenario.)
+  // Two plain threads issuing ParallelFor concurrently: each region forks
+  // and joins its own helpers, so the regions run at the same time, both
+  // complete, results are exact. (This is also the TSan-job scenario.)
   SetThreadBudget(4);
   auto sum_to = [](std::size_t n) {
     Workspace ws;
